@@ -124,6 +124,17 @@ def itm_slope(ec, K, tol=DEFAULT_TOL):
                      "alt_coefficient_parity": ec.r * K + ec.S0 * psi})
 
 
+def leading_term(ec, K, tol=DEFAULT_TOL):
+    """Leading term at strike K from the formula of its regime: otm_slope,
+    itm_slope or atm_coefficient, as chosen by classify_regime."""
+    regime = classify_regime(ec, K)
+    if regime == OTM:
+        return otm_slope(ec, K, tol)
+    if regime == ITM:
+        return itm_slope(ec, K, tol)
+    return atm_coefficient(ec, tol)
+
+
 def stable_positive_part_constant(alpha, c0, tol=DEFAULT_TOL):
     """The Fourier constant (1/2pi) * integral of (1 - e^{-c0 |z|^alpha}) / z^2.
 

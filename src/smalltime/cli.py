@@ -17,6 +17,7 @@ Identical spec and seed produce byte-identical output regardless of
 
 import argparse
 import json
+import math
 import sys
 
 from . import asymptotics as asym
@@ -67,16 +68,16 @@ def _query_value(args, spec, key, flag_value, required=True):
     return None
 
 
+def _positive_horizon(t):
+    if not t > 0:
+        raise SpecError(f"horizon must be positive, got {t!r}")
+    return t
+
+
 def cmd_asymptotics(args, spec):
     ec = spec.exp_model()
     K = float(_query_value(args, spec, "strike", args.strike))
-    regime = asym.classify_regime(ec, K)
-    if regime == asym.OTM:
-        res = asym.otm_slope(ec, K, args.tol)
-    elif regime == asym.ITM:
-        res = asym.itm_slope(ec, K, args.tol)
-    else:
-        res = asym.atm_coefficient(ec, args.tol)
+    res = asym.leading_term(ec, K, args.tol)
     record = {"regime": res.regime, "exponent": res.exponent,
               "coefficient": res.coefficient,
               "constant_term": res.constant_term,
@@ -92,6 +93,8 @@ def cmd_expansion(args, spec):
         raise SpecError("expansion needs a 'f' entry in the query block")
     f = function_from_spec(spec.query["f"])
     t = float(_query_value(args, spec, "t", args.t))
+    if not t >= 0:
+        raise SpecError(f"expansion time must be >= 0, got {t!r}")
     if spec.kind == "model":
         ec = spec.exp_model()
         x = float(spec.query.get("x", ec.S0))
@@ -114,34 +117,22 @@ def cmd_expansion(args, spec):
     return 0
 
 
-def _predicted(ec, K, tol):
-    regime = asym.classify_regime(ec, K)
-    if regime == asym.OTM:
-        return asym.otm_slope(ec, K, tol)
-    if regime == asym.ITM:
-        return asym.itm_slope(ec, K, tol)
-    return asym.atm_coefficient(ec, tol)
-
-
 def cmd_verify(args, spec):
     ec = spec.exp_model()
     K = float(_query_value(args, spec, "strike", args.strike))
     grid = args.t_grid or spec.query.get("t_grid")
     if not grid:
         raise SpecError("verify needs a t_grid (query block or --t-grid)")
-    grid = sorted(float(t) for t in grid)
-    res = _predicted(ec, K, args.tol)
-    a = res.coefficient * args.predicted_scale
+    grid = [_positive_horizon(float(t)) for t in grid]
+    res = asym.leading_term(ec, K, args.tol)
+    a = res.coefficient
     p = res.exponent
     c0 = res.constant_term
     cfg = spec.sim_config(master_seed=args.seed, n_workers=args.workers,
                           n_paths=args.paths)
-    rows = []
-    for t in sorted(grid, reverse=True):
-        est = mc.estimate_call(ec, t, K, cfg)
-        scale = t ** p
-        rows.append({"t": t, "estimate": est.value, "std_error": est.std_error,
-                     "ratio": (est.value - c0) / scale, "predicted": a})
+    rows = [{"t": r.t, "estimate": r.estimate, "std_error": r.std_error,
+             "ratio": r.ratio, "predicted": a}
+            for r in mc.slope_rows(ec, K, grid, p, cfg, c0)]
     smallest = rows[-1]
     threshold = 3.0 * smallest["std_error"] / smallest["t"] ** p + 0.05 * abs(a)
     passed = abs(smallest["ratio"] - a) <= threshold
@@ -157,9 +148,8 @@ def cmd_verify(args, spec):
     }
     if res.regime == asym.ITM:
         verdict["slope_candidates"] = {
-            "rate_on_spot": res.coefficient * args.predicted_scale,
-            "rate_on_strike": res.diagnostics["alt_coefficient_parity"]
-            * args.predicted_scale,
+            "rate_on_spot": res.coefficient,
+            "rate_on_strike": res.diagnostics["alt_coefficient_parity"],
         }
     if args.format == "csv":
         _write(args, _csv_rows(rows))
@@ -178,21 +168,15 @@ def cmd_verify(args, spec):
 
 def cmd_simulate(args, spec):
     ec = spec.exp_model()
-    t = float(_query_value(args, spec, "t", args.t))
+    t = _positive_horizon(float(_query_value(args, spec, "t", args.t)))
     K = _query_value(args, spec, "strike", args.strike, required=False)
     cfg = spec.sim_config(master_seed=args.seed, n_workers=args.workers,
                           n_paths=args.paths)
     if K is not None:
         est = mc.estimate_call(ec, t, float(K), cfg)
     else:
-        import math
-
-        import numpy as np
-        samples = mc.simulate_terminal(ec, t, cfg)
-        disc = math.exp(-ec.r * t)
-        value = disc * float(np.mean(samples))
-        se = disc * float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
-        est = mc.Estimate(value, se, cfg.n_paths)
+        est = mc.discounted_estimate(mc.simulate_terminal(ec, t, cfg),
+                                     math.exp(-ec.r * t))
     rows = [{"t": t, "estimate": est.value, "std_error": est.std_error,
              "ratio": None, "predicted": None}]
     if args.format == "csv":
@@ -238,8 +222,6 @@ def build_parser():
         p.add_argument("--workers", type=int, default=None)
         p.add_argument("--paths", type=int, default=None,
                        help="override sim.n_paths")
-        p.add_argument("--predicted-scale", type=float, default=1.0,
-                       help=argparse.SUPPRESS)  # test fixture hook
     return parser
 
 

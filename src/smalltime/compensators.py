@@ -40,7 +40,8 @@ def kappa(y):
 
 
 def g2(z):
-    """(e^z - 1 - z) / z^2, computed without cancellation; limit 1/2 at 0."""
+    """(e^z - 1 - z) / z^2 with the limit 1/2 at 0; the direct form loses
+    relative accuracy like eps/|z|, so a series is used for |z| < 1e-4."""
     if abs(z) < 1e-4:
         return 0.5 + z / 6.0 + z * z / 24.0
     return (math.expm1(z) - z) / (z * z)
@@ -189,12 +190,17 @@ class DensityCompensator(JumpCompensator):
         Closed-form tails, used instead of quadrature when available.
     family : str, optional
         Tag for scheme dispatch ("normal", "laplace", ...).
+    family_params : dict, optional
+        The family's parameters, always with ``"intensity"`` ("normal" adds
+        ``"mean"``, ``"std"``; "laplace" adds ``"scale"``, ``"mean"``). They
+        enable the exact normal compound-Poisson draw; ``scaled`` multiplies
+        the intensity.
     """
 
     form = "density"
 
     def __init__(self, fn, support, singularity_order=0.0, sampler=None,
-                 tail_up=None, tail_dn=None, family=None):
+                 tail_up=None, tail_dn=None, family=None, family_params=None):
         lo, hi = float(support[0]), float(support[1])
         if not lo < hi:
             raise InvariantViolation(f"empty support ({lo}, {hi})")
@@ -208,6 +214,7 @@ class DensityCompensator(JumpCompensator):
         self._tail_up = tail_up
         self._tail_dn = tail_dn
         self.family = family
+        self.family_params = family_params
         for probe in np.linspace(max(lo, -5.0) + 1e-6, min(hi, 5.0) - 1e-6, 17):
             if probe != 0.0 and fn(probe) < 0:
                 raise InvariantViolation(f"density negative at y={probe}")
@@ -252,10 +259,12 @@ class DensityCompensator(JumpCompensator):
                 v, e = quad_abs(prod, a, b, budget, points=points)
             elif kind == "sing+":
                 v, e = quad_singular_origin(
-                    lambda y: g(y) * self.fn(y) * y ** (s - 2.0), s, arg, budget)
+                    lambda y: g(y) * self.fn(y) * y ** (s - 2.0), s, arg, budget,
+                    points=points)
             else:
                 v, e = quad_singular_origin(
-                    lambda v_: g(-v_) * self.fn(-v_) * v_ ** (s - 2.0), s, arg, budget)
+                    lambda v_: g(-v_) * self.fn(-v_) * v_ ** (s - 2.0), s, arg, budget,
+                    points=[-p for p in points or ()])
             total += v
             err += e
         return total, err
@@ -287,18 +296,15 @@ class DensityCompensator(JumpCompensator):
         fn = self.fn
         sampler = self.sampler
         tu, td = self._tail_up, self._tail_dn
-        out = DensityCompensator(
+        params = self.family_params
+        if params is not None:
+            params = {**params, "intensity": params["intensity"] * factor}
+        return DensityCompensator(
             lambda y: factor * fn(y), (self.lo, self.hi), self.singularity_order,
             sampler=sampler,
             tail_up=(lambda x: factor * tu(x)) if tu else None,
             tail_dn=(lambda x: factor * td(x)) if td else None,
-            family=self.family)
-        params = getattr(self, "family_params", None)
-        if params:
-            out.family_params = dict(params)
-            if "intensity" in out.family_params:
-                out.family_params["intensity"] *= factor
-        return out
+            family=self.family, family_params=params)
 
     def total_intensity(self, tol=1e-10):
         if self.singularity_order >= 1:
@@ -349,14 +355,15 @@ class StableLikeCompensator(JumpCompensator):
         c = self.c
         budget = tol / 3.0
         vp, ep = quad_singular_origin(lambda y: g_over_y2(y) * c(y), 1.0 + a,
-                                      1.0, budget)
+                                      1.0, budget, points=points)
         vm, em = quad_singular_origin(lambda v: g_over_y2(-v) * c(-v), 1.0 + a,
-                                      1.0, budget)
+                                      1.0, budget, points=[-p for p in points or ()])
         vr, er = self.residual.integrate_with_error(g, budget, points, g_over_y2)
         return vp + vm + vr, ep + em + er
 
-    def _stable_tail(self, x):
-        # mass of the c(y)/|y|^(1+alpha) part beyond |y| >= |x|, one side
+    def side_mass(self, x):
+        """Mass of the c(y)/|y|**(1+alpha) part on [x, 1] for x > 0, or on
+        [-1, x] for x < 0; closed form when c is constant."""
         ax = abs(x)
         if ax >= 1.0:
             return 0.0
@@ -367,15 +374,27 @@ class StableLikeCompensator(JumpCompensator):
                          ax, 1.0, 1e-12)
         return v
 
+    def side_second_moment(self, x):
+        """Integral of y**2 against the c(y)/|y|**(1+alpha) part over (0, x]
+        for x > 0, or over [x, 0) for x < 0, with 0 < |x| <= 1; closed form
+        when c is constant."""
+        a = self.alpha
+        ax = abs(x)
+        if self.constant_c is not None:
+            return self.constant_c * ax ** (2.0 - a) / (2.0 - a)
+        sgn = 1.0 if x > 0 else -1.0
+        v, _ = quad_abs(lambda y: self.c(sgn * y) * y ** (1.0 - a), 0.0, ax, 1e-9)
+        return v
+
     def upper_tail(self, x, tol=DEFAULT_TOL):
         if x <= 0:
             raise DomainError("upper tail of a stable-like measure needs x > 0")
-        return self._stable_tail(x) + self.residual.upper_tail(x, tol)
+        return self.side_mass(x) + self.residual.upper_tail(x, tol)
 
     def lower_tail(self, x, tol=DEFAULT_TOL):
         if x >= 0:
             raise DomainError("lower tail of a stable-like measure needs x < 0")
-        return self._stable_tail(x) + self.residual.lower_tail(x, tol)
+        return self.side_mass(x) + self.residual.lower_tail(x, tol)
 
     def support(self):
         rlo, rhi = self.residual.support()
@@ -514,11 +533,11 @@ def normal_jumps(intensity, mean, std):
     def sampler(rng, size):
         return rng.normal(mean, std, size)
 
-    out = DensityCompensator(fn, (-np.inf, np.inf), 0.0, sampler=sampler,
-                             tail_up=tail_up, tail_dn=tail_dn, family="normal")
-    out.family_params = {"intensity": float(intensity), "mean": float(mean),
-                         "std": float(std)}
-    return out
+    return DensityCompensator(
+        fn, (-np.inf, np.inf), 0.0, sampler=sampler, tail_up=tail_up,
+        tail_dn=tail_dn, family="normal",
+        family_params={"intensity": float(intensity), "mean": float(mean),
+                       "std": float(std)})
 
 
 def laplace_jumps(intensity, scale, mean=0.0):
@@ -546,11 +565,11 @@ def laplace_jumps(intensity, scale, mean=0.0):
     def sampler(rng, size):
         return rng.laplace(mean, scale, size)
 
-    out = DensityCompensator(fn, (-np.inf, np.inf), 0.0, sampler=sampler,
-                             tail_up=tail_up, tail_dn=tail_dn, family="laplace")
-    out.family_params = {"intensity": float(intensity), "scale": float(scale),
-                         "mean": float(mean)}
-    return out
+    return DensityCompensator(
+        fn, (-np.inf, np.inf), 0.0, sampler=sampler, tail_up=tail_up,
+        tail_dn=tail_dn, family="laplace",
+        family_params={"intensity": float(intensity), "scale": float(scale),
+                       "mean": float(mean)})
 
 
 def density(fn, support, singularity_order=0.0, sampler=None):

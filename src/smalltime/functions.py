@@ -10,18 +10,11 @@ import math
 
 import numpy as np
 
+from .compensators import g2
 from .errors import DimensionMismatch, InvariantViolation
 
 _FD_STEP = 1e-5
 _FD_RTOL = 1e-5
-
-
-def _g2(z):
-    # (e^z - 1 - z) / z^2; the direct form loses relative accuracy like
-    # eps/|z| for small z, so switch to the series below 1e-4
-    if abs(z) < 1e-4:
-        return 0.5 + z / 6.0 + z * z / 24.0
-    return (math.expm1(z) - z) / (z * z)
 
 
 class SmoothFunction:
@@ -186,7 +179,7 @@ def exp_affine(weights, offset=0.0, scale=1.0):
             return s * math.exp(w0 * x + b)
 
         def curvature(x, y):
-            return value(x) * w0 * w0 * _g2(w0 * y)
+            return value(x) * w0 * w0 * g2(w0 * y)
 
         return SmoothFunction(
             1, "exp_affine", {"weights": [w0], "offset": b, "scale": s},
@@ -229,7 +222,7 @@ def gaussian_bump(center=0.0, width=1.0, height=1.0, offset=0.0):
             core = h * math.exp(-0.5 * a * a * iw2)
             z = (a + 0.5 * y) * y * iw2
             z_over_y = (a + 0.5 * y) * iw2
-            return core * (_g2(-z) * z_over_y * z_over_y - 0.5 * iw2)
+            return core * (g2(-z) * z_over_y * z_over_y - 0.5 * iw2)
 
         probes = list(c0 + wd * np.random.default_rng(5).standard_normal(4))
         return SmoothFunction(

@@ -18,6 +18,7 @@ Example::
 """
 
 import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -25,14 +26,14 @@ from . import compensators as comp
 from . import functions
 from .characteristics import (ExpModelCharacteristics, from_markov,
                               from_time_changed_levy)
-from .errors import SpecError
+from .errors import ConfigError, InvariantViolation, SpecError
 from .montecarlo import SimConfig
 
 _BLOCKS = ("model", "markov", "time_change")
 
-_SIM_DEFAULTS = {"n_paths": 100000, "n_steps": 1, "master_seed": 0,
-                 "small_jump_cutoff": 0.01, "scheme": "euler_log",
-                 "n_workers": 1}
+_SIM_DEFAULTS = {"n_paths": 100000,
+                 **{f.name: f.default for f in fields(SimConfig)
+                    if f.name != "n_paths"}}
 
 
 class ModelSpec:
@@ -55,7 +56,10 @@ class ModelSpec:
     def sim_config(self, **overrides):
         merged = {**self.data["sim"], **{k: v for k, v in overrides.items()
                                          if v is not None}}
-        return SimConfig(**merged)
+        try:
+            return SimConfig(**merged)
+        except (ConfigError, InvariantViolation) as exc:
+            raise SpecError(str(exc)) from exc
 
     def exp_model(self):
         if "model" not in self.data:
@@ -277,16 +281,14 @@ def parse(data):
             if key in blk:
                 _require(isinstance(blk[key], int) and not isinstance(blk[key], bool),
                          f"sim.{key} must be an integer")
-                sim[key] = blk[key]
+        sim.update(blk)
         if "small_jump_cutoff" in blk:
             sim["small_jump_cutoff"] = _num(blk, "small_jump_cutoff",
                                             minimum=0.0, strict=True)
-        if "scheme" in blk:
-            _require(blk["scheme"] in ("euler_log", "exact_stable_increment"),
-                     f"unknown scheme {blk['scheme']!r}")
-            sim["scheme"] = blk["scheme"]
     out["sim"] = sim
-    return ModelSpec(out)
+    spec = ModelSpec(out)
+    spec.sim_config()  # validates the sim block
+    return spec
 
 
 def _fail(msg):

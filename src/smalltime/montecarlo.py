@@ -38,6 +38,7 @@ from .quadrature import quad_abs
 _BLOCK = 1 << 16
 
 SCHEMES = ("euler_log", "exact_stable_increment")
+_EULER_LOG, _EXACT_STABLE = SCHEMES
 
 
 @dataclass
@@ -46,7 +47,7 @@ class SimConfig:
     n_steps: int = 1
     master_seed: int = 0
     small_jump_cutoff: float = 0.01
-    scheme: str = "euler_log"
+    scheme: str = _EULER_LOG
     n_workers: int = 1
 
     def __post_init__(self):
@@ -58,7 +59,7 @@ class SimConfig:
             raise InvariantViolation("master_seed must fit in 64 unsigned bits")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if self.scheme == "euler_log" and not 0.0 < self.small_jump_cutoff <= 1.0:
+        if self.scheme == _EULER_LOG and not 0.0 < self.small_jump_cutoff <= 1.0:
             raise InvariantViolation("small_jump_cutoff must lie in (0, 1]")
         if self.n_workers < 1:
             raise InvariantViolation("n_workers must be >= 1")
@@ -78,7 +79,7 @@ def _stable_standard(u, e, alpha):
             * (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha))
 
 
-def _exp_moment(m, lo=None, hi=None):
+def _exp_moment(m):
     """Integral of (e^y - 1) against a finite-activity compensator piece."""
     if m.is_empty():
         return 0.0
@@ -91,17 +92,21 @@ def _exp_moment(m, lo=None, hi=None):
     return cached
 
 
+def _cdf_table(density_values, grid):
+    """Normalized trapezoid CDF of density values (clamped at 0) on grid."""
+    dens = np.maximum(np.asarray(density_values, dtype=float), 0.0)
+    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
+    if cdf[-1] <= 0:
+        raise InvariantViolation("density has no mass on its support")
+    return cdf / cdf[-1]
+
+
 def _inversion_sampler(m, grid_size=4097):
     """Quantile-table sampler for a density compensator without one."""
     lo, hi = m.support()
     lo, hi = max(lo, -60.0), min(hi, 60.0)
     ys = np.linspace(lo, hi, grid_size)
-    dens = np.array([m.fn(y) for y in ys])
-    dens = np.maximum(dens, 0.0)
-    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(ys))])
-    if cdf[-1] <= 0:
-        raise InvariantViolation("density has no mass on its support")
-    cdf /= cdf[-1]
+    cdf = _cdf_table([m.fn(y) for y in ys], ys)
 
     def sampler(rng, size):
         return np.interp(rng.uniform(0.0, 1.0, size), cdf, ys)
@@ -123,7 +128,7 @@ class _CompoundPoisson:
                 raise ConfigError(
                     "density compensator with infinite activity cannot be "
                     "simulated as compound Poisson; declare it stable-like")
-            params = getattr(m, "family_params", None)
+            params = m.family_params
             self.kind = "normal" if (m.family == "normal" and params) else "generic"
             self.intensity = lam
             if self.kind == "normal":
@@ -161,45 +166,29 @@ class _TruncatedPowerTail:
         self.alpha = m.alpha
         self.eps = float(eps)
         a = m.alpha
-        if m.constant_c is not None:
-            c = m.constant_c
-            lam_side = c * (eps ** -a - 1.0) / a
-            self.lam_pos = self.lam_neg = lam_side
-            self.c_const = c
-        else:
-            self.c_const = None
-            self.c = m.c
-            self.lam_pos, _ = quad_abs(
-                lambda v: m.c(v) * v ** (-1.0 - a), eps, 1.0, 1e-9)
-            self.lam_neg, _ = quad_abs(
-                lambda v: m.c(-v) * v ** (-1.0 - a), eps, 1.0, 1e-9)
-            self._tbl_pos = self._table(+1)
-            self._tbl_neg = self._table(-1)
+        self.lam = {sign: m.side_mass(sign * eps) for sign in (+1, -1)}
+        self.cdfs = None  # constant c: closed-form inversion in _magnitudes
+        if m.constant_c is None:
+            self.grid = np.linspace(self.eps, 1.0, 4097)
+            self.cdfs = {sign: _cdf_table([m.c(sign * v) * v ** (-1.0 - a)
+                                           for v in self.grid], self.grid)
+                         for sign in (+1, -1)}
         comp_pos, _ = quad_abs(
             lambda v: math.expm1(v) * m.c(v) * v ** (-1.0 - a), eps, 1.0, 1e-9)
         comp_neg, _ = quad_abs(
             lambda v: math.expm1(-v) * m.c(-v) * v ** (-1.0 - a), eps, 1.0, 1e-9)
         self.compensation = comp_pos + comp_neg
 
-    def _table(self, sign, grid_size=4097):
-        a = self.alpha
-        vs = np.linspace(self.eps, 1.0, grid_size)
-        dens = np.array([self.c(sign * v) * v ** (-1.0 - a) for v in vs])
-        cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(vs))])
-        cdf /= cdf[-1]
-        return cdf, vs
-
     def _magnitudes(self, rng, size, sign):
         u = rng.uniform(0.0, 1.0, size)
-        if self.c_const is not None:
+        if self.cdfs is None:
             a, eps = self.alpha, self.eps
             return (eps ** -a - u * (eps ** -a - 1.0)) ** (-1.0 / a)
-        cdf, vs = self._tbl_pos if sign > 0 else self._tbl_neg
-        return np.interp(u, cdf, vs)
+        return np.interp(u, self.cdfs[sign], self.grid)
 
     def draw(self, rng, n, t):
         total = np.zeros(n)
-        for sign, lam in ((+1, self.lam_pos), (-1, self.lam_neg)):
+        for sign, lam in self.lam.items():
             counts = rng.poisson(lam * t, n)
             k = int(counts.sum())
             if k:
@@ -221,7 +210,7 @@ class _SimulationPlan:
         compensation = 0.0
         if not m.is_empty():
             if m.form == "stable_like":
-                if cfg.scheme == "exact_stable_increment":
+                if cfg.scheme == _EXACT_STABLE:
                     if m.constant_c is None:
                         raise ConfigError(
                             "exact_stable_increment requires a constant c")
@@ -237,7 +226,7 @@ class _SimulationPlan:
                     self.parts.append(cp)
                     compensation += cp.compensation
             else:
-                if cfg.scheme == "exact_stable_increment":
+                if cfg.scheme == _EXACT_STABLE:
                     raise ConfigError(
                         "exact_stable_increment applies only to stable-like jumps")
                 cp = _CompoundPoisson(m)
@@ -261,17 +250,8 @@ class _SimulationPlan:
 
 
 def _check_cutoff(m, eps):
-    a = m.alpha
-    if m.constant_c is not None:
-        discarded = 2.0 * m.constant_c * eps ** (2.0 - a) / (2.0 - a)
-        stable_total = 2.0 * m.constant_c / (2.0 - a)
-    else:
-        discarded = sum(
-            quad_abs(lambda v: m.c(s * v) * v ** (1.0 - a), 0.0, eps, 1e-9)[0]
-            for s in (+1, -1))
-        stable_total = sum(
-            quad_abs(lambda v: m.c(s * v) * v ** (1.0 - a), 0.0, 1.0, 1e-9)[0]
-            for s in (+1, -1))
+    discarded = m.side_second_moment(eps) + m.side_second_moment(-eps)
+    stable_total = m.side_second_moment(1.0) + m.side_second_moment(-1.0)
     resid_var = 0.0
     if not m.residual.is_empty():
         resid_var = m.residual.integrate(lambda y: y * y, tol=1e-10)
@@ -342,13 +322,14 @@ def estimate_call(ec, t, K, cfg, rate_fn=None):
         raise DomainError(f"strike must be positive, got {K}")
     samples = simulate_terminal(ec, t, cfg, rate_fn)
     disc = math.exp(-_rate_integral(ec, t, cfg, rate_fn))
-    payoff = np.maximum(samples - K, 0.0)
-    value = disc * float(np.mean(payoff))
-    if payoff.size > 1:
-        se = disc * float(np.std(payoff, ddof=1)) / math.sqrt(payoff.size)
-    else:
-        se = 0.0
-    return Estimate(value, se, cfg.n_paths)
+    return discounted_estimate(np.maximum(samples - K, 0.0), disc)
+
+
+def discounted_estimate(values, discount):
+    """Discounted sample mean of ``values`` with its standard error."""
+    value = discount * float(np.mean(values))
+    se = discount * float(np.std(values, ddof=1)) / math.sqrt(values.size)
+    return Estimate(value, se, values.size)
 
 
 @dataclass
@@ -367,6 +348,19 @@ class SlopeStudy:
     exponent: float
     exponent_std_error: float
     constant_term: float = 0.0
+
+
+def slope_rows(ec, K, t_grid, p, cfg, constant_term=0.0):
+    """Call estimates over t_grid, largest maturity first, each with its
+    ratio (C(t) - constant_term) / t**p."""
+    rows = []
+    for t in sorted(t_grid, reverse=True):
+        est = estimate_call(ec, t, K, cfg)
+        scale = t ** p
+        rows.append(SlopeRow(t, est.value, est.std_error,
+                             (est.value - constant_term) / scale,
+                             est.std_error / scale))
+    return rows
 
 
 def slope_study(ec, K, t_grid, p_hypothesis, cfg, constant_term=0.0):
@@ -388,13 +382,7 @@ def slope_study(ec, K, t_grid, p_hypothesis, cfg, constant_term=0.0):
         raise DomainError("t_grid must lie in (0, 0.1]")
     if ts[-1] / ts[0] < 100.0 * (1.0 - 1e-12):
         raise DomainError("t_grid must span at least two decades")
-    rows = []
-    for t in sorted(ts, reverse=True):
-        est = estimate_call(ec, t, K, cfg)
-        excess = est.value - constant_term
-        scale = t ** p_hypothesis
-        rows.append(SlopeRow(t, est.value, est.std_error,
-                             excess / scale, est.std_error / scale))
+    rows = slope_rows(ec, K, ts, p_hypothesis, cfg, constant_term)
     weak = sum(1 for r in rows
                if r.estimate - constant_term <= 2.0 * r.std_error)
     if weak > len(rows) / 2:

@@ -82,28 +82,31 @@ def quad_soft(fn, a, b, tol, rel=1e-11):
     return v, e
 
 
-def quad_singular_origin(rho, power, hi, tol):
+def quad_singular_origin(rho, power, hi, tol, points=None):
     """Integrate rho(y) * y**(2 - power) over (0, hi] with a y**-power scale.
 
     Handles integrands of the form H(y) / y**power where H(y) = rho(y) * y**2
     and rho stays bounded at 0. The substitution u = y**(3 - power) turns the
     integrand into rho(u**(1/(3-power))) / (3 - power), which is bounded, so
-    plain adaptive quadrature applies.
+    plain adaptive quadrature applies. Kinks in ``points`` that lie inside
+    (0, hi) are mapped through the same substitution.
 
     Requires 0 < power < 3 and hi > 0.
     """
     q = 3.0 - power
     if q <= 0:
         raise QuadratureDivergence(f"singularity power {power} is not integrable")
+    kinks = [p for p in points or () if 0.0 < p < hi]
     if q >= 3:
         # no singularity at all, integrate directly
-        return quad_abs(lambda y: rho(y) * y ** (2.0 - power), 0.0, hi, tol)
+        return quad_abs(lambda y: rho(y) * y ** (2.0 - power), 0.0, hi, tol,
+                        points=kinks)
     inv_q = 1.0 / q
 
     def transformed(u):
         return rho(u ** inv_q) / q
 
-    return quad_abs(transformed, 0.0, hi ** q, tol)
+    return quad_abs(transformed, 0.0, hi ** q, tol, points=[p ** q for p in kinks])
 
 
 def expanding_upper_limit(fn, start, tol, step=1.0, max_iter=300):

@@ -91,6 +91,27 @@ def test_otm_merton_lognormal_oracle():
     assert res.diagnostics["route_gap"] <= 10 * TOL
 
 
+def _singular_density(A, beta, theta, hi):
+    def fn(y):
+        ay = abs(y)
+        return A * ay ** (-1.0 - beta) * math.exp(-ay / theta) if ay > 0 else math.inf
+
+    return st.density(fn, (-hi, hi), 1.0 + beta)
+
+
+@pytest.mark.parametrize("K, jumps", [
+    (1.05, lambda: st.stable_like(1.4458096839072194, 0.6178309716698983)),
+    (1.1, lambda: _singular_density(1.1536806817599756, 0.5253263696949004,
+                                    0.4943835689155559, 1.5)),
+])
+def test_otm_payoff_route_splits_at_kink_under_power_substitution(K, jumps):
+    # the payoff kink at ln K must survive the substitution that removes the
+    # origin singularity, or QUADPACK can miss it and the routes disagree
+    ec = st.ExpModelCharacteristics(1.0, 0.0, 0.0, jumps())
+    res = st.otm_slope(ec, K, TOL)
+    assert res.diagnostics["route_gap"] <= 1e-12
+
+
 def test_otm_requires_otm_strike():
     ec = st.ExpModelCharacteristics(1.0, 0.0, 0.2)
     with pytest.raises(st.DomainError):

@@ -232,6 +232,17 @@ def test_scaled_measures():
     s = st.stable_like(1.5, 0.1)
     got = st.integrate(s.scaled(2.0), lambda y: y * y, g_over_y2=lambda y: 1.0)
     assert got == pytest.approx(0.8, abs=1e-9)
+    lap = st.laplace_jumps(1.5, 0.2, 0.1).scaled(3.0)
+    assert lap.family_params == {"intensity": 4.5, "scale": 0.2, "mean": 0.1}
+
+
+@pytest.mark.parametrize("x", [0.01, -0.05, 0.5, -1.0])
+def test_stable_profile_closed_forms_match_quadrature(x):
+    closed = st.stable_like(1.4, 0.7)
+    quad = st.stable_like(1.4, lambda y: 0.7)
+    assert quad.side_mass(x) == pytest.approx(closed.side_mass(x), rel=1e-10)
+    assert quad.side_second_moment(x) == pytest.approx(
+        closed.side_second_moment(x), rel=1e-8)
 
 
 def test_callable_c_stable_like():

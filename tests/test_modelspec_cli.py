@@ -1,5 +1,6 @@
 """Spec-file schema, CLI commands, exit codes, output determinism."""
 
+import dataclasses
 import json
 import math
 
@@ -53,6 +54,8 @@ def test_schema_rejects_bad_specs():
         {"model": {"S0": 1.0, "jumps": {"type": "atomic", "atoms": [[0.1]]}}},
         {"model": {"S0": 1.0, "jumps": {"type": "weird"}}},
         {"model": BS_SPEC["model"], "sim": {"n_paths": "many"}},
+        {"model": BS_SPEC["model"], "sim": {"n_paths": 50}},
+        {"model": BS_SPEC["model"], "sim": {"scheme": "euler"}},
         {"model": BS_SPEC["model"], "extra": 1},
         {"model": {"S0": 1.0, "jumps": {"type": "stable_like", "alpha": 2.5, "c": 0.1}}},
     ]
@@ -159,10 +162,16 @@ def test_cmd_verify_pass_and_determinism(tmp_path, capsys):
     assert len(rec["rows"]) == 4
 
 
-def test_cmd_verify_forced_failure_exit_5(tmp_path, capsys):
+def test_cmd_verify_forced_failure_exit_5(tmp_path, capsys, monkeypatch):
     path = write_spec(tmp_path, BS_SPEC)
-    code, out, err = run_cli(capsys, ["verify", "--spec", path,
-                                      "--predicted-scale", "2.0"])
+    leading_term = cli.asym.leading_term
+
+    def doubled(*args):
+        res = leading_term(*args)
+        return dataclasses.replace(res, coefficient=2.0 * res.coefficient)
+
+    monkeypatch.setattr(cli.asym, "leading_term", doubled)
+    code, out, err = run_cli(capsys, ["verify", "--spec", path])
     assert code == 5
     assert json.loads(out)["verdict"] == "FAIL"
 
@@ -227,6 +236,22 @@ def test_exit_2_on_schema_error(tmp_path, capsys):
     path.write_text('{"model": {"S0": -3}}')
     code, _, err = run_cli(capsys, ["asymptotics", "--spec", str(path)])
     assert code == 2 and "spec error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--t", "0.01", "--strike", "1.0", "--paths", "50"],
+    ["simulate", "--t", "0.01", "--strike", "1.0", "--workers", "0"],
+    ["simulate", "--t", "0.01", "--strike", "1.0", "--seed", "-3"],
+    ["simulate", "--t", "-1", "--strike", "1.0"],
+    ["verify", "--t-grid", "0.01,-0.001"],
+    ["expansion", "--t", "-1"],
+])
+def test_exit_2_on_out_of_range_flags(tmp_path, capsys, argv):
+    spec = dict(BS_SPEC, query={"strike": 1.0, "t_grid": [0.001, 0.01],
+                                "f": {"family": "affine", "weights": [1.0]}})
+    path = write_spec(tmp_path, spec)
+    code, out, err = run_cli(capsys, argv[:1] + ["--spec", path] + argv[1:])
+    assert code == 2 and out == "" and err.startswith("spec error: ")
 
 
 def test_exit_2_on_missing_file(capsys):

@@ -178,6 +178,15 @@ def test_stable_exact_scheme_matches_quadrature_coefficient():
     assert abs(est.value / scale - pred) <= 4 * est.std_error / scale + 0.05 * pred
 
 
+def test_normal_fast_path_survives_scaling():
+    cfg = st.SimConfig(n_paths=1000, master_seed=3)
+    scaled = st.normal_jumps(1.0, 0.0, 0.4).scaled(2.0)
+    direct = st.normal_jumps(2.0, 0.0, 0.4)
+    a, b = (st.simulate_terminal(st.ExpModelCharacteristics(1.0, 0.0, 0.2, m),
+                                 0.01, cfg) for m in (scaled, direct))
+    np.testing.assert_allclose(a, b, rtol=1e-12)
+
+
 def test_cutoff_consistency_halving():
     # the cutoff must sit in the dense-jump regime (many retained jumps per
     # path); the drop-and-compensate bias then falls below MC resolution
