@@ -90,7 +90,7 @@ def otm_slope(ec, K, tol=DEFAULT_TOL):
     m = ec.jumps
     payoff_form = comp.integrate(
         m, lambda y: max(ec.S0 * math.exp(y) - K, 0.0), tol, points=[z])
-    psi = comp.exp_double_tail_up(m, z, tol) if not m.is_empty() else 0.0
+    psi = comp.exp_double_tail_up(m, z, tol)
     tail_form = ec.S0 * psi
     gap = abs(payoff_form - tail_form)
     if gap > 10.0 * tol:
@@ -115,8 +115,7 @@ def itm_slope(ec, K, tol=DEFAULT_TOL):
     if not 0 < K < ec.S0:
         raise DomainError("itm_slope requires 0 < K < S0")
     z = math.log(K / ec.S0)
-    m = ec.jumps
-    psi = comp.exp_double_tail_down(m, z, tol) if not m.is_empty() else 0.0
+    psi = comp.exp_double_tail_down(ec.jumps, z, tol)
     a = ec.r * ec.S0 + ec.S0 * psi
     return AsymptoticResult(
         ITM, 1.0, a, constant_term=ec.S0 - K,
@@ -178,11 +177,8 @@ def atm_coefficient(ec, tol=DEFAULT_TOL):
         return AsymptoticResult(ATM_DIFFUSIVE, 0.5, a,
                                 diagnostics={"sigma": ec.sigma})
     if regime == ATM_FINITE_VARIATION:
-        m = ec.jumps
-        a = 0.0
-        if not m.is_empty():
-            a = ec.S0 * comp.integrate(
-                m, lambda y: max(math.expm1(y), 0.0), tol, points=[0.0])
+        a = ec.S0 * comp.integrate(
+            ec.jumps, lambda y: max(math.expm1(y), 0.0), tol, points=[0.0])
         return AsymptoticResult(ATM_FINITE_VARIATION, 1.0, a)
     alpha = ec.jumps.alpha
     c0 = ec.jumps.c0

@@ -126,6 +126,9 @@ def cmd_verify(args, spec):
     grid = [_positive_horizon(float(t)) for t in grid]
     res = asym.leading_term(ec, K, args.tol)
     a = res.coefficient
+    if res.regime == asym.ITM:
+        # estimate_call is discounted, which puts the rate term on the strike
+        a = res.diagnostics["alt_coefficient_parity"]
     p = res.exponent
     c0 = res.constant_term
     cfg = spec.sim_config(master_seed=args.seed, n_workers=args.workers,

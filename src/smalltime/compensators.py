@@ -101,8 +101,6 @@ class JumpCompensator:
             raise InvariantViolation(f"compensator fails integrability: {exc}") from exc
         if not (np.isfinite(levy) and np.isfinite(sqexp)):
             raise InvariantViolation("compensator integrability check returned non-finite value")
-        self.levy_integral = levy
-        self.squared_exp_integral = sqexp
 
     def exp_compensation(self, tol=1e-11):
         """Integral of (e^y - 1 - kappa(y)) m(dy), the log-drift correction."""
@@ -136,10 +134,6 @@ class AtomicCompensator(JumpCompensator):
         if self.dim == 1:
             self.locations = self.locations.reshape(-1)
             self._validate_integrability()
-        else:
-            self.levy_integral = float(
-                np.sum(np.minimum(1.0, np.sum(self.locations**2, axis=1)) * self.masses))
-            self.squared_exp_integral = float("nan")
 
     def is_empty(self):
         return self.masses.size == 0
@@ -184,23 +178,21 @@ class DensityCompensator(JumpCompensator):
         s >= 0 such that fn(y) ~ C |y|**-s near 0 (0 means bounded).
         Must satisfy s < 3 for Levy integrability.
     sampler : callable, optional
-        ``sampler(rng, size)`` drawing jump sizes from the normalized density;
-        enables exact compound-Poisson simulation.
+        ``sampler(rng, size)`` drawing jump sizes from the normalized density.
+        Without it the simulator inverts a tabulated CDF of ``fn``.
     tail_up, tail_dn : callable, optional
         Closed-form tails, used instead of quadrature when available.
-    family : str, optional
-        Tag for scheme dispatch ("normal", "laplace", ...).
-    family_params : dict, optional
-        The family's parameters, always with ``"intensity"`` ("normal" adds
-        ``"mean"``, ``"std"``; "laplace" adds ``"scale"``, ``"mean"``). They
-        enable the exact normal compound-Poisson draw; ``scaled`` multiplies
-        the intensity.
+    sum_sampler : callable, optional
+        ``sum_sampler(rng, counts)`` returning, for each path i, the sum of
+        ``counts[i]`` iid jump sizes from the normalized density in one
+        shot; the simulator prefers it to ``sampler``. Neither hook depends
+        on the intensity, so ``scaled`` passes both through.
     """
 
     form = "density"
 
     def __init__(self, fn, support, singularity_order=0.0, sampler=None,
-                 tail_up=None, tail_dn=None, family=None, family_params=None):
+                 tail_up=None, tail_dn=None, sum_sampler=None):
         lo, hi = float(support[0]), float(support[1])
         if not lo < hi:
             raise InvariantViolation(f"empty support ({lo}, {hi})")
@@ -213,8 +205,7 @@ class DensityCompensator(JumpCompensator):
         self.sampler = sampler
         self._tail_up = tail_up
         self._tail_dn = tail_dn
-        self.family = family
-        self.family_params = family_params
+        self.sum_sampler = sum_sampler
         for probe in np.linspace(max(lo, -5.0) + 1e-6, min(hi, 5.0) - 1e-6, 17):
             if probe != 0.0 and fn(probe) < 0:
                 raise InvariantViolation(f"density negative at y={probe}")
@@ -294,17 +285,13 @@ class DensityCompensator(JumpCompensator):
 
     def scaled(self, factor):
         fn = self.fn
-        sampler = self.sampler
         tu, td = self._tail_up, self._tail_dn
-        params = self.family_params
-        if params is not None:
-            params = {**params, "intensity": params["intensity"] * factor}
         return DensityCompensator(
             lambda y: factor * fn(y), (self.lo, self.hi), self.singularity_order,
-            sampler=sampler,
+            sampler=self.sampler,
             tail_up=(lambda x: factor * tu(x)) if tu else None,
             tail_dn=(lambda x: factor * td(x)) if td else None,
-            family=self.family, family_params=params)
+            sum_sampler=self.sum_sampler)
 
     def total_intensity(self, tol=1e-10):
         if self.singularity_order >= 1:
@@ -341,10 +328,9 @@ class StableLikeCompensator(JumpCompensator):
         if self.residual.form == "stable_like":
             raise InvariantViolation("residual must be atomic or density form")
         try:
-            resid_abs = self.residual.integrate(abs, tol=_VALIDATE_TOL)
+            self.residual.integrate(abs, tol=_VALIDATE_TOL)
         except QuadratureDivergence as exc:
             raise InvariantViolation(f"residual |y|-integral diverges: {exc}") from exc
-        self.residual_abs_integral = resid_abs
         self._validate_integrability()
 
     def integrate_with_error(self, g, tol=DEFAULT_TOL, points=None, g_over_y2=None):
@@ -530,14 +516,15 @@ def normal_jumps(intensity, mean, std):
     def tail_dn(x):
         return intensity * _norm_sf((mean - x) / std)
 
-    def sampler(rng, size):
-        return rng.normal(mean, std, size)
+    mu, sd = float(mean), float(std)
+
+    def sum_sampler(rng, counts):
+        # a sum of k iid N(mu, sd^2) jumps is N(k mu, k sd^2)
+        return mu * counts + sd * np.sqrt(counts) * rng.standard_normal(counts.size)
 
     return DensityCompensator(
-        fn, (-np.inf, np.inf), 0.0, sampler=sampler, tail_up=tail_up,
-        tail_dn=tail_dn, family="normal",
-        family_params={"intensity": float(intensity), "mean": float(mean),
-                       "std": float(std)})
+        fn, (-np.inf, np.inf), 0.0, tail_up=tail_up, tail_dn=tail_dn,
+        sum_sampler=sum_sampler)
 
 
 def laplace_jumps(intensity, scale, mean=0.0):
@@ -567,9 +554,7 @@ def laplace_jumps(intensity, scale, mean=0.0):
 
     return DensityCompensator(
         fn, (-np.inf, np.inf), 0.0, sampler=sampler, tail_up=tail_up,
-        tail_dn=tail_dn, family="laplace",
-        family_params={"intensity": float(intensity), "scale": float(scale),
-                       "mean": float(mean)})
+        tail_dn=tail_dn)
 
 
 def density(fn, support, singularity_order=0.0, sampler=None):

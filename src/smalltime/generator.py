@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from .characteristics import ExpModelCharacteristics, LocalCharacteristics
+from .compensators import em1_over
 from .errors import DimensionMismatch, DomainError
 from .quadrature import DEFAULT_TOL
 
@@ -96,7 +97,7 @@ def apply_exp_generator(ec, f, x, tol=DEFAULT_TOL):
 
         def integrand_over_y2(y):
             u = x * math.expm1(y)
-            ratio = x * (math.expm1(y) / y) if y != 0.0 else x
+            ratio = x * em1_over(y)
             return ratio * ratio * f.curvature_remainder(x, u)
 
         val += m.integrate(integrand, tol, g_over_y2=integrand_over_y2)

@@ -11,6 +11,17 @@ Randomness is counter based: paths are partitioned into fixed blocks of
 order, so results are bit identical no matter how blocks are scheduled
 across workers.
 
+The jump component is a list of parts of two types, each carrying the
+exponential compensation of what it draws:
+
+* ``_CompoundPoisson``: independent streams ``(intensity, sum_sampler)``;
+  each block draws Poisson counts per stream and adds the sum of that many
+  jump sizes. Atomic measures give one stream per atom, finite-activity
+  densities one stream (their ``sum_sampler``, else their per-jump
+  ``sampler``, else an inverted CDF table), and the truncated stable-like
+  tail one stream per side.
+* ``_StableIncrement``: the exact small-jump stable increment.
+
 Schemes for stable-like jumps:
 
 * ``euler_log``: jumps with |y| > cutoff are compound Poisson from the
@@ -79,159 +90,150 @@ def _stable_standard(u, e, alpha):
             * (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha))
 
 
-def _exp_moment(m):
-    """Integral of (e^y - 1) against a finite-activity compensator piece."""
-    if m.is_empty():
-        return 0.0
-    if m.form == "atomic":
-        return float(np.sum(m.masses * np.expm1(m.locations)))
-    cached = getattr(m, "_exp_moment_cache", None)
-    if cached is None:
-        cached = m.integrate(math.expm1, tol=1e-11)
-        m._exp_moment_cache = cached
-    return cached
-
-
-def _cdf_table(density_values, grid):
-    """Normalized trapezoid CDF of density values (clamped at 0) on grid."""
+def _table_sampler(grid, density_values):
+    """Sampler ``(rng, size)`` inverting the normalized trapezoid CDF of
+    density values (clamped at 0) tabulated on grid."""
     dens = np.maximum(np.asarray(density_values, dtype=float), 0.0)
     cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
     if cdf[-1] <= 0:
         raise InvariantViolation("density has no mass on its support")
-    return cdf / cdf[-1]
-
-
-def _inversion_sampler(m, grid_size=4097):
-    """Quantile-table sampler for a density compensator without one."""
-    lo, hi = m.support()
-    lo, hi = max(lo, -60.0), min(hi, 60.0)
-    ys = np.linspace(lo, hi, grid_size)
-    cdf = _cdf_table([m.fn(y) for y in ys], ys)
+    cdf /= cdf[-1]
 
     def sampler(rng, size):
-        return np.interp(rng.uniform(0.0, 1.0, size), cdf, ys)
+        return np.interp(rng.uniform(0.0, 1.0, size), cdf, grid)
 
     return sampler
 
 
+def _per_jump(sampler):
+    """Sum sampler built from a per-jump sampler ``(rng, size)``."""
+    def sum_sampler(rng, counts):
+        n_jumps = int(counts.sum())
+        if n_jumps == 0:
+            return np.zeros(counts.size)
+        draws = sampler(rng, n_jumps)
+        owner = np.repeat(np.arange(counts.size), counts)
+        return np.bincount(owner, weights=draws, minlength=counts.size)
+
+    return sum_sampler
+
+
 class _CompoundPoisson:
-    """Finite-activity jump part: intensity, sampler, exact compensation."""
+    """Finite-activity jump part: independent streams ``(intensity,
+    sum_sampler)`` and the exact compensation, the integral of e^y - 1
+    against the simulated measure. ``sum_sampler(rng, counts)`` returns, per
+    path i, the sum of counts[i] iid jump sizes."""
 
-    def __init__(self, m):
-        if m.form == "atomic":
-            self.kind = "atomic"
-            self.locations = m.locations
-            self.intensities = m.masses
-        elif m.form == "density":
-            lam = m.total_intensity()
-            if not np.isfinite(lam):
-                raise ConfigError(
-                    "density compensator with infinite activity cannot be "
-                    "simulated as compound Poisson; declare it stable-like")
-            params = m.family_params
-            self.kind = "normal" if (m.family == "normal" and params) else "generic"
-            self.intensity = lam
-            if self.kind == "normal":
-                # sum of N iid normals given N is normal with scaled moments
-                self.mean = params["mean"]
-                self.std = params["std"]
-            else:
-                self.sampler = m.sampler or _inversion_sampler(m)
-        else:
-            raise ConfigError(f"cannot simulate form {m.form!r} as compound Poisson")
-        self.compensation = _exp_moment(m)
-
-    def draw(self, rng, n, t):
-        if self.kind == "atomic":
-            total = np.zeros(n)
-            for y, lam in zip(self.locations, self.intensities):
-                total += y * rng.poisson(lam * t, n)
-            return total
-        counts = rng.poisson(self.intensity * t, n)
-        if self.kind == "normal":
-            z = rng.standard_normal(n)
-            return self.mean * counts + self.std * np.sqrt(counts) * z
-        total_jumps = int(counts.sum())
-        if total_jumps == 0:
-            return np.zeros(n)
-        draws = self.sampler(rng, total_jumps)
-        owner = np.repeat(np.arange(n), counts)
-        return np.bincount(owner, weights=draws, minlength=n)
-
-
-class _TruncatedPowerTail:
-    """Compound-Poisson representation of the stable-like part above a cutoff."""
-
-    def __init__(self, m, eps):
-        self.alpha = m.alpha
-        self.eps = float(eps)
-        a = m.alpha
-        self.lam = {sign: m.side_mass(sign * eps) for sign in (+1, -1)}
-        self.cdfs = None  # constant c: closed-form inversion in _magnitudes
-        if m.constant_c is None:
-            self.grid = np.linspace(self.eps, 1.0, 4097)
-            self.cdfs = {sign: _cdf_table([m.c(sign * v) * v ** (-1.0 - a)
-                                           for v in self.grid], self.grid)
-                         for sign in (+1, -1)}
-        comp_pos, _ = quad_abs(
-            lambda v: math.expm1(v) * m.c(v) * v ** (-1.0 - a), eps, 1.0, 1e-9)
-        comp_neg, _ = quad_abs(
-            lambda v: math.expm1(-v) * m.c(-v) * v ** (-1.0 - a), eps, 1.0, 1e-9)
-        self.compensation = comp_pos + comp_neg
-
-    def _magnitudes(self, rng, size, sign):
-        u = rng.uniform(0.0, 1.0, size)
-        if self.cdfs is None:
-            a, eps = self.alpha, self.eps
-            return (eps ** -a - u * (eps ** -a - 1.0)) ** (-1.0 / a)
-        return np.interp(u, self.cdfs[sign], self.grid)
+    def __init__(self, streams, compensation):
+        self.streams = streams
+        self.compensation = compensation
 
     def draw(self, rng, n, t):
         total = np.zeros(n)
-        for sign, lam in self.lam.items():
-            counts = rng.poisson(lam * t, n)
-            k = int(counts.sum())
-            if k:
-                mags = self._magnitudes(rng, k, sign)
-                owner = np.repeat(np.arange(n), counts)
-                total += sign * np.bincount(owner, weights=mags, minlength=n)
+        for lam, sum_sampler in self.streams:
+            total += sum_sampler(rng, rng.poisson(lam * t, n))
         return total
 
 
+def _finite_activity(m):
+    """Compound-Poisson part simulating an atomic or finite-activity density
+    compensator exactly."""
+    if m.form == "atomic":
+        streams = [(lam, lambda rng, counts, y=y: y * counts)
+                   for y, lam in zip(m.locations, m.masses)]
+        return _CompoundPoisson(streams, float(np.sum(m.masses * np.expm1(m.locations))))
+    if m.form != "density":
+        raise ConfigError(f"cannot simulate form {m.form!r} as compound Poisson")
+    lam = m.total_intensity()
+    if not np.isfinite(lam):
+        raise ConfigError(
+            "density compensator with infinite activity cannot be "
+            "simulated as compound Poisson; declare it stable-like")
+    sum_sampler = m.sum_sampler
+    if sum_sampler is None:
+        sampler = m.sampler
+        if sampler is None:
+            lo, hi = m.support()
+            ys = np.linspace(max(lo, -60.0), min(hi, 60.0), 4097)
+            sampler = _table_sampler(ys, [m.fn(y) for y in ys])
+        sum_sampler = _per_jump(sampler)
+    return _CompoundPoisson([(lam, sum_sampler)], m.integrate(math.expm1, tol=1e-11))
+
+
+def _truncated_power_tail(m, eps):
+    """Compound-Poisson part for the stable-like jumps with |y| > eps, one
+    stream per side; each side's magnitudes come from the closed-form inverse
+    CDF when c is constant, else from a table."""
+    _check_cutoff(m, eps)
+    a = m.alpha
+
+    def inverse_cdf(rng, size):
+        u = rng.uniform(0.0, 1.0, size)
+        return (eps ** -a - u * (eps ** -a - 1.0)) ** (-1.0 / a)
+
+    grid = np.linspace(eps, 1.0, 4097)
+    streams, compensation = [], 0.0
+    for sign in (+1, -1):
+        mags = inverse_cdf
+        if m.constant_c is None:
+            mags = _table_sampler(grid, [m.c(sign * v) * v ** (-1.0 - a) for v in grid])
+        # sign the per-path sums: one multiply per path instead of per jump
+        side_sum = _per_jump(mags)
+        streams.append((m.side_mass(sign * eps),
+                        lambda rng, counts, side_sum=side_sum, sign=sign:
+                        sign * side_sum(rng, counts)))
+        side, _ = quad_abs(lambda v: math.expm1(sign * v) * m.c(sign * v) * v ** (-1.0 - a),
+                           eps, 1.0, 1e-9)
+        compensation += side
+    return _CompoundPoisson(streams, compensation)
+
+
+class _StableIncrement:
+    """Small-jump part over [0, t] drawn as one clipped symmetric stable
+    variate; its missing exponential compensation is o(t**(1/alpha))."""
+
+    compensation = 0.0
+
+    def __init__(self, m):
+        self.alpha = m.alpha
+        self.c0 = m.c0
+
+    def draw(self, rng, n, t):
+        u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, n)
+        e = rng.standard_exponential(n)
+        scale = (self.c0 * t) ** (1.0 / self.alpha)
+        return np.clip(scale * _stable_standard(u, e, self.alpha), -1.0, 1.0)
+
+
+def _jump_parts(m, scheme, eps):
+    """Jump parts of a simulation plan, in draw order."""
+    if m.is_empty():
+        return []
+    exact = scheme == _EXACT_STABLE
+    if m.form != "stable_like":
+        if exact:
+            raise ConfigError(
+                "exact_stable_increment applies only to stable-like jumps")
+        return [_finite_activity(m)]
+    if exact and m.constant_c is None:
+        raise ConfigError("exact_stable_increment requires a constant c")
+    parts = [] if exact else [_truncated_power_tail(m, eps)]
+    if not m.residual.is_empty():
+        parts.append(_finite_activity(m.residual))
+    if exact:
+        parts.append(_StableIncrement(m))
+    return parts
+
+
 class _SimulationPlan:
-    """Frozen per-model sampling recipe with a fixed intra-block draw order."""
+    """Frozen per-model sampling recipe with a fixed intra-block draw order:
+    Gaussian, then each jump part."""
 
     def __init__(self, ec, t, cfg, rate_integral):
         self.sigma = ec.sigma
         self.t = t
-        m = ec.jumps
-        self.parts = []
-        self.stable_scale = 0.0
-        compensation = 0.0
-        if not m.is_empty():
-            if m.form == "stable_like":
-                if cfg.scheme == _EXACT_STABLE:
-                    if m.constant_c is None:
-                        raise ConfigError(
-                            "exact_stable_increment requires a constant c")
-                    self.stable_scale = (m.c0 * t) ** (1.0 / m.alpha)
-                    self.stable_alpha = m.alpha
-                else:
-                    _check_cutoff(m, cfg.small_jump_cutoff)
-                    tail = _TruncatedPowerTail(m, cfg.small_jump_cutoff)
-                    self.parts.append(tail)
-                    compensation += tail.compensation
-                if not m.residual.is_empty():
-                    cp = _CompoundPoisson(m.residual)
-                    self.parts.append(cp)
-                    compensation += cp.compensation
-            else:
-                if cfg.scheme == _EXACT_STABLE:
-                    raise ConfigError(
-                        "exact_stable_increment applies only to stable-like jumps")
-                cp = _CompoundPoisson(m)
-                self.parts.append(cp)
-                compensation += cp.compensation
+        self.parts = _jump_parts(ec.jumps, cfg.scheme, cfg.small_jump_cutoff)
+        compensation = sum(part.compensation for part in self.parts)
         self.log_drift = rate_integral - 0.5 * ec.sigma**2 * t - compensation * t
         self.x0 = math.log(ec.S0)
 
@@ -241,11 +243,6 @@ class _SimulationPlan:
             x += self.sigma * math.sqrt(self.t) * rng.standard_normal(n)
         for part in self.parts:
             x += part.draw(rng, n, self.t)
-        if self.stable_scale > 0:
-            u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, n)
-            e = rng.standard_exponential(n)
-            z = _stable_standard(u, e, self.stable_alpha)
-            x += np.clip(self.stable_scale * z, -1.0, 1.0)
         return np.exp(x)
 
 
@@ -295,20 +292,22 @@ def simulate_terminal(ec, t, cfg, rate_fn=None):
     n = cfg.n_paths
     out = np.empty(n)
     n_blocks = (n + _BLOCK - 1) // _BLOCK
+    lanes = min(cfg.n_workers, n_blocks)
 
-    def run_block(i):
-        lo = i * _BLOCK
-        hi = min(lo + _BLOCK, n)
-        key = np.array([cfg.master_seed, i], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        out[lo:hi] = plan.draw_block(rng, hi - lo)
+    def run_lane(lane):
+        for i in range(lane, n_blocks, lanes):
+            lo = i * _BLOCK
+            hi = min(lo + _BLOCK, n)
+            key = np.array([cfg.master_seed, i], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
+            out[lo:hi] = plan.draw_block(rng, hi - lo)
 
-    if cfg.n_workers > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=cfg.n_workers) as pool:
-            list(pool.map(run_block, range(n_blocks)))
-    else:
-        for i in range(n_blocks):
-            run_block(i)
+    # the calling thread runs lane 0, so a single worker starts no thread;
+    # handing its blocks to a pool thread measured 5-10% slower (2 vCPUs)
+    with ThreadPoolExecutor(max_workers=cfg.n_workers) as pool:
+        helpers = pool.map(run_lane, range(1, lanes))
+        run_lane(0)
+        list(helpers)
     return out
 
 

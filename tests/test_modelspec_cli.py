@@ -195,6 +195,12 @@ def test_cmd_verify_itm_reports_both_conventions(tmp_path, capsys):
     rec = json.loads(out)
     assert rec["slope_candidates"]["rate_on_spot"] == pytest.approx(0.05)
     assert rec["slope_candidates"]["rate_on_strike"] == pytest.approx(0.04)
+    # verify gates on the slope of the discounted price: exact Black-Scholes
+    t, vol = 1e-5, 0.2 * math.sqrt(1e-5)
+    d1 = (math.log(1.0 / 0.8) + (0.05 + 0.02) * t) / vol
+    cdf = lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0))
+    bs = cdf(d1) - 0.8 * math.exp(-0.05 * t) * cdf(d1 - vol)
+    assert rec["predicted"] == pytest.approx((bs - 0.2) / t, abs=1e-3)
 
 
 def test_cmd_simulate_csv(tmp_path, capsys):

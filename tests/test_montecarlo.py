@@ -53,6 +53,13 @@ def test_martingale_mean_all_jump_forms():
         st.ExpModelCharacteristics(1.0, 0.0, 0.0,
                                    st.stable_like(1.5, 0.1,
                                                   residual=st.atomic([(0.8, 0.2)]))),
+        # no sampler: inverted CDF table of the density
+        st.ExpModelCharacteristics(1.0, 0.0, 0.1,
+                                   st.density(lambda y: 3.0 * math.exp(-abs(y) / 0.2),
+                                              (-1.5, 2.0))),
+        # callable c: tabulated power tail
+        st.ExpModelCharacteristics(1.0, 0.0, 0.0,
+                                   st.stable_like(1.5, lambda y: 0.1 * (1.0 + 0.5 * y))),
     ]
     for i, ec in enumerate(cases):
         cfg = st.SimConfig(n_paths=400000, master_seed=10 + i,
@@ -131,12 +138,15 @@ def test_estimate_fields():
 
 def test_bit_identical_reruns_and_workers():
     cfg1 = st.SimConfig(n_paths=200000, master_seed=11, n_workers=1)
+    cfg3 = st.SimConfig(n_paths=200000, master_seed=11, n_workers=3)
     cfg4 = st.SimConfig(n_paths=200000, master_seed=11, n_workers=4)
     a = st.simulate_terminal(MERTON, 0.01, cfg1)
     b = st.simulate_terminal(MERTON, 0.01, cfg1)
     c = st.simulate_terminal(MERTON, 0.01, cfg4)
+    d = st.simulate_terminal(MERTON, 0.01, cfg3)  # 4 blocks on 3 lanes
     assert np.array_equal(a, b)
     assert np.array_equal(a, c)
+    assert np.array_equal(a, d)
 
 
 def test_seed_changes_samples():
@@ -178,10 +188,13 @@ def test_stable_exact_scheme_matches_quadrature_coefficient():
     assert abs(est.value / scale - pred) <= 4 * est.std_error / scale + 0.05 * pred
 
 
-def test_normal_fast_path_survives_scaling():
+@pytest.mark.parametrize("jumps", [lambda lam: st.normal_jumps(lam, 0.0, 0.4),
+                                   lambda lam: st.laplace_jumps(lam, 0.2)],
+                         ids=["normal", "laplace"])
+def test_scaling_keeps_jump_samplers(jumps):
     cfg = st.SimConfig(n_paths=1000, master_seed=3)
-    scaled = st.normal_jumps(1.0, 0.0, 0.4).scaled(2.0)
-    direct = st.normal_jumps(2.0, 0.0, 0.4)
+    scaled = jumps(1.0).scaled(2.0)
+    direct = jumps(2.0)
     a, b = (st.simulate_terminal(st.ExpModelCharacteristics(1.0, 0.0, 0.2, m),
                                  0.01, cfg) for m in (scaled, direct))
     np.testing.assert_allclose(a, b, rtol=1e-12)

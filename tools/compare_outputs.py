@@ -1,0 +1,174 @@
+"""Compare the observable output of a git revision with the working tree.
+
+Usage::
+
+    python tools/compare_outputs.py [REV]      # REV defaults to HEAD
+
+Both trees run the same probes, each in a fresh interpreter with the tree's
+``src`` on ``PYTHONPATH``:
+
+* demos 01-05 (demo 05's ``spec file:`` line names a temporary directory and
+  is dropped);
+* the four README CLI commands on the README Merton spec, plus in-the-money
+  (r > 0), stable-like, Laplace and atomic variants;
+* a sweep over every jump form x scheme x ``n_workers`` in {1, 2} x
+  t in {1e-3, 0.05} recording the SHA-256 of the ``simulate_terminal``
+  samples and the ``estimate_call`` value, or the error raised.
+
+Each probe records its exit code, stdout and stderr. The script prints a
+unified diff of the two transcripts and exits 1 on any difference, 0 when
+they are identical. Only the standard library is imported here; the probes
+need the project's own dependencies.
+"""
+
+import difflib
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DEMOS = ["01_generator_expansion.py", "02_moneyness_slopes.py",
+         "03_atm_regimes.py", "04_markov_and_time_change.py",
+         "05_cli_verify.py"]
+
+SIM = {"n_paths": 200000, "master_seed": 0}
+GRID = [0.001, 0.003, 0.01, 0.03]
+BUMP = {"family": "gaussian_bump", "center": 0.2, "width": 0.6}
+
+
+def _model(r, sigma, jumps):
+    return {"S0": 1.0, "r": r, "sigma": sigma, "jumps": jumps}
+
+
+SPECS = {
+    "merton": {"model": _model(0.0, 0.2, {"type": "density", "family": "normal",
+                                          "intensity": 1.0, "mean": 0.0, "std": 0.4}),
+               "query": {"strike": 1.2, "t_grid": GRID, "f": BUMP}, "sim": SIM},
+    "itm": {"model": _model(0.05, 0.2, {"type": "none"}),
+            "query": {"strike": 0.8, "t_grid": GRID}, "sim": SIM},
+    "stable": {"model": _model(0.0, 0.0, {"type": "stable_like", "alpha": 1.5, "c": 0.1}),
+               "query": {"strike": 1.0, "t_grid": [1e-4, 3e-4, 1e-3, 3e-3]},
+               "sim": {**SIM, "scheme": "exact_stable_increment"}},
+    "laplace": {"model": _model(0.0, 0.1, {"type": "density", "family": "laplace",
+                                           "intensity": 2.0, "mean": 0.0, "scale": 0.2}),
+                "query": {"strike": 1.2, "t_grid": GRID}, "sim": SIM},
+    "atomic": {"model": _model(0.02, 0.1, {"type": "atomic",
+                                           "atoms": [[0.4, 1.0], [-0.6, 0.5]]}),
+               "query": {"strike": 1.1, "t_grid": GRID}, "sim": SIM},
+}
+
+README_COMMANDS = [
+    ["asymptotics", "--strike", "1.2"],
+    ["expansion", "--t", "0.001"],
+    ["verify", "--t-grid", "0.001,0.003,0.01,0.03"],
+    ["simulate", "--t", "0.01", "--strike", "1.0", "--format", "csv"],
+]
+
+CLI_RUNS = ([("merton", cmd) for cmd in README_COMMANDS]
+            + [(name, cmd) for name in ("itm", "stable", "laplace", "atomic")
+               for cmd in (["asymptotics"], ["verify"], ["verify", "--format", "csv"],
+                           ["simulate", "--t", "0.01", "--workers", "2"])]
+            + [("stable", ["simulate", "--t", "0.01"] + extra)
+               for extra in ([], ["--strike", "1.05"])])
+
+SWEEP = r'''
+import hashlib, math
+import smalltime as st
+
+dens = lambda y: 3.0 * math.exp(-abs(y) / 0.2)
+MODELS = {
+    "none": st.no_jumps(),
+    "atomic": st.atomic([(0.4, 1.0), (-0.6, 0.5)]),
+    "normal": st.normal_jumps(1.0, 0.1, 0.4),
+    "normal_scaled": st.normal_jumps(1.0, 0.1, 0.4).scaled(2.5),
+    "laplace": st.laplace_jumps(1.2, 0.25, 0.05),
+    "laplace_scaled": st.laplace_jumps(1.2, 0.25, 0.05).scaled(0.5),
+    "density_table": st.density(dens, (-1.5, 2.0)),
+    "stable_const": st.stable_like(1.5, 0.1),
+    "stable_linear": st.stable_like(1.4, lambda y: 0.1 * (1.0 + 0.5 * y)),
+    "stable_quadratic": st.stable_like(1.3, lambda y: 0.1 * (1.0 + 0.5 * y * y)),
+    "stable_normal": st.stable_like(1.5, 0.1, residual=st.normal_jumps(0.5, 0.0, 0.3)),
+    "stable_atomic": st.stable_like(1.5, 0.1, residual=st.atomic([(0.8, 0.2)])),
+    "stable_laplace": st.stable_like(1.5, 0.1, residual=st.laplace_jumps(0.7, 0.2)),
+}
+CONFIGS = [("euler_log", 0.01), ("exact_stable_increment", 0.01), ("euler_log", 0.5)]
+for name, m in MODELS.items():
+    ec = st.ExpModelCharacteristics(1.0, 0.01, 0.15, m)
+    for scheme, eps in CONFIGS:
+        for workers in (1, 2):
+            for t in (1e-3, 0.05):
+                cfg = st.SimConfig(n_paths=2**17 + 1000, master_seed=7, scheme=scheme,
+                                   small_jump_cutoff=eps, n_workers=workers)
+                tag = f"{name} {scheme} eps={eps} workers={workers} t={t}:"
+                try:
+                    s = st.simulate_terminal(ec, t, cfg)
+                    est = st.estimate_call(ec, t, 1.05, cfg)
+                    print(tag, hashlib.sha256(s.tobytes()).hexdigest(),
+                          repr(est.value), repr(est.std_error))
+                except st.SmallTimeError as exc:
+                    print(tag, type(exc).__name__, exc)
+'''
+
+
+def _run(tree, args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    return [f"exit {proc.returncode}", *proc.stdout.splitlines(),
+            "-- stderr", *proc.stderr.splitlines()]
+
+
+def transcript(tree, spec_dir):
+    lines = []
+    for demo in DEMOS:
+        out = _run(tree, [f"demos/{demo}"], tree)
+        lines += [f"## demo {demo}"] + [x for x in out if not x.startswith("spec file:")]
+    for name, cmd in CLI_RUNS:
+        spec = str(spec_dir / f"{name}.json")
+        lines.append(f"## cli {name} {' '.join(cmd)}")
+        lines += _run(tree, ["-m", "smalltime.cli", cmd[0], "--spec", spec, *cmd[1:]],
+                      spec_dir)
+    lines.append("## sweep")
+    lines += _run(tree, ["-c", SWEEP], spec_dir)
+    return lines
+
+
+def _extract(rev, dest):
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
+
+
+def main(argv):
+    rev = argv[1] if len(argv) > 1 else "HEAD"
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        old_tree, spec_dir = tmp / "rev", tmp / "specs"
+        old_tree.mkdir()
+        spec_dir.mkdir()
+        _extract(rev, old_tree)
+        for name, spec in SPECS.items():
+            (spec_dir / f"{name}.json").write_text(json.dumps(spec))
+        old = transcript(old_tree, spec_dir)
+        new = transcript(ROOT, spec_dir)
+    diff = list(difflib.unified_diff(old, new, rev, "working tree", lineterm=""))
+    if diff:
+        print("\n".join(diff))
+        return 1
+    print(f"identical: {len(DEMOS)} demos, {len(CLI_RUNS)} CLI runs, "
+          f"{sum('workers=' in x for x in new)} sweep rows")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
