@@ -51,7 +51,7 @@ def classify_regime(ec, K):
     RegimeUnknown for pure-jump models of infinite variation that do not
     declare a stable-like decomposition; no formula covers that case.
     """
-    if K <= 0:
+    if not K > 0:
         raise DomainError(f"strike must be positive, got {K}")
     if K > ec.S0:
         return OTM
@@ -62,7 +62,7 @@ def classify_regime(ec, K):
     m = ec.jumps
     if m.form == "stable_like":
         return ATM_STABLE
-    if m.is_empty() or m.form == "atomic":
+    if m.form == "atomic":
         return ATM_FINITE_VARIATION
     if m.form == "density" and m.singularity_order >= 2:
         raise RegimeUnknown(
@@ -124,14 +124,14 @@ def itm_slope(ec, K, tol=DEFAULT_TOL):
 
 
 def leading_term(ec, K, tol=DEFAULT_TOL):
-    """Leading term at strike K from the formula of its regime: otm_slope,
-    itm_slope or atm_coefficient, as chosen by classify_regime."""
-    regime = classify_regime(ec, K)
-    if regime == OTM:
+    """Leading term at strike K from the formula of its regime:
+    atm_coefficient at K = S0, which classifies the fine structure itself,
+    otherwise otm_slope or itm_slope as chosen by classify_regime."""
+    if K == ec.S0:
+        return atm_coefficient(ec, tol)
+    if classify_regime(ec, K) == OTM:
         return otm_slope(ec, K, tol)
-    if regime == ITM:
-        return itm_slope(ec, K, tol)
-    return atm_coefficient(ec, tol)
+    return itm_slope(ec, K, tol)
 
 
 def stable_positive_part_constant(alpha, c0, tol=DEFAULT_TOL):

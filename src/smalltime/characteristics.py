@@ -90,8 +90,7 @@ class ExpModelCharacteristics:
         The drift is r - sigma^2/2 - integral of (e^y - 1 - kappa(y)) m(dy),
         the compensation that makes the discounted price a martingale.
         """
-        correction = self.jumps.exp_compensation(tol) if not self.jumps.is_empty() else 0.0
-        beta = self.r - 0.5 * self.sigma**2 - correction
+        beta = self.r - 0.5 * self.sigma**2 - self.jumps.exp_compensation(tol)
         return LocalCharacteristics([beta], [[self.sigma]], self.jumps)
 
 
@@ -148,15 +147,12 @@ def from_markov(b, Sigma, jump_fn, nu, f, Z0, tol=DEFAULT_TOL):
                 - float(np.dot(psi, grad)))
 
     a = Sigma @ Sigma.T
-    beta_full = float(np.dot(grad, b)) + 0.5 * float(np.trace(hess @ a))
-    if not nu.is_empty():
-        beta_full += nu.integrate(full_comp_integrand, tol)
+    beta_full = (float(np.dot(grad, b)) + 0.5 * float(np.trace(hess @ a))
+                 + nu.integrate(full_comp_integrand, tol))
 
     delta0 = float(np.linalg.norm(grad @ Sigma))
 
-    if nu.is_empty():
-        pushforward = no_jumps()
-    elif nu.form == "atomic":
+    if nu.form == "atomic":
         atoms = []
         for y, lam in zip(nu.locations, nu.masses):
             u = increment(y)
@@ -167,11 +163,8 @@ def from_markov(b, Sigma, jump_fn, nu, f, Z0, tol=DEFAULT_TOL):
         pushforward = comp.PushforwardCompensator(nu, increment)
 
     # rebase the full-compensation drift onto the kappa convention
-    rebase = 0.0
-    if not pushforward.is_empty():
-        rebase = pushforward.integrate(
-            lambda u: u - kappa(u), tol,
-            g_over_y2=lambda u: u / (1.0 + u * u))
+    rebase = pushforward.integrate(lambda u: u - kappa(u), tol,
+                                   g_over_y2=lambda u: u / (1.0 + u * u))
     return LocalCharacteristics([beta_full - rebase], [[delta0]], pushforward)
 
 
@@ -191,18 +184,15 @@ def from_time_changed_levy(levy_triplet, theta0, tol=DEFAULT_TOL):
         raise InvariantViolation("sigma2 must be nonnegative")
     if nu is None:
         nu = no_jumps()
-    if not nu.is_empty():
-        try:
-            nu.integrate(lambda y: y * y, tol=1e-7, g_over_y2=lambda y: 1.0)
-        except QuadratureDivergence as exc:
-            raise InvariantViolation(
-                f"nu fails the square-integrability requirement: {exc}") from exc
+    try:
+        nu.integrate(lambda y: y * y, tol=1e-7, g_over_y2=lambda y: 1.0)
+    except QuadratureDivergence as exc:
+        raise InvariantViolation(
+            f"nu fails the square-integrability requirement: {exc}") from exc
     if theta0 == 0.0:
         return LocalCharacteristics([0.0], [[0.0]], no_jumps())
-    correction = 0.0
-    if not nu.is_empty():
-        correction = nu.integrate(lambda y: y - kappa(y), tol,
-                                  g_over_y2=lambda y: y / (1.0 + y * y))
+    correction = nu.integrate(lambda y: y - kappa(y), tol,
+                              g_over_y2=lambda y: y / (1.0 + y * y))
     beta = (float(b) - correction) * theta0
     delta = math.sqrt(float(sigma2) * theta0)
     return LocalCharacteristics([beta], [[delta]], nu.scaled(theta0))

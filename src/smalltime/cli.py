@@ -1,6 +1,6 @@
 """Command-line front door.
 
-Four subcommands over a JSON model-spec file:
+Four commands over a JSON model-spec file, each taking the same flags:
 
 * ``asymptotics``: regime classification and leading coefficient at a strike;
 * ``expansion``: generator value and first-order expansion for a builtin
@@ -58,7 +58,7 @@ def _csv_rows(rows):
     return "\n".join(lines) + "\n"
 
 
-def _query_value(args, spec, key, flag_value, required=True):
+def _query_value(spec, key, flag_value, required=True):
     if flag_value is not None:
         return flag_value
     if key in spec.query:
@@ -76,7 +76,7 @@ def _positive_horizon(t):
 
 def cmd_asymptotics(args, spec):
     ec = spec.exp_model()
-    K = float(_query_value(args, spec, "strike", args.strike))
+    K = float(_query_value(spec, "strike", args.strike))
     res = asym.leading_term(ec, K, args.tol)
     record = {"regime": res.regime, "exponent": res.exponent,
               "coefficient": res.coefficient,
@@ -92,7 +92,7 @@ def cmd_expansion(args, spec):
     if "f" not in spec.query:
         raise SpecError("expansion needs a 'f' entry in the query block")
     f = function_from_spec(spec.query["f"])
-    t = float(_query_value(args, spec, "t", args.t))
+    t = float(_query_value(spec, "t", args.t))
     if not t >= 0:
         raise SpecError(f"expansion time must be >= 0, got {t!r}")
     if spec.kind == "model":
@@ -119,7 +119,7 @@ def cmd_expansion(args, spec):
 
 def cmd_verify(args, spec):
     ec = spec.exp_model()
-    K = float(_query_value(args, spec, "strike", args.strike))
+    K = float(_query_value(spec, "strike", args.strike))
     grid = args.t_grid or spec.query.get("t_grid")
     if not grid:
         raise SpecError("verify needs a t_grid (query block or --t-grid)")
@@ -171,8 +171,8 @@ def cmd_verify(args, spec):
 
 def cmd_simulate(args, spec):
     ec = spec.exp_model()
-    t = _positive_horizon(float(_query_value(args, spec, "t", args.t)))
-    K = _query_value(args, spec, "strike", args.strike, required=False)
+    t = _positive_horizon(float(_query_value(spec, "t", args.t)))
+    K = _query_value(spec, "strike", args.strike, required=False)
     cfg = spec.sim_config(master_seed=args.seed, n_workers=args.workers,
                           n_paths=args.paths)
     if K is not None:
@@ -200,39 +200,47 @@ def _t_grid(text):
         raise argparse.ArgumentTypeError(f"bad t-grid {text!r}") from exc
 
 
+COMMANDS = {"asymptotics": cmd_asymptotics, "expansion": cmd_expansion,
+            "verify": cmd_verify, "simulate": cmd_simulate}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="smalltime",
         description="Short-maturity asymptotics of jump-diffusion models "
                     "with Monte Carlo verification.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("asymptotics", cmd_asymptotics),
-                     ("expansion", cmd_expansion),
-                     ("verify", cmd_verify),
-                     ("simulate", cmd_simulate)):
-        p = sub.add_parser(name)
-        p.set_defaults(fn=fn)
-        p.add_argument("--spec", required=True, help="path to the JSON model spec")
-        p.add_argument("--strike", type=float, default=None)
-        p.add_argument("--t", type=float, default=None)
-        p.add_argument("--t-grid", type=_t_grid, default=None,
-                       help="comma separated maturities, e.g. 0.001,0.01,0.03")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override sim.master_seed (spec default 0)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--paths", type=int, default=None,
-                       help="override sim.n_paths")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--spec", required=True, help="path to the JSON model spec")
+    parser.add_argument("--strike", type=float, default=None)
+    parser.add_argument("--t", type=float, default=None)
+    parser.add_argument("--t-grid", type=_t_grid, default=None,
+                        help="comma separated maturities, e.g. 0.001,0.01,0.03")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override sim.master_seed (spec default 0)")
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--out", default=None, help="write output to a file")
+    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--paths", type=int, default=None,
+                        help="override sim.n_paths")
     return parser
+
+
+def _require_finite(args):
+    """float() accepts 'nan' and 'inf', which no numeric flag may take."""
+    flags = [("--strike", args.strike), ("--t", args.t), ("--tol", args.tol)]
+    flags += [("--t-grid", t) for t in args.t_grid or ()]
+    for flag, value in flags:
+        if value is not None and not math.isfinite(value):
+            raise SpecError(f"{flag} must be finite, got {value!r}")
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _require_finite(args)
         spec = modelspec.load(args.spec)
-        return args.fn(args, spec)
+        return COMMANDS[args.command](args, spec)
     except SpecError as exc:
         sys.stderr.write(f"spec error: {exc}\n")
         return 2

@@ -9,8 +9,14 @@ time, frozen at the evaluation date. Three declarable forms are supported:
 * stable-like (an explicit |y|**-(1+alpha) small-jump part on [-1, 1] plus a
   finite-variation residual).
 
-A fourth, non-declarable form arises as the pushforward of a measure through
-a smooth map; it is exposed only through its tail functions.
+The zero measure (``no_jumps``) is the atomic form with no atoms: its
+integrals, tails and double tails are 0.0 and its support is (0.0, 0.0), so
+callers need no separate jump-free path.
+
+A fourth, non-declarable form arises as the pushforward of a non-atomic
+measure through a smooth map; it is exposed only through its tail
+functions, which need a density base. Pushforwards of atomic measures stay
+atomic.
 
 All forms implement
 
@@ -32,6 +38,7 @@ from .quadrature import (DEFAULT_TOL, expanding_upper_limit, quad_abs,
 
 _VALIDATE_TOL = 1e-7
 _SUPPORT_CAP = 60.0
+_SCAN_POINTS = 4001  # grid points of the pushforward level-set scan
 
 
 def kappa(y):
@@ -143,10 +150,10 @@ class AtomicCompensator(JumpCompensator):
         return float(total), 0.0
 
     def upper_tail(self, x, tol=DEFAULT_TOL):
-        return float(np.sum(self.masses[self.locations >= x])) if self.masses.size else 0.0
+        return float(np.sum(self.masses[self.locations >= x]))
 
     def lower_tail(self, x, tol=DEFAULT_TOL):
-        return float(np.sum(self.masses[self.locations <= x])) if self.masses.size else 0.0
+        return float(np.sum(self.masses[self.locations <= x]))
 
     def support(self):
         if self.masses.size == 0:
@@ -384,8 +391,6 @@ class StableLikeCompensator(JumpCompensator):
 
     def support(self):
         rlo, rhi = self.residual.support()
-        if self.residual.is_empty():
-            return (-1.0, 1.0)
         return (min(-1.0, rlo), max(1.0, rhi))
 
     def scaled(self, factor):
@@ -400,21 +405,23 @@ class StableLikeCompensator(JumpCompensator):
 
 
 class PushforwardCompensator(JumpCompensator):
-    """Image of a base measure nu under an increment map, tail-backed.
+    """Image of a non-atomic base measure nu under an increment map,
+    tail-backed.
 
     Used for the jump compensator of f(Z) when Z has jump measure nu and the
-    increment of f at a base jump y is delta(y). Integrals reduce to the base
-    measure by change of variables; tails are computed from super-level sets
-    of delta (exact enumeration when nu is atomic, grid scan plus bisection
-    against the density otherwise).
+    increment of f at a base jump y is delta(y); ``from_markov`` pushes
+    atomic measures forward atom by atom instead. Integrals reduce to the
+    base measure by change of variables. Tails are computed from level sets
+    of delta: a grid scan over the support of nu, bisection at each
+    crossing, then quadrature of the density of nu over the kept intervals,
+    so they need a density base and raise DomainError otherwise.
     """
 
     form = "pushforward"
 
-    def __init__(self, nu, delta, scan_points=4001):
+    def __init__(self, nu, delta):
         self.nu = nu
         self.delta = delta
-        self.scan_points = scan_points
         self._validate_integrability()
 
     def integrate_with_error(self, g, tol=DEFAULT_TOL, points=None, g_over_y2=None):
@@ -424,18 +431,13 @@ class PushforwardCompensator(JumpCompensator):
     def _grid(self):
         lo, hi = self.nu.support()
         lo, hi = max(lo, -_SUPPORT_CAP), min(hi, _SUPPORT_CAP)
-        return np.linspace(lo, hi, self.scan_points)
+        return np.linspace(lo, hi, _SCAN_POINTS)
 
     def _level_mass(self, u, above):
         """nu-mass of {y : delta(y) >= u} (above) or {delta(y) <= u}."""
         delta = self.delta
-        if self.nu.form == "atomic":
-            vals = np.array([delta(y) for y in self.nu.locations])
-            keep = vals >= u if above else vals <= u
-            return float(np.sum(self.nu.masses[keep]))
         if self.nu.form != "density":
-            raise DomainError(
-                "pushforward tails need an atomic or density base measure")
+            raise DomainError("pushforward tails need a density base measure")
         grid = self._grid()
         h = np.array([delta(y) - u for y in grid])
         inside = h >= 0 if above else h <= 0
@@ -474,16 +476,11 @@ class PushforwardCompensator(JumpCompensator):
         return self._level_mass(x, above=False)
 
     def support(self):
-        if self.nu.form == "atomic":
-            vals = [self.delta(y) for y in self.nu.locations]
-            return (min(vals, default=0.0), max(vals, default=0.0))
-        grid = self._grid()
-        vals = [self.delta(y) for y in grid]
+        vals = [self.delta(y) for y in self._grid()]
         return (min(vals), max(vals))
 
     def scaled(self, factor):
-        return PushforwardCompensator(self.nu.scaled(factor), self.delta,
-                                      self.scan_points)
+        return PushforwardCompensator(self.nu.scaled(factor), self.delta)
 
 
 def _segment_flags(inside, n_edges):
@@ -609,8 +606,6 @@ def exp_double_tail_up(m, z, tol=DEFAULT_TOL):
     """
     if z <= 0:
         raise DomainError("exp_double_tail_up requires z > 0")
-    if m.is_empty():
-        return 0.0
     if m.form == "atomic":
         keep = m.locations > z
         return float(np.sum(m.masses[keep] * (np.exp(m.locations[keep]) - math.exp(z))))
@@ -628,8 +623,6 @@ def exp_double_tail_down(m, z, tol=DEFAULT_TOL):
     e^x m((-inf, x]) dx. Closed form for atomic measures."""
     if z >= 0:
         raise DomainError("exp_double_tail_down requires z < 0")
-    if m.is_empty():
-        return 0.0
     if m.form == "atomic":
         keep = m.locations < z
         return float(np.sum(m.masses[keep] * (math.exp(z) - np.exp(m.locations[keep]))))

@@ -48,17 +48,15 @@ def apply_generator(chars, f, x, tol=DEFAULT_TOL):
         beta = float(chars.beta[0])
         var = float(chars.diffusion_matrix()[0, 0])
         val = beta * grad + 0.5 * var * hess
-        m = chars.jumps
-        if not m.is_empty():
-            def integrand(y):
-                return y * y * f.curvature_remainder(x, y) \
-                    + (y ** 3 / (1.0 + y * y)) * grad
 
-            def integrand_over_y2(y):
-                return f.curvature_remainder(x, y) + (y / (1.0 + y * y)) * grad
+        def integrand(y):
+            return y * y * f.curvature_remainder(x, y) \
+                + (y ** 3 / (1.0 + y * y)) * grad
 
-            val += m.integrate(integrand, tol, g_over_y2=integrand_over_y2)
-        return val
+        def integrand_over_y2(y):
+            return f.curvature_remainder(x, y) + (y / (1.0 + y * y)) * grad
+
+        return val + chars.jumps.integrate(integrand, tol, g_over_y2=integrand_over_y2)
 
     x = np.asarray(x, dtype=float)
     if x.size != chars.dim:
@@ -67,13 +65,10 @@ def apply_generator(chars, f, x, tol=DEFAULT_TOL):
     hess = np.asarray(f.hessian(x), dtype=float)
     val = float(np.dot(chars.beta, grad))
     val += 0.5 * float(np.trace(chars.diffusion_matrix() @ hess))
-    m = chars.jumps
-    if not m.is_empty():
-        fx = f.value(x)
-        val += m.integrate(
-            lambda y: f.value(x + np.asarray(y, dtype=float)) - fx
-            - float(np.dot(_kappa_vec(y), grad)), tol)
-    return val
+    fx = f.value(x)
+    return val + chars.jumps.integrate(
+        lambda y: f.value(x + np.asarray(y, dtype=float)) - fx
+        - float(np.dot(_kappa_vec(y), grad)), tol)
 
 
 def apply_exp_generator(ec, f, x, tol=DEFAULT_TOL):
@@ -89,19 +84,17 @@ def apply_exp_generator(ec, f, x, tol=DEFAULT_TOL):
     x = float(x)
     grad = f.gradient(x)
     val = ec.r * x * grad + 0.5 * x * x * ec.sigma**2 * f.hessian(x)
-    m = ec.jumps
-    if not m.is_empty():
-        def integrand(y):
-            u = x * math.expm1(y)
-            return u * u * f.curvature_remainder(x, u)
 
-        def integrand_over_y2(y):
-            u = x * math.expm1(y)
-            ratio = x * em1_over(y)
-            return ratio * ratio * f.curvature_remainder(x, u)
+    def integrand(y):
+        u = x * math.expm1(y)
+        return u * u * f.curvature_remainder(x, u)
 
-        val += m.integrate(integrand, tol, g_over_y2=integrand_over_y2)
-    return val
+    def integrand_over_y2(y):
+        u = x * math.expm1(y)
+        ratio = x * em1_over(y)
+        return ratio * ratio * f.curvature_remainder(x, u)
+
+    return val + ec.jumps.integrate(integrand, tol, g_over_y2=integrand_over_y2)
 
 
 def short_time_expectation(model, f, x, t, tol=DEFAULT_TOL):

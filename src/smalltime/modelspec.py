@@ -18,6 +18,7 @@ Example::
 """
 
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -87,15 +88,29 @@ def _require(cond, msg):
         raise SpecError(msg)
 
 
+def _number(v, what):
+    """float(v) for a finite JSON number; bools, strings, NaN and
+    infinities raise SpecError."""
+    ok = isinstance(v, (int, float)) and not isinstance(v, bool)
+    try:
+        ok = ok and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    _require(ok, f"{what} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _numbers(values, name):
+    _require(isinstance(values, list), f"{name} must be a list")
+    return [_number(v, f"{name} entry") for v in values]
+
+
 def _num(blk, key, default=None, minimum=None, strict=False):
     if key not in blk:
         if default is None:
             raise SpecError(f"missing required field {key!r}")
         return float(default)
-    v = blk[key]
-    _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-             f"field {key!r} must be a number")
-    v = float(v)
+    v = _number(blk[key], f"field {key!r}")
     if minimum is not None:
         if strict:
             _require(v > minimum, f"field {key!r} must be > {minimum}")
@@ -115,7 +130,7 @@ def _norm_jumps(blk):
                  all(isinstance(a, list) and len(a) == 2 for a in atoms),
                  "atomic jumps need 'atoms': [[size, intensity], ...]")
         return {"type": "atomic",
-                "atoms": [[float(y), float(lam)] for y, lam in atoms]}
+                "atoms": [_numbers(a, "atom") for a in atoms]}
     if typ == "density":
         family = blk.get("family")
         if family == "normal":
@@ -164,19 +179,19 @@ def _norm_fspec(blk):
     out = {"family": blk["family"]}
     fam = blk["family"]
     if fam == "polynomial":
-        out["coeffs"] = [float(a) for a in blk.get("coeffs", [])]
+        out["coeffs"] = _numbers(blk.get("coeffs", []), "coeffs")
         out["center"] = _num(blk, "center", 0.0)
     elif fam == "affine":
-        out["weights"] = [float(w) for w in blk.get("weights", [1.0])]
+        out["weights"] = _numbers(blk.get("weights", [1.0]), "weights")
         out["intercept"] = _num(blk, "intercept", 0.0)
     elif fam == "exp_affine":
-        out["weights"] = [float(w) for w in blk.get("weights", [1.0])]
+        out["weights"] = _numbers(blk.get("weights", [1.0]), "weights")
         out["offset"] = _num(blk, "offset", 0.0)
         out["scale"] = _num(blk, "scale", 1.0)
     elif fam == "gaussian_bump":
         center = blk.get("center", 0.0)
-        out["center"] = ([float(c) for c in center]
-                         if isinstance(center, list) else float(center))
+        out["center"] = (_numbers(center, "center")
+                         if isinstance(center, list) else _num(blk, "center", 0.0))
         out["width"] = _num(blk, "width", 1.0, minimum=0.0, strict=True)
         out["height"] = _num(blk, "height", 1.0)
         out["offset"] = _num(blk, "offset", 0.0)
@@ -237,12 +252,12 @@ def parse(data):
                  and all(isinstance(row, list) and len(row) == d for row in Sigma),
                  "Sigma must be a d x d matrix")
         out["markov"] = {
-            "b": [float(v) for v in b],
-            "Sigma": [[float(v) for v in row] for row in Sigma],
+            "b": _numbers(b, "b"),
+            "Sigma": [_numbers(row, "Sigma") for row in Sigma],
             "jump_map": _norm_jump_map(blk.get("jump_map")),
             "nu": _norm_jumps(blk.get("nu", {"type": "none"})),
             "f": _norm_fspec(blk["f"]) if "f" in blk else _fail("markov needs 'f'"),
-            "Z0": [float(v) for v in Z0],
+            "Z0": _numbers(Z0, "Z0"),
         }
     else:
         blk = data["time_change"]
@@ -264,7 +279,7 @@ def parse(data):
         if "t_grid" in q:
             _require(isinstance(q["t_grid"], list) and q["t_grid"],
                      "t_grid must be a nonempty list")
-            nq["t_grid"] = [float(v) for v in q["t_grid"]]
+            nq["t_grid"] = _numbers(q["t_grid"], "t_grid")
         if "f" in q:
             nq["f"] = _norm_fspec(q["f"])
         unknown = set(q) - {"strike", "t", "x", "t_grid", "f"}

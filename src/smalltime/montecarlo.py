@@ -249,10 +249,7 @@ class _SimulationPlan:
 def _check_cutoff(m, eps):
     discarded = m.side_second_moment(eps) + m.side_second_moment(-eps)
     stable_total = m.side_second_moment(1.0) + m.side_second_moment(-1.0)
-    resid_var = 0.0
-    if not m.residual.is_empty():
-        resid_var = m.residual.integrate(lambda y: y * y, tol=1e-10)
-    total = stable_total + resid_var
+    total = stable_total + m.residual.integrate(lambda y: y * y, tol=1e-10)
     if discarded > 0.10 * total:
         raise CutoffTooCoarse(
             f"cutoff {eps} discards {discarded / total:.1%} of the jump "

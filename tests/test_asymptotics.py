@@ -61,8 +61,9 @@ def test_classify_regime_unknown():
 
 def test_classify_rejects_bad_strike():
     ec = st.ExpModelCharacteristics(1.0, 0.0, 0.2)
-    with pytest.raises(st.DomainError):
-        st.classify_regime(ec, 0.0)
+    for K in (0.0, math.nan):
+        with pytest.raises(st.DomainError):
+            st.classify_regime(ec, K)
 
 
 # ----------------------------------------------------------------------

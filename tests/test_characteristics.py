@@ -120,6 +120,48 @@ def test_from_markov_degenerate_gradient():
                        st.atomic([((0.1, 0.1), 1.0)]), f, [0.0, 0.0])
 
 
+def test_from_markov_stable_like_nu():
+    # the image of a stable-like measure is a tail-less pushforward whose
+    # integrals still reduce to the base measure
+    nu = st.stable_like(1.5, 0.1)
+    ch = st.from_markov([0.02], [[0.2]], lambda y: y, nu, st.affine([1.0]), [0.0])
+    assert ch.jumps.form == "pushforward"
+    with pytest.raises(st.DomainError):
+        ch.jumps.upper_tail(0.5)
+    bump = st.gaussian_bump(0.2, 0.6)
+    direct = st.LocalCharacteristics(ch.beta, ch.delta, nu)
+    assert st.apply_generator(ch, bump, 0.0) == pytest.approx(
+        st.apply_generator(direct, bump, 0.0), rel=1e-7)
+
+
+def test_empty_measure_is_neutral():
+    # every operation on no_jumps() adds an exact 0.0 to the jump-free formula
+    none = st.no_jumps()
+    f = st.polynomial([0.0, 0.3, 1.0])
+    x, b, s = 0.7, 0.05, 0.2
+    chars = st.LocalCharacteristics([b], [[s]], none)
+    assert st.apply_generator(chars, f, x) == (
+        b * f.gradient(x) + 0.5 * (s * s) * f.hessian(x))
+    ec = st.ExpModelCharacteristics(1.0, b, s, none)
+    assert st.apply_exp_generator(ec, f, x) == (
+        b * x * f.gradient(x) + 0.5 * x * x * s**2 * f.hessian(x))
+    assert ec.log_characteristics().beta[0] == b - 0.5 * s**2
+
+    # f(z) = z^2 at Z0 = 1: grad 2, hess 2
+    ch = st.from_markov([0.1], [[0.5]], lambda y: y, none,
+                        st.polynomial([0.0, 0.0, 1.0]), [1.0])
+    assert ch.beta[0] == 2.0 * 0.1 + 0.5 * (2.0 * 0.25)
+    assert ch.delta[0, 0] == 2.0 * 0.5
+    assert ch.jumps.form == "atomic" and ch.jumps.is_empty()
+
+    ch = st.from_time_changed_levy((b, s * s, None), 2.0)
+    assert ch.beta[0] == b * 2.0
+    assert ch.delta[0, 0] == math.sqrt(s * s * 2.0)
+    assert ch.jumps.is_empty()
+
+    assert st.stable_like(1.5, 0.1).support() == (-1.0, 1.0)
+
+
 # ----------------------------------------------------------------------
 # from_time_changed_levy
 

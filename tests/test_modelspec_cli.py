@@ -58,6 +58,9 @@ def test_schema_rejects_bad_specs():
         {"model": BS_SPEC["model"], "sim": {"scheme": "euler"}},
         {"model": BS_SPEC["model"], "extra": 1},
         {"model": {"S0": 1.0, "jumps": {"type": "stable_like", "alpha": 2.5, "c": 0.1}}},
+        {"model": dict(BS_SPEC["model"], S0=math.inf)},
+        {"model": {"S0": 1.0, "jumps": {"type": "atomic", "atoms": [["a", 1.0]]}}},
+        {"model": BS_SPEC["model"], "query": {"t_grid": [0.01, math.inf]}},
     ]
     for raw in bad:
         with pytest.raises(st.SpecError):
@@ -251,6 +254,11 @@ def test_exit_2_on_schema_error(tmp_path, capsys):
     ["simulate", "--t", "-1", "--strike", "1.0"],
     ["verify", "--t-grid", "0.01,-0.001"],
     ["expansion", "--t", "-1"],
+    ["asymptotics", "--strike", "nan"],
+    ["asymptotics", "--strike", "inf"],
+    ["simulate", "--t", "inf", "--strike", "1.0"],
+    ["verify", "--t-grid", "0.01,inf"],
+    ["asymptotics", "--tol", "nan"],
 ])
 def test_exit_2_on_out_of_range_flags(tmp_path, capsys, argv):
     spec = dict(BS_SPEC, query={"strike": 1.0, "t_grid": [0.001, 0.01],
@@ -258,6 +266,13 @@ def test_exit_2_on_out_of_range_flags(tmp_path, capsys, argv):
     path = write_spec(tmp_path, spec)
     code, out, err = run_cli(capsys, argv[:1] + ["--spec", path] + argv[1:])
     assert code == 2 and out == "" and err.startswith("spec error: ")
+
+
+def test_exit_2_on_unknown_command(tmp_path):
+    path = write_spec(tmp_path, BS_SPEC)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["price", "--spec", path])
+    assert exc.value.code == 2
 
 
 def test_exit_2_on_missing_file(capsys):

@@ -10,10 +10,17 @@ Both trees run the same probes, each in a fresh interpreter with the tree's
 * demos 01-05 (demo 05's ``spec file:`` line names a temporary directory and
   is dropped);
 * the four README CLI commands on the README Merton spec, plus in-the-money
-  (r > 0), stable-like, Laplace and atomic variants;
+  (r > 0, no jumps), stable-like, Laplace and atomic variants, at-the-money
+  runs of the Laplace and atomic specs, and ``expansion`` on the jump-free,
+  ``markov`` and ``time_change`` specs;
 * a sweep over every jump form x scheme x ``n_workers`` in {1, 2} x
   t in {1e-3, 0.05} recording the SHA-256 of the ``simulate_terminal``
-  samples and the ``estimate_call`` value, or the error raised.
+  samples and the ``estimate_call`` value, or the error raised;
+* an analytic sweep over the same jump forms recording the ``repr`` of the
+  generators, the exponential double tails, ``leading_term`` at three
+  strikes with and without a diffusion, ``from_time_changed_levy``, and
+  ``from_markov`` on empty, atomic, normal and two-dimensional atomic
+  measures with the tails and support of each image, or the error raised.
 
 Each probe records its exit code, stdout and stderr. The script prints a
 unified diff of the two transcripts and exits 1 on any difference, 0 when
@@ -51,7 +58,7 @@ SPECS = {
                                           "intensity": 1.0, "mean": 0.0, "std": 0.4}),
                "query": {"strike": 1.2, "t_grid": GRID, "f": BUMP}, "sim": SIM},
     "itm": {"model": _model(0.05, 0.2, {"type": "none"}),
-            "query": {"strike": 0.8, "t_grid": GRID}, "sim": SIM},
+            "query": {"strike": 0.8, "t_grid": GRID, "f": BUMP}, "sim": SIM},
     "stable": {"model": _model(0.0, 0.0, {"type": "stable_like", "alpha": 1.5, "c": 0.1}),
                "query": {"strike": 1.0, "t_grid": [1e-4, 3e-4, 1e-3, 3e-3]},
                "sim": {**SIM, "scheme": "exact_stable_increment"}},
@@ -61,6 +68,17 @@ SPECS = {
     "atomic": {"model": _model(0.02, 0.1, {"type": "atomic",
                                            "atoms": [[0.4, 1.0], [-0.6, 0.5]]}),
                "query": {"strike": 1.1, "t_grid": GRID}, "sim": SIM},
+    "markov": {"markov": {"b": [0.1], "Sigma": [[0.3]],
+                          "jump_map": {"type": "scale", "factor": 1.5},
+                          "nu": {"type": "density", "family": "normal",
+                                 "intensity": 1.0, "mean": 0.1, "std": 0.4},
+                          "f": {"family": "polynomial", "coeffs": [0.0, 0.5, 1.0]},
+                          "Z0": [0.2]},
+               "query": {"f": BUMP}},
+    "time_change": {"time_change": {"b": 0.05, "sigma2": 0.04, "theta0": 1.5,
+                                    "nu": {"type": "atomic",
+                                           "atoms": [[0.4, 1.0], [-0.6, 0.5]]}},
+                    "query": {"f": BUMP}},
 }
 
 README_COMMANDS = [
@@ -75,9 +93,12 @@ CLI_RUNS = ([("merton", cmd) for cmd in README_COMMANDS]
                for cmd in (["asymptotics"], ["verify"], ["verify", "--format", "csv"],
                            ["simulate", "--t", "0.01", "--workers", "2"])]
             + [("stable", ["simulate", "--t", "0.01"] + extra)
-               for extra in ([], ["--strike", "1.05"])])
+               for extra in ([], ["--strike", "1.05"])]
+            + [(name, ["asymptotics", "--strike", "1.0"]) for name in ("laplace", "atomic")]
+            + [(name, ["expansion", "--t", "0.001"])
+               for name in ("itm", "markov", "time_change")])
 
-SWEEP = r'''
+MODELS = r'''
 import hashlib, math
 import smalltime as st
 
@@ -97,6 +118,9 @@ MODELS = {
     "stable_atomic": st.stable_like(1.5, 0.1, residual=st.atomic([(0.8, 0.2)])),
     "stable_laplace": st.stable_like(1.5, 0.1, residual=st.laplace_jumps(0.7, 0.2)),
 }
+'''
+
+SWEEP = MODELS + r'''
 CONFIGS = [("euler_log", 0.01), ("exact_stable_increment", 0.01), ("euler_log", 0.5)]
 for name, m in MODELS.items():
     ec = st.ExpModelCharacteristics(1.0, 0.01, 0.15, m)
@@ -113,6 +137,58 @@ for name, m in MODELS.items():
                           repr(est.value), repr(est.std_error))
                 except st.SmallTimeError as exc:
                     print(tag, type(exc).__name__, exc)
+'''
+
+ANALYTIC = MODELS + r'''
+from smalltime.asymptotics import leading_term
+
+def probe(tag, fn):
+    try:
+        print(tag, repr(fn()))
+    except st.SmallTimeError as exc:
+        print(tag, type(exc).__name__, exc)
+
+bump = st.gaussian_bump(center=0.2, width=0.6)
+price_bump = st.gaussian_bump(center=1.1, width=0.3)
+for name, m in MODELS.items():
+    for sigma in (0.15, 0.0):
+        ec = st.ExpModelCharacteristics(1.0, 0.01, sigma, m)
+        tag = f"{name} sigma={sigma}"
+        probe(f"{tag} generator:", lambda: st.apply_generator(ec.log_characteristics(), bump, 0.0))
+        probe(f"{tag} exp generator:", lambda: st.apply_exp_generator(ec, price_bump, 1.0))
+        for K in (0.8, 1.0, 1.2):
+            probe(f"{tag} leading_term K={K}:",
+                  lambda: vars(leading_term(ec, K)))
+    for z in (0.1, 0.3):
+        probe(f"{name} double tail up z={z}:", lambda: st.exp_double_tail_up(m, z))
+        probe(f"{name} double tail down z={-z}:", lambda: st.exp_double_tail_down(m, -z))
+    probe(f"{name} time change:", lambda: (
+        lambda ch: (ch.beta.tolist(), ch.delta.tolist(), st.apply_generator(ch, bump, 0.0)))(
+            st.from_time_changed_levy((0.05, 0.04, m), 1.5)))
+
+quadratic = st.polynomial([0.0, 0.5, 1.0])
+NUS = [("empty", st.no_jumps(), quadratic),
+       ("atomic", MODELS["atomic"], quadratic),
+       ("normal", MODELS["normal"], st.affine([2.0])),
+       ("atomic_2d", st.atomic([((0.3, 0.1), 0.5), ((-0.2, 0.4), 1.2),
+                                ((0.6, 0.6), 0.25)]), st.exp_affine([0.5, 1.0]))]
+for name, nu, f in NUS:
+    if f.dim == 1:
+        args = ([0.1], [[0.3]], lambda y: 1.5 * y, nu, f, [0.2])
+    else:
+        args = ([0.1, 0.0], [[0.3, 0.0], [0.1, 0.2]], lambda y: y, nu, f, [0.0, 0.1])
+    tag = f"from_markov {name}"
+    try:
+        ch = st.from_markov(*args)
+    except st.SmallTimeError as exc:
+        print(tag, type(exc).__name__, exc)
+        continue
+    probe(f"{tag} triplet:", lambda: (ch.beta.tolist(), ch.delta.tolist(), ch.jumps.form))
+    probe(f"{tag} generator:", lambda: st.apply_generator(ch, bump, 0.3))
+    probe(f"{tag} support:", lambda: ch.jumps.support())
+    for u in (0.2, 0.5):
+        probe(f"{tag} upper_tail {u}:", lambda: ch.jumps.upper_tail(u))
+        probe(f"{tag} lower_tail {-u}:", lambda: ch.jumps.lower_tail(-u))
 '''
 
 
@@ -136,6 +212,8 @@ def transcript(tree, spec_dir):
                       spec_dir)
     lines.append("## sweep")
     lines += _run(tree, ["-c", SWEEP], spec_dir)
+    lines.append("## analytic")
+    lines += _run(tree, ["-c", ANALYTIC], spec_dir)
     return lines
 
 
@@ -165,8 +243,10 @@ def main(argv):
     if diff:
         print("\n".join(diff))
         return 1
+    analytic = new[new.index("## analytic"):]
     print(f"identical: {len(DEMOS)} demos, {len(CLI_RUNS)} CLI runs, "
-          f"{sum('workers=' in x for x in new)} sweep rows")
+          f"{sum('workers=' in x for x in new)} sweep rows, "
+          f"{sum(':' in x for x in analytic)} analytic rows")
     return 0
 
 
