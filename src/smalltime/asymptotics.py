@@ -114,6 +114,8 @@ def itm_slope(ec, K, tol=DEFAULT_TOL):
     """
     if not 0 < K < ec.S0:
         raise DomainError("itm_slope requires 0 < K < S0")
+    if K / ec.S0 == 0.0:
+        raise DomainError(f"K/S0 = {K!r}/{ec.S0!r} underflows to 0")
     z = math.log(K / ec.S0)
     psi = comp.exp_double_tail_down(ec.jumps, z, tol)
     a = ec.r * ec.S0 + ec.S0 * psi

@@ -84,13 +84,21 @@ class ExpModelCharacteristics:
     def is_pure_jump(self):
         return self.sigma == 0.0
 
+    def variance(self):
+        """sigma^2; DomainError when it overflows a float."""
+        try:
+            return self.sigma**2
+        except OverflowError:
+            raise DomainError(
+                f"sigma**2 overflows a float for sigma = {self.sigma!r}") from None
+
     def log_characteristics(self, tol=DEFAULT_TOL):
         """Characteristics of the log price X = ln S.
 
         The drift is r - sigma^2/2 - integral of (e^y - 1 - kappa(y)) m(dy),
         the compensation that makes the discounted price a martingale.
         """
-        beta = self.r - 0.5 * self.sigma**2 - self.jumps.exp_compensation(tol)
+        beta = self.r - 0.5 * self.variance() - self.jumps.exp_compensation(tol)
         return LocalCharacteristics([beta], [[self.sigma]], self.jumps)
 
 

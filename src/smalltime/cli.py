@@ -23,8 +23,8 @@ import sys
 from . import asymptotics as asym
 from . import modelspec
 from . import montecarlo as mc
-from .errors import (QuadratureDivergence, RegimeUnknown, SmallTimeError,
-                     SpecError)
+from .errors import (DomainError, QuadratureDivergence, RegimeUnknown,
+                     SmallTimeError, SpecError)
 from .generator import apply_exp_generator, apply_generator
 from .functions import from_spec as function_from_spec
 
@@ -35,12 +35,28 @@ class VerifyFailure(SmallTimeError):
     pass
 
 
+class NonFiniteResult(SmallTimeError):
+    """A result holds an infinity or a NaN, which JSON cannot carry."""
+
+
 def _write(args, text):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_record(args, record, rows=None):
+    """Write a command's record as one strict JSON line, or its rows as CSV
+    with ``--format csv``. A record holding an infinity or a NaN is refused
+    in either format, so output never carries ``Infinity`` or ``NaN``."""
+    try:
+        text = json.dumps(record, allow_nan=False) + "\n"
+    except ValueError:
+        raise NonFiniteResult(
+            "the result is not finite (inputs beyond the range of floats)") from None
+    _write(args, _csv_rows(rows) if args.format == "csv" and rows is not None else text)
 
 
 def _fmt(v):
@@ -84,7 +100,7 @@ def cmd_asymptotics(args, spec):
               "diagnostics": res.diagnostics}
     if res.alpha is not None:
         record["alpha"] = res.alpha
-    _write(args, json.dumps(record) + "\n")
+    _write_record(args, record)
     return 0
 
 
@@ -95,25 +111,30 @@ def cmd_expansion(args, spec):
     t = float(_query_value(spec, "t", args.t))
     if not t >= 0:
         raise SpecError(f"expansion time must be >= 0, got {t!r}")
-    if spec.kind == "model":
-        ec = spec.exp_model()
-        x = float(spec.query.get("x", ec.S0))
-        lf = apply_exp_generator(ec, f, x, args.tol)
-    else:
-        chars = spec.local_characteristics(args.tol)
-        if spec.kind == "markov":
-            blk = spec.data["markov"]
-            base_f = function_from_spec(blk["f"])
-            z0 = blk["Z0"]
-            default_x = base_f.value(z0 if len(z0) > 1 else z0[0])
+    # Python's float ** and math.exp raise on overflow instead of giving inf
+    try:
+        if spec.kind == "model":
+            ec = spec.exp_model()
+            x = float(spec.query.get("x", ec.S0))
+            lf = apply_exp_generator(ec, f, x, args.tol)
         else:
-            default_x = 0.0
-        x = float(spec.query.get("x", default_x))
-        lf = apply_generator(chars, f, x, args.tol)
-    fx = f.value(x)
+            chars = spec.local_characteristics(args.tol)
+            if spec.kind == "markov":
+                blk = spec.data["markov"]
+                base_f = function_from_spec(blk["f"])
+                z0 = blk["Z0"]
+                default_x = base_f.value(z0 if len(z0) > 1 else z0[0])
+            else:
+                default_x = 0.0
+            x = float(spec.query.get("x", default_x))
+            lf = apply_generator(chars, f, x, args.tol)
+        fx = f.value(x)
+    except OverflowError:
+        raise DomainError("f or its generator overflows a float at the "
+                          "evaluation point") from None
     record = {"x": x, "t": t, "f_value": fx, "generator_value": lf,
               "expansion": fx + t * lf}
-    _write(args, json.dumps(record) + "\n")
+    _write_record(args, record)
     return 0
 
 
@@ -154,14 +175,9 @@ def cmd_verify(args, spec):
             "rate_on_spot": res.coefficient,
             "rate_on_strike": res.diagnostics["alt_coefficient_parity"],
         }
-    if args.format == "csv":
-        _write(args, _csv_rows(rows))
-        if not passed:
-            sys.stderr.write(json.dumps(verdict) + "\n")
-    else:
-        verdict_out = dict(verdict)
-        verdict_out["rows"] = rows
-        _write(args, json.dumps(verdict_out) + "\n")
+    _write_record(args, {**verdict, "rows": rows}, rows)
+    if args.format == "csv" and not passed:
+        sys.stderr.write(json.dumps(verdict) + "\n")
     if not passed:
         raise VerifyFailure(
             f"smallest-t ratio {smallest['ratio']!r} outside "
@@ -178,18 +194,15 @@ def cmd_simulate(args, spec):
     if K is not None:
         est = mc.estimate_call(ec, t, float(K), cfg)
     else:
-        est = mc.discounted_estimate(mc.simulate_terminal(ec, t, cfg),
-                                     math.exp(-ec.r * t))
+        # strike 0 prices the discounted forward
+        est = mc._price_grid(ec, [t], [0.0], cfg)[0][0]
+    record = {"t": t, "estimate": est.value, "std_error": est.std_error,
+              "n_paths": est.n_paths}
+    if K is not None:
+        record["strike"] = float(K)
     rows = [{"t": t, "estimate": est.value, "std_error": est.std_error,
              "ratio": None, "predicted": None}]
-    if args.format == "csv":
-        _write(args, _csv_rows(rows))
-    else:
-        record = {"t": t, "estimate": est.value, "std_error": est.std_error,
-                  "n_paths": est.n_paths}
-        if K is not None:
-            record["strike"] = float(K)
-        _write(args, json.dumps(record) + "\n")
+    _write_record(args, record, rows)
     return 0
 
 

@@ -83,7 +83,7 @@ def apply_exp_generator(ec, f, x, tol=DEFAULT_TOL):
         raise DomainError(f"price argument must be positive, got {x}")
     x = float(x)
     grad = f.gradient(x)
-    val = ec.r * x * grad + 0.5 * x * x * ec.sigma**2 * f.hessian(x)
+    val = ec.r * x * grad + 0.5 * x * x * ec.variance() * f.hessian(x)
 
     def integrand(y):
         u = x * math.expm1(y)

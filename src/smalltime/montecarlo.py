@@ -11,6 +11,19 @@ Randomness is counter based: paths are partitioned into fixed blocks of
 order, so results are bit identical no matter how blocks are scheduled
 across workers.
 
+Estimates stream: ``_price_grid`` prices a whole maturity x strike grid in
+one pass and keeps no sample. Per block it draws the standard normals once
+(every maturity scales the same vector by sigma sqrt(t)), snapshots the
+generator state, and for each maturity restores that state before drawing
+the jump parts, so each maturity sees exactly the samples
+``simulate_terminal`` returns for it. Each (t, K) payoff vector is reduced
+to a partial (count, mean, M2) stored under its block index; after all
+lanes finish the partials are merged in block order with the
+Chan-Golub-LeVeque update, so the output is byte identical for any
+``n_workers`` and memory stays at about n_workers blocks whatever n_paths.
+``estimate_call`` is the 1 x 1 grid, ``slope_rows`` one strike over all
+maturities, and strike 0 gives the discounted forward.
+
 The jump component is a list of parts of two types, each carrying the
 exponential compensation of what it draws:
 
@@ -47,6 +60,8 @@ from .errors import (ConfigError, CutoffTooCoarse, DomainError,
 from .quadrature import quad_abs
 
 _BLOCK = 1 << 16
+# largest mean numpy's Poisson sampler accepts
+_POISSON_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 SCHEMES = ("euler_log", "exact_stable_increment")
 _EULER_LOG, _EXACT_STABLE = SCHEMES
@@ -193,6 +208,7 @@ class _StableIncrement:
     variate; its missing exponential compensation is o(t**(1/alpha))."""
 
     compensation = 0.0
+    streams = ()  # no Poisson stream
 
     def __init__(self, m):
         self.alpha = m.alpha
@@ -225,27 +241,6 @@ def _jump_parts(m, scheme, eps):
     return parts
 
 
-class _SimulationPlan:
-    """Frozen per-model sampling recipe with a fixed intra-block draw order:
-    Gaussian, then each jump part."""
-
-    def __init__(self, ec, t, cfg, rate_integral):
-        self.sigma = ec.sigma
-        self.t = t
-        self.parts = _jump_parts(ec.jumps, cfg.scheme, cfg.small_jump_cutoff)
-        compensation = sum(part.compensation for part in self.parts)
-        self.log_drift = rate_integral - 0.5 * ec.sigma**2 * t - compensation * t
-        self.x0 = math.log(ec.S0)
-
-    def draw_block(self, rng, n):
-        x = np.full(n, self.x0 + self.log_drift)
-        if self.sigma > 0:
-            x += self.sigma * math.sqrt(self.t) * rng.standard_normal(n)
-        for part in self.parts:
-            x += part.draw(rng, n, self.t)
-        return np.exp(x)
-
-
 def _check_cutoff(m, eps):
     discarded = m.side_second_moment(eps) + m.side_second_moment(-eps)
     stable_total = m.side_second_moment(1.0) + m.side_second_moment(-1.0)
@@ -256,12 +251,79 @@ def _check_cutoff(m, eps):
             "variance (limit 10%)")
 
 
+class _SimulationPlan:
+    """Frozen per-model sampling recipe for a list of horizons, with a fixed
+    intra-block draw order: Gaussian (shared by every horizon), then each
+    jump part (from the same generator state for every horizon)."""
+
+    def __init__(self, ec, ts, cfg, rate_fn):
+        for t in ts:
+            if not t > 0:
+                raise DomainError(f"horizon must be positive, got {t}")
+        self.sigma = ec.sigma
+        self.parts = _jump_parts(ec.jumps, cfg.scheme, cfg.small_jump_cutoff)
+        compensation = sum(part.compensation for part in self.parts)
+        max_intensity = max((float(lam) for part in self.parts
+                             for lam, _ in part.streams), default=0.0)
+        half_variance = 0.5 * ec.variance()
+        self.x0 = math.log(ec.S0)
+        self.horizons = []  # (t, log drift, discount factor)
+        for t in ts:
+            if max_intensity * t > _POISSON_MAX:
+                raise DomainError(
+                    f"Poisson mean {max_intensity * t:g} at t = {t!r} exceeds "
+                    f"the sampler's limit {_POISSON_MAX:g}")
+            rate_integral = _rate_integral(ec, t, cfg, rate_fn)
+            log_drift = rate_integral - half_variance * t - compensation * t
+            if not math.isfinite(log_drift):
+                raise DomainError(f"log drift at t = {t!r} is not finite")
+            self.horizons.append((t, log_drift, math.exp(-rate_integral)))
+
+    def draw_block(self, rng, n):
+        """Yield n samples of S_t for each horizon, in horizon order."""
+        z = rng.standard_normal(n) if self.sigma > 0 else None
+        after_gaussian = rng.bit_generator.state
+        for t, log_drift, _ in self.horizons:
+            rng.bit_generator.state = after_gaussian
+            x = np.full(n, self.x0 + log_drift)
+            if z is not None:
+                x += self.sigma * math.sqrt(t) * z
+            for part in self.parts:
+                x += part.draw(rng, n, t)
+            yield np.exp(x, out=x)
+
+
 def _rate_integral(ec, t, cfg, rate_fn):
     if rate_fn is None:
         return ec.r * t
     dt = t / cfg.n_steps
     mids = (np.arange(cfg.n_steps) + 0.5) * dt
     return float(sum(rate_fn(s) for s in mids) * dt)
+
+
+def _for_each_block(cfg, work):
+    """Call ``work(i, rng, lo, hi)`` for every block i of paths [lo, hi)
+    with its generator ``Philox(key=(master_seed, i))``.
+
+    Blocks are striped over min(n_workers, n_blocks) lanes. The calling
+    thread runs lane 0, so a single worker starts no thread; handing its
+    blocks to a pool thread measured 5-10% slower (2 vCPUs).
+    """
+    n = cfg.n_paths
+    n_blocks = (n + _BLOCK - 1) // _BLOCK
+    lanes = min(cfg.n_workers, n_blocks)
+
+    def run_lane(lane):
+        for i in range(lane, n_blocks, lanes):
+            lo = i * _BLOCK
+            key = np.array([cfg.master_seed, i], dtype=np.uint64)
+            work(i, np.random.Generator(np.random.Philox(key=key)), lo,
+                 min(lo + _BLOCK, n))
+
+    with ThreadPoolExecutor(max_workers=cfg.n_workers) as pool:
+        helpers = pool.map(run_lane, range(1, lanes))
+        run_lane(0)
+        list(helpers)
 
 
 def simulate_terminal(ec, t, cfg, rate_fn=None):
@@ -281,51 +343,67 @@ def simulate_terminal(ec, t, cfg, rate_fn=None):
     -------
     numpy.ndarray
         Samples of S_t, strictly positive, in path order. Bit identical for
-        identical (ec, t, cfg) regardless of n_workers.
+        identical (ec, t, cfg) regardless of n_workers, and equal to the
+        samples the estimators reduce.
     """
-    if t <= 0:
-        raise DomainError(f"horizon must be positive, got {t}")
-    plan = _SimulationPlan(ec, t, cfg, _rate_integral(ec, t, cfg, rate_fn))
-    n = cfg.n_paths
-    out = np.empty(n)
-    n_blocks = (n + _BLOCK - 1) // _BLOCK
-    lanes = min(cfg.n_workers, n_blocks)
+    plan = _SimulationPlan(ec, [t], cfg, rate_fn)
+    out = np.empty(cfg.n_paths)
 
-    def run_lane(lane):
-        for i in range(lane, n_blocks, lanes):
-            lo = i * _BLOCK
-            hi = min(lo + _BLOCK, n)
-            key = np.array([cfg.master_seed, i], dtype=np.uint64)
-            rng = np.random.Generator(np.random.Philox(key=key))
-            out[lo:hi] = plan.draw_block(rng, hi - lo)
+    def fill(i, rng, lo, hi):
+        out[lo:hi] = next(plan.draw_block(rng, hi - lo))
 
-    # the calling thread runs lane 0, so a single worker starts no thread;
-    # handing its blocks to a pool thread measured 5-10% slower (2 vCPUs)
-    with ThreadPoolExecutor(max_workers=cfg.n_workers) as pool:
-        helpers = pool.map(run_lane, range(1, lanes))
-        run_lane(0)
-        list(helpers)
+    _for_each_block(cfg, fill)
     return out
+
+
+def _price_grid(ec, ts, Ks, cfg, rate_fn=None):
+    """Discounted estimates of E (S_t - K)^+ for every t in ts and K in Ks
+    from one streaming pass (see the module docstring), as one list of
+    Estimates per t; strike 0 gives the discounted forward E S_t."""
+    plan = _SimulationPlan(ec, ts, cfg, rate_fn)
+    partials = {}
+
+    def reduce_block(i, rng, lo, hi):
+        n = hi - lo
+        mean = np.empty((len(ts), len(Ks)))
+        m2 = np.empty_like(mean)
+        for j, s in enumerate(plan.draw_block(rng, n)):
+            for k, K in enumerate(Ks):
+                pay = np.maximum(s - K, 0.0)
+                mean[j, k] = pay.sum() / n
+                pay -= mean[j, k]
+                m2[j, k] = np.square(pay, out=pay).sum()
+        partials[i] = (n, mean, m2)
+
+    _for_each_block(cfg, reduce_block)
+    n, mean, m2 = partials[0]
+    for i in range(1, len(partials)):
+        n_b, mean_b, m2_b = partials[i]
+        total = n + n_b
+        delta = mean_b - mean
+        mean = mean + delta * (n_b / total)
+        m2 = m2 + m2_b + delta * delta * (n * n_b / total)
+        n = total
+    return [[Estimate(disc * float(mean[j, k]),
+                      disc * math.sqrt(m2[j, k] / (n - 1)) / math.sqrt(n), n)
+             for k in range(len(Ks))]
+            for j, (_, _, disc) in enumerate(plan.horizons)]
+
+
+def _check_strike(K):
+    if not K > 0:
+        raise DomainError(f"strike must be positive, got {K}")
 
 
 def estimate_call(ec, t, K, cfg, rate_fn=None):
     """Discounted Monte Carlo estimate of the call price E (S_t - K)^+.
 
-    Uses the same sample set as simulate_terminal for the same inputs, so
-    estimates at different strikes are pathwise monotone.
+    Reduces the samples simulate_terminal draws for the same inputs block by
+    block, so memory does not grow with n_paths, and estimates at different
+    strikes are pathwise monotone.
     """
-    if K <= 0:
-        raise DomainError(f"strike must be positive, got {K}")
-    samples = simulate_terminal(ec, t, cfg, rate_fn)
-    disc = math.exp(-_rate_integral(ec, t, cfg, rate_fn))
-    return discounted_estimate(np.maximum(samples - K, 0.0), disc)
-
-
-def discounted_estimate(values, discount):
-    """Discounted sample mean of ``values`` with its standard error."""
-    value = discount * float(np.mean(values))
-    se = discount * float(np.std(values, ddof=1)) / math.sqrt(values.size)
-    return Estimate(value, se, values.size)
+    _check_strike(K)
+    return _price_grid(ec, [t], [K], cfg, rate_fn)[0][0]
 
 
 @dataclass
@@ -348,10 +426,15 @@ class SlopeStudy:
 
 def slope_rows(ec, K, t_grid, p, cfg, constant_term=0.0):
     """Call estimates over t_grid, largest maturity first, each with its
-    ratio (C(t) - constant_term) / t**p."""
+    ratio (C(t) - constant_term) / t**p.
+
+    One streaming pass prices every maturity; each estimate equals
+    estimate_call's at the same inputs.
+    """
+    _check_strike(K)
+    ts = sorted(t_grid, reverse=True)
     rows = []
-    for t in sorted(t_grid, reverse=True):
-        est = estimate_call(ec, t, K, cfg)
+    for t, (est,) in zip(ts, _price_grid(ec, ts, [K], cfg)):
         scale = t ** p
         rows.append(SlopeRow(t, est.value, est.std_error,
                              (est.value - constant_term) / scale,

@@ -1,10 +1,14 @@
 """Spec-file schema, CLI commands, exit codes, output determinism."""
 
 import dataclasses
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import smalltime as st
 from smalltime import cli, modelspec
@@ -306,3 +310,55 @@ def test_exit_1_on_other_model_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["simulate", "--spec", path, "--t", "0.001",
                                     "--strike", "1.0"])
     assert code == 1 and "error" in err
+
+
+QUADRATIC_AT_ONE = {"f": {"family": "polynomial", "coeffs": [0.0, 0.0, 1000.0]}, "x": 1.0}
+
+
+@pytest.mark.parametrize("model, argv", [
+    (MERTON_SPEC["model"], ["simulate", "--t", "1e300", "--strike", "1.0"]),
+    (dict(MERTON_SPEC["model"], sigma=1e200), ["simulate", "--t", "0.01"]),
+    (dict(MERTON_SPEC["model"], sigma=1e200), ["expansion", "--t", "0.01"]),
+    (BS_SPEC["model"], ["expansion", "--t", "1e308"]),
+], ids=["poisson_mean", "simulate_sigma", "expansion_sigma", "expansion_overflow"])
+def test_exit_1_on_extreme_finite_inputs(tmp_path, capsys, model, argv):
+    spec = {"model": model, "query": QUADRATIC_AT_ONE, "sim": {"n_paths": 1000}}
+    path = write_spec(tmp_path, spec)
+    code, out, err = run_cli(capsys, argv[:1] + ["--spec", path] + argv[1:])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+# extreme finite magnitudes, mixed with ordinary ones so that some runs succeed
+FINITE = hst.one_of(hst.floats(min_value=0.0, allow_infinity=False),
+                    hst.floats(min_value=0.01, max_value=2.0))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(S0=FINITE, sigma=FINITE, intensity=FINITE, strike=FINITE, t=FINITE,
+       jumps=hst.sampled_from(["normal", "atomic"]),
+       command=hst.sampled_from(["asymptotics", "expansion", "simulate"]))
+def test_fuzz_extreme_finite_inputs(tmp_path_factory, S0, sigma, intensity, strike, t,
+                                    jumps, command):
+    # normal and atomic jumps only: their samplers never allocate one entry
+    # per jump, however large the intensity
+    jump_block = ({"type": "density", "family": "normal", "intensity": intensity,
+                   "mean": 0.0, "std": 0.4} if jumps == "normal"
+                  else {"type": "atomic", "atoms": [[0.3, intensity]]})
+    spec = {"model": {"S0": S0, "r": 0.0, "sigma": sigma, "jumps": jump_block},
+            "query": {"f": {"family": "polynomial", "coeffs": [0.0, 0.0, 1000.0]}}}
+    path = write_spec(tmp_path_factory.getbasetemp(), spec, "fuzz.json")
+    argv = [command, "--spec", path, f"--strike={strike!r}", f"--t={t!r}",
+            "--paths", "100"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in range(6), (code, err.getvalue())
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == ""

@@ -6,6 +6,7 @@ deterministic.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from scipy.special import gamma
 from scipy.stats import norm
 
 import smalltime as st
-from smalltime.montecarlo import _stable_standard
+from smalltime.montecarlo import _SimulationPlan, _price_grid, _stable_standard
 
 
 def bs_call(S0, K, sigma, t, r=0.0):
@@ -160,6 +161,60 @@ def test_pathwise_monotonicity_in_strike():
     vals = [st.estimate_call(MERTON, 0.01, K, cfg).value
             for K in (0.9, 1.0, 1.1, 1.3)]
     assert all(a >= b for a, b in zip(vals[:-1], vals[1:]))
+
+
+# ----------------------------------------------------------------------
+# streaming grid core
+
+GRID_CASES = {
+    "merton": (MERTON, "euler_log"),
+    "atomic_pure_jump": (st.ExpModelCharacteristics(
+        1.0, 0.03, 0.0, st.atomic([(0.3, 2.0), (-0.4, 1.0)])), "euler_log"),
+    "stable_euler": (st.ExpModelCharacteristics(
+        1.0, 0.0, 0.1, st.stable_like(1.5, 0.1)), "euler_log"),
+    "stable_exact": (st.ExpModelCharacteristics(
+        1.0, 0.0, 0.1, st.stable_like(1.5, 0.1)), "exact_stable_increment"),
+}
+
+
+@pytest.mark.parametrize("case", GRID_CASES)
+def test_price_grid_equals_per_cell_estimates(case):
+    ec, scheme = GRID_CASES[case]
+    ts, Ks = [0.02, 0.005, 1e-3], [0.95, 1.0, 1.1]
+    cfg = st.SimConfig(n_paths=2 * 2**16 + 500, master_seed=31, scheme=scheme,
+                       small_jump_cutoff=0.005)
+    cells = [[st.estimate_call(ec, t, K, cfg) for K in Ks] for t in ts]
+    for workers in (1, 2, 3):
+        grid = _price_grid(ec, ts, Ks, st.SimConfig(**{**vars(cfg), "n_workers": workers}))
+        assert grid == cells, f"n_workers={workers}"
+
+
+def test_price_grid_blocks_are_simulate_terminal_samples():
+    # every maturity after the first restores the generator state that
+    # follows the shared Gaussian draw
+    ts = [0.03, 0.01, 1e-3]
+    cfg = st.SimConfig(n_paths=2**16 + 300, master_seed=8)
+    plan = _SimulationPlan(MERTON, ts, cfg, None)
+    whole = [st.simulate_terminal(MERTON, t, cfg) for t in ts]
+    for i, (lo, hi) in enumerate([(0, 2**16), (2**16, cfg.n_paths)]):
+        key = np.array([cfg.master_seed, i], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        for t, samples, block in zip(ts, whole, plan.draw_block(rng, hi - lo)):
+            assert np.array_equal(block, samples[lo:hi]), f"t={t} block {i}"
+
+
+def test_estimate_memory_flat_in_paths():
+    def traced_peak_mb(n_paths):
+        tracemalloc.start()
+        try:
+            st.estimate_call(MERTON, 0.01, 1.1, st.SimConfig(n_paths=n_paths, master_seed=1))
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    small, large = traced_peak_mb(2**18), traced_peak_mb(2**21)
+    assert large < 8.0, large
+    assert large <= 1.5 * small, (small, large)
 
 
 # ----------------------------------------------------------------------

@@ -11,11 +11,13 @@ Both trees run the same probes, each in a fresh interpreter with the tree's
   is dropped);
 * the four README CLI commands on the README Merton spec, plus in-the-money
   (r > 0, no jumps), stable-like, Laplace and atomic variants, at-the-money
-  runs of the Laplace and atomic specs, and ``expansion`` on the jump-free,
-  ``markov`` and ``time_change`` specs;
+  runs of the Laplace and atomic specs, ``expansion`` on the jump-free,
+  ``markov`` and ``time_change`` specs, and ``simulate`` without a strike
+  (the discounted forward);
 * a sweep over every jump form x scheme x ``n_workers`` in {1, 2} x
   t in {1e-3, 0.05} recording the SHA-256 of the ``simulate_terminal``
-  samples and the ``estimate_call`` value, or the error raised;
+  samples and the ``estimate_call`` value, or the error raised, plus
+  ``slope_rows`` over 3 strikes x 4 maturities on four of the forms;
 * an analytic sweep over the same jump forms recording the ``repr`` of the
   generators, the exponential double tails, ``leading_term`` at three
   strikes with and without a diffusion, ``from_time_changed_levy``, and
@@ -68,6 +70,9 @@ SPECS = {
     "atomic": {"model": _model(0.02, 0.1, {"type": "atomic",
                                            "atoms": [[0.4, 1.0], [-0.6, 0.5]]}),
                "query": {"strike": 1.1, "t_grid": GRID}, "sim": SIM},
+    "forward": {"model": _model(0.02, 0.2, {"type": "density", "family": "normal",
+                                            "intensity": 1.0, "mean": 0.0, "std": 0.4}),
+                "sim": SIM},
     "markov": {"markov": {"b": [0.1], "Sigma": [[0.3]],
                           "jump_map": {"type": "scale", "factor": 1.5},
                           "nu": {"type": "density", "family": "normal",
@@ -96,7 +101,9 @@ CLI_RUNS = ([("merton", cmd) for cmd in README_COMMANDS]
                for extra in ([], ["--strike", "1.05"])]
             + [(name, ["asymptotics", "--strike", "1.0"]) for name in ("laplace", "atomic")]
             + [(name, ["expansion", "--t", "0.001"])
-               for name in ("itm", "markov", "time_change")])
+               for name in ("itm", "markov", "time_change")]
+            + [("forward", ["simulate", "--t", "0.01"] + extra)
+               for extra in ([], ["--workers", "2", "--format", "csv"])])
 
 MODELS = r'''
 import hashlib, math
@@ -137,6 +144,21 @@ for name, m in MODELS.items():
                           repr(est.value), repr(est.std_error))
                 except st.SmallTimeError as exc:
                     print(tag, type(exc).__name__, exc)
+for name, scheme in [("normal", "euler_log"), ("atomic", "euler_log"),
+                     ("stable_const", "euler_log"),
+                     ("stable_const", "exact_stable_increment")]:
+    ec = st.ExpModelCharacteristics(1.0, 0.01, 0.15, MODELS[name])
+    for workers in (1, 2):
+        cfg = st.SimConfig(n_paths=2**17 + 1000, master_seed=7, scheme=scheme,
+                           n_workers=workers)
+        for K in (0.9, 1.0, 1.1):
+            tag = f"slope_rows {name} {scheme} K={K} workers={workers}:"
+            try:
+                print(tag, [vars(r) for r in
+                            st.montecarlo.slope_rows(ec, K, [1e-3, 3e-3, 1e-2, 3e-2],
+                                                     1.0, cfg, max(1.0 - K, 0.0))])
+            except st.SmallTimeError as exc:
+                print(tag, type(exc).__name__, exc)
 '''
 
 ANALYTIC = MODELS + r'''
