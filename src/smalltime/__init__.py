@@ -28,7 +28,8 @@ from .functions import (SmoothFunction, affine, exp_affine, gaussian_bump,
 from .generator import (apply_exp_generator, apply_generator,
                         short_time_expectation)
 from .montecarlo import (Estimate, SimConfig, SlopeRow, SlopeStudy,
-                         estimate_call, simulate_terminal, slope_study)
+                         estimate_call, price_grid, simulate_terminal,
+                         slope_study)
 
 __version__ = "0.1.0"
 
@@ -46,6 +47,6 @@ __all__ = [
     "exp_double_tail_up", "from_markov", "from_time_changed_levy",
     "gaussian_bump", "integrate", "itm_slope", "kappa", "laplace_jumps",
     "mollified_call", "no_jumps", "normal_jumps", "otm_slope", "polynomial",
-    "short_time_expectation", "simulate_terminal", "slope_study",
-    "stable_like", "stable_positive_part_constant",
+    "price_grid", "short_time_expectation", "simulate_terminal",
+    "slope_study", "stable_like", "stable_positive_part_constant",
 ]

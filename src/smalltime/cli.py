@@ -195,7 +195,7 @@ def cmd_simulate(args, spec):
         est = mc.estimate_call(ec, t, float(K), cfg)
     else:
         # strike 0 prices the discounted forward
-        est = mc._price_grid(ec, [t], [0.0], cfg)[0][0]
+        est = mc.price_grid(ec, [t], [0.0], cfg)[0][0]
     record = {"t": t, "estimate": est.value, "std_error": est.std_error,
               "n_paths": est.n_paths}
     if K is not None:

@@ -11,7 +11,7 @@ Randomness is counter based: paths are partitioned into fixed blocks of
 order, so results are bit identical no matter how blocks are scheduled
 across workers.
 
-Estimates stream: ``_price_grid`` prices a whole maturity x strike grid in
+Estimates stream: ``price_grid`` prices a whole maturity x strike grid in
 one pass and keeps no sample. Per block it draws the standard normals once
 (every maturity scales the same vector by sigma sqrt(t)), snapshots the
 generator state, and for each maturity restores that state before drawing
@@ -23,6 +23,20 @@ Chan-Golub-LeVeque update, so the output is byte identical for any
 ``n_workers`` and memory stays at about n_workers blocks whatever n_paths.
 ``estimate_call`` is the 1 x 1 grid, ``slope_rows`` one strike over all
 maturities, and strike 0 gives the discounted forward.
+
+Each lane owns one workspace, four block-long rows allocated once per
+call, and the block kernel writes into it in place, in this order: the
+standard normals (``standard_normal(out=)``); per maturity, the log price
+(sigma sqrt(t) z, then plus x0 and the log drift, or a constant fill when
+sigma = 0); each jump part into the zeroed jump-sum row, added to the log
+price; ``exp`` in place; then the payoff row per strike. A fresh 512 KB
+array per step instead had glibc map and trim pages in every block:
+40,960 minor page faults per 4-maturity 2**20-path Merton grid, against
+992 with the workspace (fresh processes, ``getrusage``). Still allocated
+per block: the Poisson counts, what the ``sum_sampler``/``sampler`` hooks
+return, and the uniforms of the power-tail inverse CDF, which is then
+transformed in place. The operands and their order are those of the
+allocating kernel, so the samples are bit identical to it.
 
 The jump component is a list of parts of two types, each carrying the
 exponential compensation of what it draws:
@@ -60,6 +74,10 @@ from .errors import (ConfigError, CutoffTooCoarse, DomainError,
 from .quadrature import quad_abs
 
 _BLOCK = 1 << 16
+# a lane's workspace has one block-long row each for the standard normals,
+# the log price (then the price), the jump sum and the payoff
+_GAUSSIAN, _PRICE, _JUMPS, _PAYOFF = range(4)
+_WORKSPACE_ROWS = 4
 # largest mean numpy's Poisson sampler accepts
 _POISSON_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
@@ -143,11 +161,11 @@ class _CompoundPoisson:
         self.streams = streams
         self.compensation = compensation
 
-    def draw(self, rng, n, t):
-        total = np.zeros(n)
+    def draw(self, rng, t, out):
+        out.fill(0.0)
         for lam, sum_sampler in self.streams:
-            total += sum_sampler(rng, rng.poisson(lam * t, n))
-        return total
+            out += sum_sampler(rng, rng.poisson(lam * t, out.size))
+        return out
 
 
 def _finite_activity(m):
@@ -183,8 +201,12 @@ def _truncated_power_tail(m, eps):
     a = m.alpha
 
     def inverse_cdf(rng, size):
+        # in place: a block draws several jumps per path, so each temporary
+        # here is a few MB
         u = rng.uniform(0.0, 1.0, size)
-        return (eps ** -a - u * (eps ** -a - 1.0)) ** (-1.0 / a)
+        np.multiply(u, eps ** -a - 1.0, out=u)
+        np.subtract(eps ** -a, u, out=u)
+        return np.power(u, -1.0 / a, out=u)
 
     grid = np.linspace(eps, 1.0, 4097)
     streams, compensation = [], 0.0
@@ -214,11 +236,12 @@ class _StableIncrement:
         self.alpha = m.alpha
         self.c0 = m.c0
 
-    def draw(self, rng, n, t):
-        u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, n)
-        e = rng.standard_exponential(n)
+    def draw(self, rng, t, out):
+        u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, out.size)
+        e = rng.standard_exponential(out.size)
         scale = (self.c0 * t) ** (1.0 / self.alpha)
-        return np.clip(scale * _stable_standard(u, e, self.alpha), -1.0, 1.0)
+        return np.clip(scale * _stable_standard(u, e, self.alpha), -1.0, 1.0,
+                       out=out)
 
 
 def _jump_parts(m, scheme, eps):
@@ -279,17 +302,23 @@ class _SimulationPlan:
                 raise DomainError(f"log drift at t = {t!r} is not finite")
             self.horizons.append((t, log_drift, math.exp(-rate_integral)))
 
-    def draw_block(self, rng, n):
-        """Yield n samples of S_t for each horizon, in horizon order."""
-        z = rng.standard_normal(n) if self.sigma > 0 else None
+    def draw_block(self, rng, ws):
+        """Yield one block of samples of S_t for each horizon, in horizon
+        order, each in the same workspace row; a block has ws.shape[1]
+        paths."""
+        z, x, jumps = ws[_GAUSSIAN], ws[_PRICE], ws[_JUMPS]
+        if self.sigma > 0:
+            rng.standard_normal(out=z)
         after_gaussian = rng.bit_generator.state
         for t, log_drift, _ in self.horizons:
             rng.bit_generator.state = after_gaussian
-            x = np.full(n, self.x0 + log_drift)
-            if z is not None:
-                x += self.sigma * math.sqrt(t) * z
+            if self.sigma > 0:
+                np.multiply(z, self.sigma * math.sqrt(t), out=x)
+                x += self.x0 + log_drift
+            else:
+                x.fill(self.x0 + log_drift)
             for part in self.parts:
-                x += part.draw(rng, n, t)
+                x += part.draw(rng, t, jumps)
             yield np.exp(x, out=x)
 
 
@@ -302,8 +331,9 @@ def _rate_integral(ec, t, cfg, rate_fn):
 
 
 def _for_each_block(cfg, work):
-    """Call ``work(i, rng, lo, hi)`` for every block i of paths [lo, hi)
-    with its generator ``Philox(key=(master_seed, i))``.
+    """Call ``work(i, rng, lo, hi, ws)`` for every block i of paths [lo, hi)
+    with its generator ``Philox(key=(master_seed, i))`` and the first
+    hi - lo columns of its lane's workspace.
 
     Blocks are striped over min(n_workers, n_blocks) lanes. The calling
     thread runs lane 0, so a single worker starts no thread; handing its
@@ -314,11 +344,13 @@ def _for_each_block(cfg, work):
     lanes = min(cfg.n_workers, n_blocks)
 
     def run_lane(lane):
+        ws = np.empty((_WORKSPACE_ROWS, _BLOCK))
         for i in range(lane, n_blocks, lanes):
             lo = i * _BLOCK
+            hi = min(lo + _BLOCK, n)
             key = np.array([cfg.master_seed, i], dtype=np.uint64)
-            work(i, np.random.Generator(np.random.Philox(key=key)), lo,
-                 min(lo + _BLOCK, n))
+            work(i, np.random.Generator(np.random.Philox(key=key)), lo, hi,
+                 ws[:, :hi - lo])
 
     with ThreadPoolExecutor(max_workers=cfg.n_workers) as pool:
         helpers = pool.map(run_lane, range(1, lanes))
@@ -349,41 +381,49 @@ def simulate_terminal(ec, t, cfg, rate_fn=None):
     plan = _SimulationPlan(ec, [t], cfg, rate_fn)
     out = np.empty(cfg.n_paths)
 
-    def fill(i, rng, lo, hi):
-        out[lo:hi] = next(plan.draw_block(rng, hi - lo))
+    def fill(i, rng, lo, hi, ws):
+        out[lo:hi] = next(plan.draw_block(rng, ws))
 
     _for_each_block(cfg, fill)
     return out
 
 
-def _price_grid(ec, ts, Ks, cfg, rate_fn=None):
+def price_grid(ec, ts, Ks, cfg, rate_fn=None):
     """Discounted estimates of E (S_t - K)^+ for every t in ts and K in Ks
     from one streaming pass (see the module docstring), as one list of
-    Estimates per t; strike 0 gives the discounted forward E S_t."""
+    Estimates per t; strike 0 gives the discounted forward E S_t.
+
+    Inputs beyond the range of floats give non-finite estimates and no
+    numpy warning."""
     plan = _SimulationPlan(ec, ts, cfg, rate_fn)
     partials = {}
 
-    def reduce_block(i, rng, lo, hi):
+    def reduce_block(i, rng, lo, hi, ws):
         n = hi - lo
+        pay = ws[_PAYOFF]
         mean = np.empty((len(ts), len(Ks)))
         m2 = np.empty_like(mean)
-        for j, s in enumerate(plan.draw_block(rng, n)):
-            for k, K in enumerate(Ks):
-                pay = np.maximum(s - K, 0.0)
-                mean[j, k] = pay.sum() / n
-                pay -= mean[j, k]
-                m2[j, k] = np.square(pay, out=pay).sum()
+        # numpy's error state is per thread, so each lane sets its own
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, s in enumerate(plan.draw_block(rng, ws)):
+                for k, K in enumerate(Ks):
+                    np.subtract(s, K, out=pay)
+                    np.maximum(pay, 0.0, out=pay)
+                    mean[j, k] = pay.sum() / n
+                    pay -= mean[j, k]
+                    m2[j, k] = np.square(pay, out=pay).sum()
         partials[i] = (n, mean, m2)
 
     _for_each_block(cfg, reduce_block)
     n, mean, m2 = partials[0]
-    for i in range(1, len(partials)):
-        n_b, mean_b, m2_b = partials[i]
-        total = n + n_b
-        delta = mean_b - mean
-        mean = mean + delta * (n_b / total)
-        m2 = m2 + m2_b + delta * delta * (n * n_b / total)
-        n = total
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, len(partials)):
+            n_b, mean_b, m2_b = partials[i]
+            total = n + n_b
+            delta = mean_b - mean
+            mean = mean + delta * (n_b / total)
+            m2 = m2 + m2_b + delta * delta * (n * n_b / total)
+            n = total
     return [[Estimate(disc * float(mean[j, k]),
                       disc * math.sqrt(m2[j, k] / (n - 1)) / math.sqrt(n), n)
              for k in range(len(Ks))]
@@ -403,7 +443,7 @@ def estimate_call(ec, t, K, cfg, rate_fn=None):
     strikes are pathwise monotone.
     """
     _check_strike(K)
-    return _price_grid(ec, [t], [K], cfg, rate_fn)[0][0]
+    return price_grid(ec, [t], [K], cfg, rate_fn)[0][0]
 
 
 @dataclass
@@ -434,7 +474,7 @@ def slope_rows(ec, K, t_grid, p, cfg, constant_term=0.0):
     _check_strike(K)
     ts = sorted(t_grid, reverse=True)
     rows = []
-    for t, (est,) in zip(ts, _price_grid(ec, ts, [K], cfg)):
+    for t, (est,) in zip(ts, price_grid(ec, ts, [K], cfg)):
         scale = t ** p
         rows.append(SlopeRow(t, est.value, est.std_error,
                              (est.value - constant_term) / scale,

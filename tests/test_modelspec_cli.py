@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -325,6 +326,24 @@ def test_exit_1_on_extreme_finite_inputs(tmp_path, capsys, model, argv):
     spec = {"model": model, "query": QUADRATIC_AT_ONE, "sim": {"n_paths": 1000}}
     path = write_spec(tmp_path, spec)
     code, out, err = run_cli(capsys, argv[:1] + ["--spec", path] + argv[1:])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("S0, sigma, argv", [
+    (2.16e297, 0.2, ["simulate", "--strike", "1.0", "--t", "1.0", "--paths", "100"]),
+    (1.7e308, 2.0, ["simulate", "--t", "1.0", "--paths", "140000", "--workers", "2"]),
+    (1.7e308, 2.0, ["verify", "--strike", "1.0", "--t-grid", "0.001,0.003,0.01,0.1",
+                    "--paths", "140000", "--workers", "2"]),
+], ids=["payoff_square", "exp_and_merge", "verify_two_lanes"])
+def test_overflow_is_one_error_line(tmp_path, capsys, S0, sigma, argv):
+    # a numpy RuntimeWarning would reach stderr ahead of the error line; as
+    # an error it escapes main, from the calling thread or a pool thread
+    spec = {"model": dict(MERTON_SPEC["model"], S0=S0, sigma=sigma)}
+    path = write_spec(tmp_path, spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, argv[:1] + ["--spec", path] + argv[1:])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
 

@@ -5,6 +5,7 @@ the source statement says otherwise) with fixed seeds, so they are
 deterministic.
 """
 
+import hashlib
 import math
 import tracemalloc
 
@@ -14,7 +15,8 @@ from scipy.special import gamma
 from scipy.stats import norm
 
 import smalltime as st
-from smalltime.montecarlo import _SimulationPlan, _price_grid, _stable_standard
+from smalltime.montecarlo import (_WORKSPACE_ROWS, _SimulationPlan, _stable_standard,
+                                  price_grid)
 
 
 def bs_call(S0, K, sigma, t, r=0.0):
@@ -185,7 +187,7 @@ def test_price_grid_equals_per_cell_estimates(case):
                        small_jump_cutoff=0.005)
     cells = [[st.estimate_call(ec, t, K, cfg) for K in Ks] for t in ts]
     for workers in (1, 2, 3):
-        grid = _price_grid(ec, ts, Ks, st.SimConfig(**{**vars(cfg), "n_workers": workers}))
+        grid = price_grid(ec, ts, Ks, st.SimConfig(**{**vars(cfg), "n_workers": workers}))
         assert grid == cells, f"n_workers={workers}"
 
 
@@ -199,8 +201,78 @@ def test_price_grid_blocks_are_simulate_terminal_samples():
     for i, (lo, hi) in enumerate([(0, 2**16), (2**16, cfg.n_paths)]):
         key = np.array([cfg.master_seed, i], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
-        for t, samples, block in zip(ts, whole, plan.draw_block(rng, hi - lo)):
+        ws = np.empty((_WORKSPACE_ROWS, hi - lo))
+        for t, samples, block in zip(ts, whole, plan.draw_block(rng, ws)):
             assert np.array_equal(block, samples[lo:hi]), f"t={t} block {i}"
+
+
+PINNED_CASES = {**GRID_CASES, "three_atoms_no_diffusion": (st.ExpModelCharacteristics(
+    1.0, 0.02, 0.0, st.atomic([(0.25, 3.0), (-0.15, 4.0), (0.05, 6.0)])), "euler_log")}
+
+# SHA-256 of the simulate_terminal samples at the three maturities, and the
+# (value, std_error) of every price_grid cell; every printed estimate moves
+# with them, so a kernel change that is meant to be exact keeps them
+PINNED = {
+    "merton": (
+        "77c754442f9e425c65d564313a053ff9a1b2309c25f37259d6726440ca410f16",
+        [(0.014234617799773686, 0.00021456288384244683),
+         (0.0030529320679162633, 0.00018124537581723493),
+         (0.006261775764150118, 0.00010454848423569481),
+         (0.0006523087614876507, 8.831409779833041e-05),
+         (0.0027004571748212363, 5.574428772604095e-05),
+         (0.0001711122665180325, 4.827046154775799e-05)]),
+    "atomic_pure_jump": (
+        "0e956e1522a75c205b6d35866d5c6b7d09875e221bce64f373407275ea397c4b",
+        [(0.013604201220616601, 0.0002695617954004226),
+         (0.009734393448843682, 0.00019674779082186027),
+         (0.0035686965057059555, 0.0001382706711136758),
+         (0.0025542505859998503, 9.970935763383885e-05),
+         (0.000703688750444866, 6.0956537375876196e-05),
+         (0.000502289498431041, 4.351047045340078e-05)]),
+    "stable_euler": (
+        "ab33d59929724a387cddf2b869df78e5f1461cb5b6e419ba09767782b794ac43",
+        [(0.02448602070685249, 0.00026127584178214805),
+         (0.0062583432199923884, 0.000199991959369654),
+         (0.009746971153677201, 0.0001293869185162644),
+         (0.0014015345759261016, 9.300150676203625e-05),
+         (0.0032099982820967678, 6.320169882959569e-05),
+         (0.0002820473144557203, 4.716414095785909e-05)]),
+    "stable_exact": (
+        "f659f21c7fed69c226798ae7b402df7b8b98575d24d84e0f13900eefa9516236",
+        [(0.015119250153813157, 0.00020735937038590568),
+         (0.0024704978832971757, 0.00017329703385705048),
+         (0.0063580271861803875, 0.0001129677080326076),
+         (0.0006668606937750465, 9.544042182868988e-05),
+         (0.0023664334630470354, 5.044171037775903e-05),
+         (0.00015125191487642213, 4.153206469521639e-05)]),
+    "three_atoms_no_diffusion": (
+        "d5d51a3bd36ba63b34030ada82803d1ec153ff3a09e831e0478e8d4d67c37206",
+        [(0.020379920051166265, 0.0002665136593536777),
+         (0.010380970122503526, 0.00018044498225378442),
+         (0.005666652124387487, 0.0001397073691731489),
+         (0.0027778178056739166, 9.025994938251347e-05),
+         (0.001170711508344418, 6.300787195477995e-05),
+         (0.0005672392753461457, 3.966130909172254e-05)]),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_CASES)
+def test_samples_and_grid_match_pinned_bytes(case):
+    # a partial last block on a full-size workspace; the atoms without a
+    # diffusion need the jump-sum row zeroed again for every maturity
+    ec, scheme = PINNED_CASES[case]
+    ts, Ks = [0.02, 0.005, 1e-3], [1.0, 1.1]
+    sha, cells = PINNED[case]
+    for workers in (1, 2, 3):
+        cfg = st.SimConfig(n_paths=2**16 + 500, master_seed=31, scheme=scheme,
+                           small_jump_cutoff=0.005, n_workers=workers)
+        digest = hashlib.sha256()
+        for t in ts:
+            digest.update(st.simulate_terminal(ec, t, cfg).tobytes())
+        grid = price_grid(ec, ts, Ks, cfg)
+        assert digest.hexdigest() == sha, f"n_workers={workers}"
+        assert repr([(e.value, e.std_error) for row in grid for e in row]) == repr(cells), \
+            f"n_workers={workers}"
 
 
 def test_estimate_memory_flat_in_paths():

@@ -14,10 +14,12 @@ Both trees run the same probes, each in a fresh interpreter with the tree's
   runs of the Laplace and atomic specs, ``expansion`` on the jump-free,
   ``markov`` and ``time_change`` specs, and ``simulate`` without a strike
   (the discounted forward);
-* a sweep over every jump form x scheme x ``n_workers`` in {1, 2} x
-  t in {1e-3, 0.05} recording the SHA-256 of the ``simulate_terminal``
-  samples and the ``estimate_call`` value, or the error raised, plus
-  ``slope_rows`` over 3 strikes x 4 maturities on four of the forms;
+* a sweep over every jump form x scheme x ``n_paths`` in {100, 2**16,
+  2**17 + 1000} x ``n_workers`` in {1, 2} x t in {1e-3, 0.05} recording
+  the SHA-256 of the ``simulate_terminal`` samples and then the
+  ``estimate_call`` value, or the error raised, all in one process so that
+  every call follows others, plus ``slope_rows`` over 3 strikes x 4
+  maturities on four of the forms;
 * an analytic sweep over the same jump forms recording the ``repr`` of the
   generators, the exponential double tails, ``leading_term`` at three
   strikes with and without a diffusion, ``from_time_changed_levy``, and
@@ -128,15 +130,18 @@ MODELS = {
 '''
 
 SWEEP = MODELS + r'''
+import itertools
 CONFIGS = [("euler_log", 0.01), ("exact_stable_increment", 0.01), ("euler_log", 0.5)]
+# fewer paths than a block, exactly one block, and a partial last block
+N_PATHS = [100, 2**16, 2**17 + 1000]
 for name, m in MODELS.items():
     ec = st.ExpModelCharacteristics(1.0, 0.01, 0.15, m)
-    for scheme, eps in CONFIGS:
+    for (scheme, eps), n_paths in itertools.product(CONFIGS, N_PATHS):
         for workers in (1, 2):
             for t in (1e-3, 0.05):
-                cfg = st.SimConfig(n_paths=2**17 + 1000, master_seed=7, scheme=scheme,
+                cfg = st.SimConfig(n_paths=n_paths, master_seed=7, scheme=scheme,
                                    small_jump_cutoff=eps, n_workers=workers)
-                tag = f"{name} {scheme} eps={eps} workers={workers} t={t}:"
+                tag = f"{name} {scheme} eps={eps} n_paths={n_paths} workers={workers} t={t}:"
                 try:
                     s = st.simulate_terminal(ec, t, cfg)
                     est = st.estimate_call(ec, t, 1.05, cfg)
