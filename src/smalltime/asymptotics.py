@@ -1,11 +1,12 @@
 """Leading-order short-maturity behavior of call prices.
 
-For an exponential model with spot S0 and strike K the call price C(t)
-behaves like
+For an exponential model with spot S0, rate r and strike K the discounted
+call price C(t) = e^{-rt} E (S_t - K)^+ behaves like
 
 * OTM (K > S0):  C(t) ~ a t           with a the payoff integral of the
   log-jump compensator, equal to S0 times its upper exponential double tail;
-* ITM (K < S0):  C(t) ~ (S0 - K) + a t with a built from the lower tail;
+* ITM (K < S0):  C(t) ~ (S0 - K) + a t with a = r K plus S0 times the lower
+  exponential double tail;
 * ATM (K = S0):  the exponent depends on the fine structure: 1/2 with a
   diffusive component, 1 for finite-variation pure-jump models, 1/alpha for
   stable-like small jumps.
@@ -107,10 +108,10 @@ def itm_slope(ec, K, tol=DEFAULT_TOL):
     """Leading linear coefficient of an in-the-money call above its
     intrinsic value S0 - K.
 
-    Follows the r S0 + S0 psi(ln(K/S0)) form; the put-call-parity expansion
-    of the discounted payoff gives r K instead of r S0 in the drift term, and
-    that alternative is reported in the diagnostics rather than silently
-    substituted.
+    The call is the discounted C(t) = e^{-rt} E (S_t - K)^+, which put-call
+    parity writes as S0 - K e^{-rt} + P(t) with P(t) ~ S0 psi(ln(K/S0)) t,
+    so the coefficient is r K + S0 psi with psi the lower exponential double
+    tail.
     """
     if not 0 < K < ec.S0:
         raise DomainError("itm_slope requires 0 < K < S0")
@@ -118,11 +119,9 @@ def itm_slope(ec, K, tol=DEFAULT_TOL):
         raise DomainError(f"K/S0 = {K!r}/{ec.S0!r} underflows to 0")
     z = math.log(K / ec.S0)
     psi = comp.exp_double_tail_down(ec.jumps, z, tol)
-    a = ec.r * ec.S0 + ec.S0 * psi
     return AsymptoticResult(
-        ITM, 1.0, a, constant_term=ec.S0 - K,
-        diagnostics={"tail_form": ec.S0 * psi, "log_moneyness": z,
-                     "alt_coefficient_parity": ec.r * K + ec.S0 * psi})
+        ITM, 1.0, ec.r * K + ec.S0 * psi, constant_term=ec.S0 - K,
+        diagnostics={"tail_form": ec.S0 * psi, "log_moneyness": z})
 
 
 def leading_term(ec, K, tol=DEFAULT_TOL):

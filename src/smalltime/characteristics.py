@@ -80,10 +80,6 @@ class ExpModelCharacteristics:
         if not isinstance(self.jumps, JumpCompensator):
             raise InvariantViolation("jumps must be a JumpCompensator")
 
-    @property
-    def is_pure_jump(self):
-        return self.sigma == 0.0
-
     def variance(self):
         """sigma^2; DomainError when it overflows a float."""
         try:

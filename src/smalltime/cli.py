@@ -147,9 +147,6 @@ def cmd_verify(args, spec):
     grid = [_positive_horizon(float(t)) for t in grid]
     res = asym.leading_term(ec, K, args.tol)
     a = res.coefficient
-    if res.regime == asym.ITM:
-        # estimate_call is discounted, which puts the rate term on the strike
-        a = res.diagnostics["alt_coefficient_parity"]
     p = res.exponent
     c0 = res.constant_term
     cfg = spec.sim_config(master_seed=args.seed, n_workers=args.workers,
@@ -170,11 +167,6 @@ def cmd_verify(args, spec):
         "smallest_t_ratio": smallest["ratio"],
         "threshold": threshold,
     }
-    if res.regime == asym.ITM:
-        verdict["slope_candidates"] = {
-            "rate_on_spot": res.coefficient,
-            "rate_on_strike": res.diagnostics["alt_coefficient_parity"],
-        }
     _write_record(args, {**verdict, "rows": rows}, rows)
     if args.format == "csv" and not passed:
         sys.stderr.write(json.dumps(verdict) + "\n")

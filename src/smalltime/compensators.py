@@ -163,9 +163,6 @@ class AtomicCompensator(JumpCompensator):
     def scaled(self, factor):
         return AtomicCompensator(list(zip(self.locations, self.masses * factor)))
 
-    def total_intensity(self):
-        return float(self.masses.sum())
-
 
 def no_jumps():
     """The zero measure (no jumps)."""
@@ -184,22 +181,20 @@ class DensityCompensator(JumpCompensator):
     singularity_order : float
         s >= 0 such that fn(y) ~ C |y|**-s near 0 (0 means bounded).
         Must satisfy s < 3 for Levy integrability.
-    sampler : callable, optional
-        ``sampler(rng, size)`` drawing jump sizes from the normalized density.
-        Without it the simulator inverts a tabulated CDF of ``fn``.
     tail_up, tail_dn : callable, optional
         Closed-form tails, used instead of quadrature when available.
     sum_sampler : callable, optional
         ``sum_sampler(rng, counts)`` returning, for each path i, the sum of
         ``counts[i]`` iid jump sizes from the normalized density in one
-        shot; the simulator prefers it to ``sampler``. Neither hook depends
-        on the intensity, so ``scaled`` passes both through.
+        shot (``_per_jump`` builds it from a per-jump draw). Without it the
+        simulator inverts a tabulated CDF of ``fn``. The hook does not depend
+        on the intensity, so ``scaled`` passes it through.
     """
 
     form = "density"
 
-    def __init__(self, fn, support, singularity_order=0.0, sampler=None,
-                 tail_up=None, tail_dn=None, sum_sampler=None):
+    def __init__(self, fn, support, singularity_order=0.0, tail_up=None,
+                 tail_dn=None, sum_sampler=None):
         lo, hi = float(support[0]), float(support[1])
         if not lo < hi:
             raise InvariantViolation(f"empty support ({lo}, {hi})")
@@ -209,7 +204,6 @@ class DensityCompensator(JumpCompensator):
         self.fn = fn
         self.lo, self.hi = lo, hi
         self.singularity_order = float(singularity_order)
-        self.sampler = sampler
         self._tail_up = tail_up
         self._tail_dn = tail_dn
         self.sum_sampler = sum_sampler
@@ -295,16 +289,29 @@ class DensityCompensator(JumpCompensator):
         tu, td = self._tail_up, self._tail_dn
         return DensityCompensator(
             lambda y: factor * fn(y), (self.lo, self.hi), self.singularity_order,
-            sampler=self.sampler,
             tail_up=(lambda x: factor * tu(x)) if tu else None,
             tail_dn=(lambda x: factor * td(x)) if td else None,
             sum_sampler=self.sum_sampler)
 
-    def total_intensity(self, tol=1e-10):
+    def total_intensity(self):
         if self.singularity_order >= 1:
             return float("inf")
-        v, _ = self.integrate_with_error(lambda y: 1.0, tol)
+        v, _ = self.integrate_with_error(lambda y: 1.0, 1e-10)
         return v
+
+
+def _per_jump(sampler):
+    """The ``sum_sampler`` hook of a per-jump draw ``sampler(rng, size)``:
+    one draw for every jump of the block, summed per path."""
+    def sum_sampler(rng, counts):
+        n_jumps = int(counts.sum())
+        if n_jumps == 0:
+            return np.zeros(counts.size)
+        draws = sampler(rng, n_jumps)
+        owner = np.repeat(np.arange(counts.size), counts)
+        return np.bincount(owner, weights=draws, minlength=counts.size)
+
+    return sum_sampler
 
 
 class StableLikeCompensator(JumpCompensator):
@@ -546,16 +553,13 @@ def laplace_jumps(intensity, scale, mean=0.0):
             return 0.5 * intensity * math.exp(-(mean - x) / scale)
         return intensity * (1.0 - 0.5 * math.exp(-(x - mean) / scale))
 
-    def sampler(rng, size):
-        return rng.laplace(mean, scale, size)
-
     return DensityCompensator(
-        fn, (-np.inf, np.inf), 0.0, sampler=sampler, tail_up=tail_up,
-        tail_dn=tail_dn)
+        fn, (-np.inf, np.inf), 0.0, tail_up=tail_up, tail_dn=tail_dn,
+        sum_sampler=_per_jump(lambda rng, size: rng.laplace(mean, scale, size)))
 
 
-def density(fn, support, singularity_order=0.0, sampler=None):
-    return DensityCompensator(fn, support, singularity_order, sampler=sampler)
+def density(fn, support, singularity_order=0.0):
+    return DensityCompensator(fn, support, singularity_order)
 
 
 def stable_like(alpha, c, residual=None):

@@ -60,9 +60,6 @@ class SmoothFunction:
             return 0.5 * self._hessian(x)
         return (self._value(x + y) - self._value(x) - y * self._gradient(x)) / (y * y)
 
-    def __call__(self, x):
-        return self._value(x)
-
     # -- construction check -----------------------------------------------
     def _check_derivatives(self, probes):
         if probes is None:

@@ -33,10 +33,10 @@ price; ``exp`` in place; then the payoff row per strike. A fresh 512 KB
 array per step instead had glibc map and trim pages in every block:
 40,960 minor page faults per 4-maturity 2**20-path Merton grid, against
 992 with the workspace (fresh processes, ``getrusage``). Still allocated
-per block: the Poisson counts, what the ``sum_sampler``/``sampler`` hooks
-return, and the uniforms of the power-tail inverse CDF, which is then
-transformed in place. The operands and their order are those of the
-allocating kernel, so the samples are bit identical to it.
+per block: the Poisson counts, what the ``sum_sampler`` hooks return,
+and the uniforms of the power-tail inverse CDF, which is then transformed
+in place. The operands and their order are those of the allocating
+kernel, so the samples are bit identical to it.
 
 The jump component is a list of parts of two types, each carrying the
 exponential compensation of what it draws:
@@ -44,9 +44,9 @@ exponential compensation of what it draws:
 * ``_CompoundPoisson``: independent streams ``(intensity, sum_sampler)``;
   each block draws Poisson counts per stream and adds the sum of that many
   jump sizes. Atomic measures give one stream per atom, finite-activity
-  densities one stream (their ``sum_sampler``, else their per-jump
-  ``sampler``, else an inverted CDF table), and the truncated stable-like
-  tail one stream per side.
+  densities one stream (their ``sum_sampler``, else an inverted CDF table
+  summed per path by ``compensators._per_jump``), and the truncated
+  stable-like tail one stream per side.
 * ``_StableIncrement``: the exact small-jump stable increment.
 
 Schemes for stable-like jumps:
@@ -69,6 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .compensators import _per_jump
 from .errors import (ConfigError, CutoffTooCoarse, DomainError,
                      InsufficientSignal, InvariantViolation)
 from .quadrature import quad_abs
@@ -138,19 +139,6 @@ def _table_sampler(grid, density_values):
     return sampler
 
 
-def _per_jump(sampler):
-    """Sum sampler built from a per-jump sampler ``(rng, size)``."""
-    def sum_sampler(rng, counts):
-        n_jumps = int(counts.sum())
-        if n_jumps == 0:
-            return np.zeros(counts.size)
-        draws = sampler(rng, n_jumps)
-        owner = np.repeat(np.arange(counts.size), counts)
-        return np.bincount(owner, weights=draws, minlength=counts.size)
-
-    return sum_sampler
-
-
 class _CompoundPoisson:
     """Finite-activity jump part: independent streams ``(intensity,
     sum_sampler)`` and the exact compensation, the integral of e^y - 1
@@ -184,12 +172,9 @@ def _finite_activity(m):
             "simulated as compound Poisson; declare it stable-like")
     sum_sampler = m.sum_sampler
     if sum_sampler is None:
-        sampler = m.sampler
-        if sampler is None:
-            lo, hi = m.support()
-            ys = np.linspace(max(lo, -60.0), min(hi, 60.0), 4097)
-            sampler = _table_sampler(ys, [m.fn(y) for y in ys])
-        sum_sampler = _per_jump(sampler)
+        lo, hi = m.support()
+        ys = np.linspace(max(lo, -60.0), min(hi, 60.0), 4097)
+        sum_sampler = _per_jump(_table_sampler(ys, [m.fn(y) for y in ys]))
     return _CompoundPoisson([(lam, sum_sampler)], m.integrate(math.expm1, tol=1e-11))
 
 

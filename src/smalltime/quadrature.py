@@ -62,7 +62,7 @@ def quad_abs(fn, a, b, tol, points=None):
     return total, err
 
 
-def quad_soft(fn, a, b, tol, rel=1e-11):
+def quad_soft(fn, a, b, tol):
     """Quadrature with an absolute target and a relative escape hatch.
 
     Meant for smooth tail integrals evaluated inside other quadratures: the
@@ -74,7 +74,7 @@ def quad_soft(fn, a, b, tol, rel=1e-11):
         return 0.0, 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _sci.IntegrationWarning)
-        v, e = _sci.quad(fn, a, b, epsabs=tol, epsrel=rel, limit=_QUAD_LIMIT)
+        v, e = _sci.quad(fn, a, b, epsabs=tol, epsrel=1e-11, limit=_QUAD_LIMIT)
     if not np.isfinite(v) or e > tol + 1e-8 * abs(v):
         raise QuadratureDivergence(
             f"tail quadrature error {e:.3e} not within {tol:.3e} absolute "
@@ -97,10 +97,6 @@ def quad_singular_origin(rho, power, hi, tol, points=None):
     if q <= 0:
         raise QuadratureDivergence(f"singularity power {power} is not integrable")
     kinks = [p for p in points or () if 0.0 < p < hi]
-    if q >= 3:
-        # no singularity at all, integrate directly
-        return quad_abs(lambda y: rho(y) * y ** (2.0 - power), 0.0, hi, tol,
-                        points=kinks)
     inv_q = 1.0 / q
 
     def transformed(u):
@@ -109,16 +105,18 @@ def quad_singular_origin(rho, power, hi, tol, points=None):
     return quad_abs(transformed, 0.0, hi ** q, tol, points=[p ** q for p in kinks])
 
 
-def expanding_upper_limit(fn, start, tol, step=1.0, max_iter=300):
+def expanding_upper_limit(fn, start, tol):
     """Find a finite cutoff where a decaying envelope is below tol.
 
-    Walks right from ``start`` until |fn(x)| * step stays below ``tol`` for
-    three consecutive probes. Used to truncate infinite upper limits whose
+    Walks right from ``start`` in steps growing by 1.25 from 1 until
+    |fn(x)| * step stays below ``tol`` for three consecutive probes, giving
+    up after 300 probes. Used to truncate infinite upper limits whose
     integrands decay beyond any bracketable scale.
     """
     x = start
+    step = 1.0
     quiet = 0
-    for _ in range(max_iter):
+    for _ in range(300):
         x += step
         if abs(fn(x)) * step < tol:
             quiet += 1

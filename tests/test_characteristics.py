@@ -25,7 +25,6 @@ def test_exp_model_validation():
         st.ExpModelCharacteristics(1.0, -0.1, 0.2)
     with pytest.raises(st.InvariantViolation):
         st.ExpModelCharacteristics(1.0, 0.0, -0.2)
-    assert st.ExpModelCharacteristics(1.0, 0.0, 0.0).is_pure_jump
 
 
 def test_local_characteristics_shapes():

@@ -194,21 +194,23 @@ def test_cmd_verify_csv_format(tmp_path, capsys):
     assert len(lines[1].split(",")) == 5
 
 
-def test_cmd_verify_itm_reports_both_conventions(tmp_path, capsys):
+def test_asymptotics_and_verify_print_the_discounted_itm_slope(tmp_path, capsys):
     spec = {"model": {"S0": 1.0, "r": 0.05, "sigma": 0.2, "jumps": {"type": "none"}},
             "query": {"strike": 0.8, "t_grid": [0.001, 0.003, 0.01, 0.03]},
             "sim": {"n_paths": 200000, "master_seed": 0}}
     path = write_spec(tmp_path, spec)
+    _, out, _ = run_cli(capsys, ["asymptotics", "--spec", path])
+    coefficient = json.loads(out)["coefficient"]
     code, out, _ = run_cli(capsys, ["verify", "--spec", path])
-    rec = json.loads(out)
-    assert rec["slope_candidates"]["rate_on_spot"] == pytest.approx(0.05)
-    assert rec["slope_candidates"]["rate_on_strike"] == pytest.approx(0.04)
-    # verify gates on the slope of the discounted price: exact Black-Scholes
+    predicted = json.loads(out)["predicted"]
+    assert code == 0
+    assert coefficient == predicted
+    # the slope of the discounted price: exact Black-Scholes
     t, vol = 1e-5, 0.2 * math.sqrt(1e-5)
     d1 = (math.log(1.0 / 0.8) + (0.05 + 0.02) * t) / vol
     cdf = lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0))
     bs = cdf(d1) - 0.8 * math.exp(-0.05 * t) * cdf(d1 - vol)
-    assert rec["predicted"] == pytest.approx((bs - 0.2) / t, abs=1e-3)
+    assert coefficient == pytest.approx((bs - 0.2) / t, abs=1e-3)
 
 
 def test_cmd_simulate_csv(tmp_path, capsys):

@@ -206,8 +206,19 @@ def test_price_grid_blocks_are_simulate_terminal_samples():
             assert np.array_equal(block, samples[lo:hi]), f"t={t} block {i}"
 
 
-PINNED_CASES = {**GRID_CASES, "three_atoms_no_diffusion": (st.ExpModelCharacteristics(
-    1.0, 0.02, 0.0, st.atomic([(0.25, 3.0), (-0.15, 4.0), (0.05, 6.0)])), "euler_log")}
+PINNED_CASES = {
+    **GRID_CASES,
+    "three_atoms_no_diffusion": (st.ExpModelCharacteristics(
+        1.0, 0.02, 0.0, st.atomic([(0.25, 3.0), (-0.15, 4.0), (0.05, 6.0)])), "euler_log"),
+    # the three paths that sum per-jump draws: a Laplace sampler, the CDF
+    # table of a density without hooks, and the tables of a callable c
+    "laplace": (st.ExpModelCharacteristics(
+        1.0, 0.02, 0.15, st.laplace_jumps(1.5, 0.2, 0.05)), "euler_log"),
+    "density_cdf_table": (st.ExpModelCharacteristics(
+        1.0, 0.0, 0.0, st.density(lambda y: 3.0 * (1.0 - abs(y)), (-1.0, 1.0))), "euler_log"),
+    "stable_callable_c": (st.ExpModelCharacteristics(
+        1.0, 0.0, 0.1, st.stable_like(1.5, lambda y: 0.1 * (1.0 + 0.5 * y))), "euler_log"),
+}
 
 # SHA-256 of the simulate_terminal samples at the three maturities, and the
 # (value, std_error) of every price_grid cell; every printed estimate moves
@@ -253,6 +264,30 @@ PINNED = {
          (0.0027778178056739166, 9.025994938251347e-05),
          (0.001170711508344418, 6.300787195477995e-05),
          (0.0005672392753461457, 3.966130909172254e-05)]),
+    "laplace": (
+        "dc0f8cb8e391a1ead480686175fdf10cdada60141a4e91929393cd5118f018c0",
+        [(0.011727437034554101, 0.0002201079230541634),
+         (0.0032304110480539557, 0.00018921561970072298),
+         (0.005061750313127433, 0.00010396964455329399),
+         (0.000791609206762606, 8.663065881740394e-05),
+         (0.002019235904590536, 3.521170639840189e-05),
+         (0.00011881783183028191, 2.6090579545949855e-05)]),
+    "density_cdf_table": (
+        "62e1cd5a15b3f9874c5c23d3713c05e2641b748e383364d2885d5d5dd5c71d87",
+        [(0.012482768938010357, 0.00036982968406817663),
+         (0.009883002763794146, 0.0003223714263499996),
+         (0.003528529769607504, 0.00020107602185650842),
+         (0.002845587189203461, 0.00017571825391013852),
+         (0.0007605998000632037, 9.286220677987495e-05),
+         (0.0006140211466403524, 8.094040295812372e-05)]),
+    "stable_callable_c": (
+        "fadc01018476474eef75e026d8ace7f26532df2dc051a6010b6dbe08608d2e4f",
+        [(0.02480367952511354, 0.00029257067339143064),
+         (0.00739190792708452, 0.00023321685737476733),
+         (0.009822751641569235, 0.0001425798513251723),
+         (0.0016903479775522026, 0.00010636678707388586),
+         (0.0032185262792508848, 7.015837925240733e-05),
+         (0.0003415255048599315, 5.423994294352175e-05)]),
 }
 
 
