@@ -8,7 +8,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import smalltime as st
@@ -357,21 +357,36 @@ def _reject_constant(name):
 # extreme finite magnitudes, mixed with ordinary ones so that some runs succeed
 FINITE = hst.one_of(hst.floats(min_value=0.0, allow_infinity=False),
                     hst.floats(min_value=0.01, max_value=2.0))
+# negative rates included: the spec rejects them (exit 2)
+RATE = hst.one_of(hst.floats(allow_nan=False, allow_infinity=False),
+                  hst.floats(min_value=-0.1, max_value=0.1))
+# intensities whose Poisson means per path, intensity x t over the t grid
+# below, fall on both sides of the sparse-count crossover (0.5)
+INTENSITY = hst.one_of(FINITE, hst.floats(min_value=1.0, max_value=60.0))
+FUZZ_T_GRID = [0.001, 0.003, 0.01, 0.03, 0.1]
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
-@given(S0=FINITE, sigma=FINITE, intensity=FINITE, strike=FINITE, t=FINITE,
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+# verify on ordinary models whose Poisson means straddle the crossover
+@example(S0=1.0, r=0.05, sigma=0.2, intensity=30.0, strike=1.1, t=0.01, jumps="normal",
+         command="verify")
+@example(S0=1.0, r=0.02, sigma=0.0, intensity=12.0, strike=1.0, t=0.01, jumps="atomic",
+         command="verify")
+@example(S0=2.0, r=0.0, sigma=0.3, intensity=6.0, strike=1.5, t=0.01, jumps="atomic",
+         command="verify")
+@given(S0=FINITE, r=RATE, sigma=FINITE, intensity=INTENSITY, strike=FINITE, t=FINITE,
        jumps=hst.sampled_from(["normal", "atomic"]),
-       command=hst.sampled_from(["asymptotics", "expansion", "simulate"]))
-def test_fuzz_extreme_finite_inputs(tmp_path_factory, S0, sigma, intensity, strike, t,
+       command=hst.sampled_from(["asymptotics", "expansion", "simulate", "verify"]))
+def test_fuzz_extreme_finite_inputs(tmp_path_factory, S0, r, sigma, intensity, strike, t,
                                     jumps, command):
     # normal and atomic jumps only: their samplers never allocate one entry
     # per jump, however large the intensity
     jump_block = ({"type": "density", "family": "normal", "intensity": intensity,
                    "mean": 0.0, "std": 0.4} if jumps == "normal"
                   else {"type": "atomic", "atoms": [[0.3, intensity]]})
-    spec = {"model": {"S0": S0, "r": 0.0, "sigma": sigma, "jumps": jump_block},
-            "query": {"f": {"family": "polynomial", "coeffs": [0.0, 0.0, 1000.0]}}}
+    spec = {"model": {"S0": S0, "r": r, "sigma": sigma, "jumps": jump_block},
+            "query": {"f": {"family": "polynomial", "coeffs": [0.0, 0.0, 1000.0]},
+                      "t_grid": FUZZ_T_GRID}}
     path = write_spec(tmp_path_factory.getbasetemp(), spec, "fuzz.json")
     argv = [command, "--spec", path, f"--strike={strike!r}", f"--t={t!r}",
             "--paths", "100"]
@@ -379,7 +394,7 @@ def test_fuzz_extreme_finite_inputs(tmp_path_factory, S0, sigma, intensity, stri
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv)
     assert code in range(6), (code, err.getvalue())
-    if code == 0:
+    if code in (0, 5):  # a failed verify still writes its record
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         assert out.getvalue() == ""

@@ -12,10 +12,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.special import gamma
-from scipy.stats import norm
+from scipy.stats import chisquare, norm, poisson
 
 import smalltime as st
-from smalltime.montecarlo import (_WORKSPACE_ROWS, _SimulationPlan, _stable_standard,
+from smalltime.montecarlo import (_SPARSE_BELOW, _WORKSPACE_ROWS, _CompoundPoisson,
+                                  _poisson_counts, _SimulationPlan, _stable_standard,
                                   price_grid)
 
 
@@ -166,6 +167,100 @@ def test_pathwise_monotonicity_in_strike():
 
 
 # ----------------------------------------------------------------------
+# Poisson counts per block
+
+COUNT_MEANS = [1e-300, 1e-3, 0.03, float(np.nextafter(_SPARSE_BELOW, 0.0)), _SPARSE_BELOW,
+               6.66]
+
+
+def _philox(*key):
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+
+
+@pytest.mark.parametrize("n", [100, 2**16 + 500])
+@pytest.mark.parametrize("mu", COUNT_MEANS)
+def test_poisson_counts_law(mu, n):
+    rng = _philox(77, n)
+    calls = max(1, 2**18 // n)
+    full = np.zeros((calls, n), dtype=np.int64)
+    for row in full:
+        paths, counts = _poisson_counts(rng, mu, n)
+        if mu < _SPARSE_BELOW:
+            assert paths.dtype.kind == "i" and paths.size == counts.size
+            assert np.unique(paths).size == paths.size
+            assert paths.size == 0 or 0 <= paths.min() <= paths.max() < n
+            assert np.all(counts >= 1)
+        else:
+            assert paths == slice(None) and counts.size == n
+        row[paths] = counts
+    full = full.ravel()
+    N = full.size
+    if mu == 1e-300:
+        assert not full.any()  # no path jumps: the m = 0 draw
+        return
+    assert abs(full.mean() - mu) <= 5 * math.sqrt(mu / N)
+    # the sample variance of Poisson(mu) counts has variance ~ (mu + 2 mu^2) / N
+    assert abs(full.var(ddof=1) - mu) <= 5 * math.sqrt((mu + 2 * mu * mu) / N)
+    # chi-square over the counts, zeros included, with the tail pooled into
+    # the last bin from where fewer than 5 counts are expected per bin
+    top = int(poisson.isf(5.0 / N, mu))
+    observed = np.bincount(np.minimum(full, top), minlength=top + 1)
+    expected = N * poisson.pmf(np.arange(top + 1), mu)
+    expected[top] = N * poisson.sf(top - 1, mu)
+    assert chisquare(observed, expected).pvalue > 1e-3
+
+
+def test_poisson_counts_dense_branch_is_one_draw_per_path():
+    a, b = _philox(5, 0), _philox(5, 0)
+    paths, counts = _poisson_counts(a, _SPARSE_BELOW, 1000)
+    assert paths == slice(None)
+    assert np.array_equal(counts, b.poisson(_SPARSE_BELOW, 1000))
+
+
+class _EdgeUniforms:
+    """Generator stand-in: every path jumps, and the first-arrival uniforms
+    are given, so the residual means reach the sampler as computed."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u)
+        self.means = None
+
+    def binomial(self, n, p):
+        return self.u.size
+
+    def choice(self, n, m, replace):
+        return np.arange(m)
+
+    def random(self, m):
+        return self.u.copy()
+
+    def poisson(self, lam):
+        self.means = lam.copy()
+        return np.zeros(lam.size, dtype=np.int64)
+
+
+def test_poisson_counts_residual_mean_clamped_at_zero():
+    # U = 0 leaves the whole mean mu; U -> 1 leaves about 0, and one ulp
+    # past 1 stands in for the rounding that lands below 0
+    mu = 0.3
+    rng = _EdgeUniforms([0.0, 0.5, np.nextafter(1.0, 0.0), 1.0 + 2.0**-52])
+    paths, counts = _poisson_counts(rng, mu, 10)
+    assert np.all(rng.means >= 0.0)
+    assert rng.means[0] == pytest.approx(mu, rel=1e-15)
+    assert rng.means[1] == pytest.approx(mu + math.log1p(0.5 * math.expm1(-mu)), rel=1e-14)
+    assert rng.means[3] == 0.0
+    assert np.array_equal(counts, [1, 1, 1, 1])
+
+
+def test_compound_poisson_draw_without_jumps():
+    # m = 0: every hook sees an empty count vector and the row stays zero
+    normal = st.normal_jumps(1.0, 0.0, 0.4).sum_sampler
+    part = _CompoundPoisson([(1.0, normal), (2.0, lambda rng, counts: 0.3 * counts)], 0.0)
+    out = np.full(2**16, np.nan)
+    assert not part.draw(_philox(1, 1), 1e-300, out).any()
+
+
+# ----------------------------------------------------------------------
 # streaming grid core
 
 GRID_CASES = {
@@ -206,48 +301,60 @@ def test_price_grid_blocks_are_simulate_terminal_samples():
             assert np.array_equal(block, samples[lo:hi]), f"t={t} block {i}"
 
 
+def _pin(ec, scheme="euler_log", cutoff=0.005, ts=(0.02, 0.005, 1e-3), Ks=(1.0, 1.1)):
+    return ec, scheme, cutoff, ts, Ks
+
+
 PINNED_CASES = {
-    **GRID_CASES,
-    "three_atoms_no_diffusion": (st.ExpModelCharacteristics(
-        1.0, 0.02, 0.0, st.atomic([(0.25, 3.0), (-0.15, 4.0), (0.05, 6.0)])), "euler_log"),
+    **{name: _pin(ec, scheme) for name, (ec, scheme) in GRID_CASES.items()},
+    "three_atoms_no_diffusion": _pin(st.ExpModelCharacteristics(
+        1.0, 0.02, 0.0, st.atomic([(0.25, 3.0), (-0.15, 4.0), (0.05, 6.0)]))),
     # the three paths that sum per-jump draws: a Laplace sampler, the CDF
     # table of a density without hooks, and the tables of a callable c
-    "laplace": (st.ExpModelCharacteristics(
-        1.0, 0.02, 0.15, st.laplace_jumps(1.5, 0.2, 0.05)), "euler_log"),
-    "density_cdf_table": (st.ExpModelCharacteristics(
-        1.0, 0.0, 0.0, st.density(lambda y: 3.0 * (1.0 - abs(y)), (-1.0, 1.0))), "euler_log"),
-    "stable_callable_c": (st.ExpModelCharacteristics(
-        1.0, 0.0, 0.1, st.stable_like(1.5, lambda y: 0.1 * (1.0 + 0.5 * y))), "euler_log"),
+    "laplace": _pin(st.ExpModelCharacteristics(
+        1.0, 0.02, 0.15, st.laplace_jumps(1.5, 0.2, 0.05))),
+    "density_cdf_table": _pin(st.ExpModelCharacteristics(
+        1.0, 0.0, 0.0, st.density(lambda y: 3.0 * (1.0 - abs(y)), (-1.0, 1.0)))),
+    "stable_callable_c": _pin(st.ExpModelCharacteristics(
+        1.0, 0.0, 0.1, st.stable_like(1.5, lambda y: 0.1 * (1.0 + 0.5 * y)))),
+    # the euler_log models of the mc_stable benchmark workload: every
+    # power-tail stream has a Poisson mean of about 6.7 per path, so these
+    # draws take the dense branch of _poisson_counts
+    "mc_stable_const_c": _pin(st.ExpModelCharacteristics(
+        1.0, 0.0, 0.0, st.stable_like(1.5, 1.0)), cutoff=0.01, ts=(0.01,), Ks=(1.1, 1.2)),
+    "mc_stable_callable_c": _pin(st.ExpModelCharacteristics(
+        1.0, 0.0, 0.0, st.stable_like(1.5, lambda y: 1.0 + 0.5 * y)),
+        cutoff=0.01, ts=(0.01,), Ks=(1.1, 1.2)),
 }
 
-# SHA-256 of the simulate_terminal samples at the three maturities, and the
+# SHA-256 of the simulate_terminal samples at each maturity, and the
 # (value, std_error) of every price_grid cell; every printed estimate moves
 # with them, so a kernel change that is meant to be exact keeps them
 PINNED = {
     "merton": (
-        "77c754442f9e425c65d564313a053ff9a1b2309c25f37259d6726440ca410f16",
-        [(0.014234617799773686, 0.00021456288384244683),
-         (0.0030529320679162633, 0.00018124537581723493),
-         (0.006261775764150118, 0.00010454848423569481),
-         (0.0006523087614876507, 8.831409779833041e-05),
-         (0.0027004571748212363, 5.574428772604095e-05),
-         (0.0001711122665180325, 4.827046154775799e-05)]),
+        "3b198b1ec65670134e78142356ca51a7683cf5c05b3f43b4e444cc94c4c4acc1",
+        [(0.014486756595870003, 0.00022924725150998054),
+         (0.0033040821557384988, 0.0001966735691060839),
+         (0.006405736045409337, 0.00010757493244457557),
+         (0.0007596993723426107, 8.991414160725056e-05),
+         (0.002654256696334715, 4.4059426012453605e-05),
+         (0.00013017187396583332, 3.597251477776865e-05)]),
     "atomic_pure_jump": (
-        "0e956e1522a75c205b6d35866d5c6b7d09875e221bce64f373407275ea397c4b",
-        [(0.013604201220616601, 0.0002695617954004226),
-         (0.009734393448843682, 0.00019674779082186027),
-         (0.0035686965057059555, 0.0001382706711136758),
-         (0.0025542505859998503, 9.970935763383885e-05),
-         (0.000703688750444866, 6.0956537375876196e-05),
-         (0.000502289498431041, 4.351047045340078e-05)]),
+        "9e4bc8adab31f5defaa9b9433e0e855dc1f64302754d961fe6fa555f546197fc",
+        [(0.013498789580237236, 0.0002664284162129544),
+         (0.009624441556874438, 0.00019324891062430814),
+         (0.003499919117566137, 0.00013600965923839887),
+         (0.0024991000833486207, 9.75002821394594e-05),
+         (0.0007248523218868169, 6.18645092128207e-05),
+         (0.0005173959495116736, 4.4158576193729956e-05)]),
     "stable_euler": (
-        "ab33d59929724a387cddf2b869df78e5f1461cb5b6e419ba09767782b794ac43",
+        "5829365ab7d55905f425a674b64dde9ee5ae2d89785a0ffa5971f190bc9a4f16",
         [(0.02448602070685249, 0.00026127584178214805),
          (0.0062583432199923884, 0.000199991959369654),
          (0.009746971153677201, 0.0001293869185162644),
          (0.0014015345759261016, 9.300150676203625e-05),
-         (0.0032099982820967678, 6.320169882959569e-05),
-         (0.0002820473144557203, 4.716414095785909e-05)]),
+         (0.003288406299071783, 7.058458952646069e-05),
+         (0.00033530816105352407, 5.516428940941272e-05)]),
     "stable_exact": (
         "f659f21c7fed69c226798ae7b402df7b8b98575d24d84e0f13900eefa9516236",
         [(0.015119250153813157, 0.00020735937038590568),
@@ -257,37 +364,45 @@ PINNED = {
          (0.0023664334630470354, 5.044171037775903e-05),
          (0.00015125191487642213, 4.153206469521639e-05)]),
     "three_atoms_no_diffusion": (
-        "d5d51a3bd36ba63b34030ada82803d1ec153ff3a09e831e0478e8d4d67c37206",
-        [(0.020379920051166265, 0.0002665136593536777),
-         (0.010380970122503526, 0.00018044498225378442),
-         (0.005666652124387487, 0.0001397073691731489),
-         (0.0027778178056739166, 9.025994938251347e-05),
-         (0.001170711508344418, 6.300787195477995e-05),
-         (0.0005672392753461457, 3.966130909172254e-05)]),
+        "5f0890d5fa3a6bc0137e08c12d9f0a79c950c9c2d0093d46c74bbd0657ce8f86",
+        [(0.02021337060821712, 0.00026343365661423654),
+         (0.010242432913857211, 0.00017697853396183037),
+         (0.005632495542465708, 0.0001388322372025432),
+         (0.0027473655087229755, 8.941988719596688e-05),
+         (0.001154791508617537, 6.309038255914211e-05),
+         (0.0005635733193935029, 4.0056969964289434e-05)]),
     "laplace": (
-        "dc0f8cb8e391a1ead480686175fdf10cdada60141a4e91929393cd5118f018c0",
-        [(0.011727437034554101, 0.0002201079230541634),
-         (0.0032304110480539557, 0.00018921561970072298),
-         (0.005061750313127433, 0.00010396964455329399),
-         (0.000791609206762606, 8.663065881740394e-05),
-         (0.002019235904590536, 3.521170639840189e-05),
-         (0.00011881783183028191, 2.6090579545949855e-05)]),
+        "fee31fc91aaeb0f42ec6f53274cf9ac928c7abd6ff0acb50f2b27e40efb5867a",
+        [(0.01153328937574541, 0.0001994495551296638),
+         (0.0029748158826473697, 0.0001666821083512976),
+         (0.005059208663156935, 9.929743704993691e-05),
+         (0.0007726043669011619, 8.112283299882693e-05),
+         (0.002007457300596146, 3.6928367204397094e-05),
+         (0.00011617356394594229, 2.872114219010926e-05)]),
     "density_cdf_table": (
-        "62e1cd5a15b3f9874c5c23d3713c05e2641b748e383364d2885d5d5dd5c71d87",
-        [(0.012482768938010357, 0.00036982968406817663),
-         (0.009883002763794146, 0.0003223714263499996),
-         (0.003528529769607504, 0.00020107602185650842),
-         (0.002845587189203461, 0.00017571825391013852),
-         (0.0007605998000632037, 9.286220677987495e-05),
-         (0.0006140211466403524, 8.094040295812372e-05)]),
+        "bfa9b45eaccaa2d36001530e314e18e067a7d6aa7e4c1f3be4c7fe552a45313f",
+        [(0.01304022602269068, 0.00038578516748354085),
+         (0.010366340572028081, 0.0003383172251554966),
+         (0.003191766974086143, 0.00019061494994648755),
+         (0.002526986060588275, 0.00016664104716288547),
+         (0.000651151917827417, 8.418255149818055e-05),
+         (0.000514087682829493, 7.301200036224856e-05)]),
     "stable_callable_c": (
-        "fadc01018476474eef75e026d8ace7f26532df2dc051a6010b6dbe08608d2e4f",
+        "a8bfeb7fd8c4ed2b626f8a539bc4cf88609324fee249134b9c18c16e180c2efe",
         [(0.02480367952511354, 0.00029257067339143064),
          (0.00739190792708452, 0.00023321685737476733),
          (0.009822751641569235, 0.0001425798513251723),
          (0.0016903479775522026, 0.00010636678707388586),
-         (0.0032185262792508848, 7.015837925240733e-05),
-         (0.0003415255048599315, 5.423994294352175e-05)]),
+         (0.0032945696832183055, 7.622439621087422e-05),
+         (0.00038713537676496703, 6.0683034391107856e-05)]),
+    "mc_stable_const_c": (
+        "419be66fa0b8a54db57b3338b387f287881ec511a4b7e6dd9eb3e03d2f6d5df6",
+        [(0.034327201487247425, 0.0005231615324513755),
+         (0.021222673348521064, 0.00045064097016799974)]),
+    "mc_stable_callable_c": (
+        "e9057127abe116485398a39e0a609a35b3e35533cf5973b20a078d7749371aed",
+        [(0.037625581927773676, 0.0005947052845710646),
+         (0.024681651503083588, 0.0005232621435430394)]),
 }
 
 
@@ -295,12 +410,11 @@ PINNED = {
 def test_samples_and_grid_match_pinned_bytes(case):
     # a partial last block on a full-size workspace; the atoms without a
     # diffusion need the jump-sum row zeroed again for every maturity
-    ec, scheme = PINNED_CASES[case]
-    ts, Ks = [0.02, 0.005, 1e-3], [1.0, 1.1]
+    ec, scheme, cutoff, ts, Ks = PINNED_CASES[case]
     sha, cells = PINNED[case]
     for workers in (1, 2, 3):
         cfg = st.SimConfig(n_paths=2**16 + 500, master_seed=31, scheme=scheme,
-                           small_jump_cutoff=0.005, n_workers=workers)
+                           small_jump_cutoff=cutoff, n_workers=workers)
         digest = hashlib.sha256()
         for t in ts:
             digest.update(st.simulate_terminal(ec, t, cfg).tobytes())
