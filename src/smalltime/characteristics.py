@@ -107,9 +107,10 @@ def from_markov(b, Sigma, jump_fn, nu, f, Z0, tol=DEFAULT_TOL):
 
     Z has drift ``b``, diffusion matrix ``Sigma`` and jumps driven by a
     Poisson random measure with intensity ``nu``, hit through the jump
-    amplitude map ``jump_fn``; all coefficients are taken at the evaluation
-    date. ``f`` must be twice differentiable at ``Z0`` with a nonzero partial
-    derivative in the last coordinate.
+    amplitude map ``jump_fn``, which must give one entry per coordinate of
+    Z (DimensionMismatch otherwise); all coefficients are taken at the
+    evaluation date. ``f`` must be twice differentiable at ``Z0`` with a
+    nonzero partial derivative in the last coordinate.
 
     Returns
     -------
@@ -140,12 +141,19 @@ def from_markov(b, Sigma, jump_fn, nu, f, Z0, tol=DEFAULT_TOL):
 
     f0 = f.value(Z0 if d > 1 else float(Z0[0]))
 
+    def jump(y):
+        psi = np.atleast_1d(np.asarray(jump_fn(y), dtype=float))
+        if psi.size != d:
+            raise DimensionMismatch(
+                f"jump_fn gives {psi.size} entries per jump, Z0 has {d}")
+        return psi
+
     def increment(y):
-        shifted = Z0 + np.atleast_1d(np.asarray(jump_fn(y), dtype=float))
+        shifted = Z0 + jump(y)
         return f.value(shifted if d > 1 else float(shifted[0])) - f0
 
     def full_comp_integrand(y):
-        psi = np.atleast_1d(np.asarray(jump_fn(y), dtype=float))
+        psi = jump(y)
         shifted = Z0 + psi
         return (f.value(shifted if d > 1 else float(shifted[0])) - f0
                 - float(np.dot(psi, grad)))

@@ -146,7 +146,8 @@ class AtomicCompensator(JumpCompensator):
         return self.masses.size == 0
 
     def integrate_with_error(self, g, tol=DEFAULT_TOL, points=None, g_over_y2=None):
-        total = sum(lam * g(y) for y, lam in zip(self.locations, self.masses))
+        # Python floats overflow to inf silently, numpy scalars with a warning
+        total = sum(lam * g(y) for y, lam in zip(self.locations, self.masses.tolist()))
         return float(total), 0.0
 
     def upper_tail(self, x, tol=DEFAULT_TOL):

@@ -259,6 +259,10 @@ def parse(data):
             "f": _norm_fspec(blk["f"]) if "f" in blk else _fail("markov needs 'f'"),
             "Z0": _numbers(Z0, "Z0"),
         }
+        # spec jump maps give scalar jump sizes, which move one coordinate
+        _require(d == 1 or out["markov"]["nu"]["type"] == "none",
+                 f"a markov block with {d} coordinates takes no jumps: nu "
+                 "must be of type 'none' (jump sizes in specs are scalars)")
     else:
         blk = data["time_change"]
         _require(isinstance(blk, dict), "'time_change' must be an object")

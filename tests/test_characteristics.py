@@ -119,6 +119,19 @@ def test_from_markov_degenerate_gradient():
                        st.atomic([((0.1, 0.1), 1.0)]), f, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("nu", [st.atomic([(0.1, 1.0)]), st.normal_jumps(1.0, 0.0, 0.3)],
+                         ids=["atomic", "normal"])
+def test_from_markov_jump_fn_must_match_dimension(nu):
+    # scalar jump sizes cannot move a two-dimensional state
+    with pytest.raises(st.DimensionMismatch, match="jump_fn gives 1 entries"):
+        st.from_markov([0.1, 0.0], np.eye(2), lambda y: y, nu,
+                       st.affine([1.0, 1.0]), [0.0, 0.0])
+    # a map onto both coordinates is accepted
+    ch = st.from_markov([0.1, 0.0], np.eye(2), lambda y: np.array([y, 0.0]), nu,
+                        st.affine([1.0, 1.0]), [0.0, 0.0])
+    assert ch.dim == 1
+
+
 def test_from_markov_stable_like_nu():
     # the image of a stable-like measure is a tail-less pushforward whose
     # integrals still reduce to the base measure

@@ -68,6 +68,76 @@ def test_multidim_families():
     assert e.hessian(x)[0, 1] == pytest.approx(0.3 * -0.4 * e.value(x), rel=1e-9)
 
 
+MULTI_D = [
+    lambda d: st.affine([1.3, -0.7, 0.4][:d], intercept=0.2),
+    lambda d: st.exp_affine([0.8, -0.5, 0.3][:d], offset=0.1, scale=1.4),
+    lambda d: st.gaussian_bump([0.1, -0.2, 0.3][:d], 0.7, height=2.0, offset=-0.5),
+]
+
+
+def _fd_close(fd, exact, fx, order, h):
+    # relative tolerance 1e-5, plus the roundoff floor of the difference
+    # quotient: ~eps |f| / h for a first difference, 4 eps |f| / h^2 for a
+    # second one
+    eps = np.finfo(float).eps
+    floor = (4.0 if order == 2 else 1.0) * eps * max(1.0, abs(fx)) / h**order
+    return abs(fd - exact) <= 1e-5 * max(1.0, abs(exact), abs(fx)) + floor
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("make", MULTI_D, ids=["affine", "exp_affine", "gaussian_bump"])
+def test_multidim_derivatives_match_finite_differences(make, d):
+    f = make(d)
+    assert f.dim == d
+    h = 1e-5
+    e = h * np.eye(d)
+    for x in np.random.default_rng(5).uniform(-1.0, 1.0, (4, d)):
+        fx = f.value(x)
+        g, hess = f.gradient(x), f.hessian(x)
+        assert g.shape == (d,) and hess.shape == (d, d)
+        for i in range(d):
+            fd = (f.value(x + e[i]) - f.value(x - e[i])) / (2 * h)
+            assert _fd_close(fd, g[i], fx, 1, h), (i, fd, g[i])
+            fd = (f.value(x + e[i]) - 2 * fx + f.value(x - e[i])) / (h * h)
+            assert _fd_close(fd, hess[i, i], fx, 2, h), (i, fd, hess[i, i])
+            for j in range(i + 1, d):
+                fd = (f.value(x + e[i] + e[j]) - f.value(x + e[i] - e[j])
+                      - f.value(x - e[i] + e[j]) + f.value(x - e[i] - e[j])) / (4 * h * h)
+                assert _fd_close(fd, hess[i, j], fx, 2, h), (i, j, fd, hess[i, j])
+                assert hess[j, i] == hess[i, j]
+
+
+def test_sharp_and_large_functions_construct_with_closed_form_derivatives():
+    # finite differences at a 1e-5 step cannot resolve these, but the closed
+    # forms are exact
+    n = 1e6
+    f = st.mollified_call(1.0, n)
+    assert (f.value(1.0), f.gradient(1.0), f.hessian(1.0)) == (3.0 / 16.0 / n, 0.5, 0.75 * n)
+    # n (x - 1) = 0.5 up to the rounding of x - 1, about 2e-10 relative
+    x = 1.0 + 0.5 / n
+    assert f.value(x) == pytest.approx((3 / 16 + 0.25 + 0.375 / 4 - 1 / 256) / n, rel=1e-9)
+    assert f.gradient(x) == pytest.approx(0.84375, rel=1e-9)
+    assert f.hessian(x) == pytest.approx(0.5625 * n, rel=1e-9)
+    assert (f.value(1.0 - 3e-6), f.gradient(1.0 - 3e-6), f.hessian(1.0 - 3e-6)) == (0, 0, 0)
+    assert (f.gradient(1.0 + 3e-6), f.hessian(1.0 + 3e-6)) == (1.0, 0.0)
+
+    w = 1e-3
+    b = st.gaussian_bump(0.0, w)
+    x = 2 * w
+    assert b.value(x) == pytest.approx(math.exp(-2.0), rel=1e-12)
+    assert b.gradient(x) == pytest.approx(-2e3 * math.exp(-2.0), rel=1e-12)
+    assert b.hessian(x) == pytest.approx(3e6 * math.exp(-2.0), rel=1e-12)
+
+    e = st.exp_affine([30.0, 1.0])
+    x = np.array([0.86, 2.91])
+    v = math.exp(30.0 * 0.86 + 2.91)
+    assert v > 1e12
+    assert e.value(x) == pytest.approx(v, rel=1e-12)
+    assert np.allclose(e.gradient(x), [30.0 * v, v], rtol=1e-12, atol=0.0)
+    assert np.allclose(e.hessian(x), [[900.0 * v, 30.0 * v], [30.0 * v, v]],
+                       rtol=1e-12, atol=0.0)
+
+
 def test_mollified_call_brackets_payoff():
     K, n = 1.0, 50.0
     f = st.mollified_call(K, n)
@@ -93,6 +163,8 @@ def test_invalid_parameters():
         st.gaussian_bump(0.0, 0.0)
     with pytest.raises(st.InvariantViolation):
         st.mollified_call(1.0, 0.0)
+    with pytest.raises(st.DomainError, match="underflows"):
+        st.gaussian_bump(0.0, 1e-170)
 
 
 def test_from_spec_round_trip():

@@ -8,7 +8,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 import smalltime as st
@@ -155,6 +155,56 @@ def test_cmd_expansion_markov_base_point(tmp_path, capsys):
     # state is f(Z) with f(Z0) = 2, drift 0.3: L g = 0.3 * g'(2) = 1.2
     assert rec["x"] == 2.0
     assert rec["generator_value"] == pytest.approx(1.2, rel=1e-12)
+
+
+MARKOV_2D = {"b": [0.1, 0.0], "Sigma": [[0.3, 0.0], [0.1, 0.2]],
+             "f": {"family": "affine", "weights": [1.0, 1.0]}, "Z0": [0.0, 0.1]}
+
+
+@pytest.mark.parametrize("spec, generator_value", [
+    # 0.5 sigma^2 x^2 f''(x) at x = K = S0, with f''(K) = 0.75 n
+    ({"model": BS_SPEC["model"],
+      "query": {"f": {"family": "mollified_call", "strike": 1.0, "n": 1e6}}},
+     0.5 * 0.04 * 0.75e6),
+    # f(S0) and its derivatives vanish to double precision 1000 widths away
+    ({"model": BS_SPEC["model"],
+      "query": {"f": {"family": "gaussian_bump", "center": 0.0, "width": 1e-3}}},
+     0.0),
+    # the state is e^{30 z1 + z2} ~ 1.1 at Z0 = (0, 0.1): L g = the drift of f(Z)
+    ({"markov": dict(MARKOV_2D, f={"family": "exp_affine", "weights": [30.0, 1.0]}),
+      "query": {"f": {"family": "affine", "weights": [1.0]}}},
+     math.exp(0.1) * (30.0 * 0.1 + 0.5 * (900.0 * 0.09 + 2 * 30.0 * 0.03 + 0.05))),
+], ids=["mollified_call_n_1e6", "gaussian_bump_width_1e-3", "markov_exp_affine_30"])
+def test_cmd_expansion_on_sharp_or_large_functions(tmp_path, capsys, spec, generator_value):
+    path = write_spec(tmp_path, spec)
+    code, out, err = run_cli(capsys, ["expansion", "--spec", path, "--t", "0.001"])
+    assert code == 0 and err == ""
+    rec = json.loads(out, parse_constant=_reject_constant)
+    assert rec["generator_value"] == pytest.approx(generator_value, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("nu", [
+    {"type": "atomic", "atoms": [[0.1, 1.0]]},
+    {"type": "density", "family": "normal", "intensity": 1.0, "mean": 0.0, "std": 0.3},
+], ids=["atomic", "normal"])
+@pytest.mark.parametrize("jump_map", [{"type": "identity"}, {"type": "scale", "factor": 2.0}],
+                         ids=["identity", "scale"])
+def test_exit_2_on_multi_coordinate_markov_with_jumps(tmp_path, capsys, nu, jump_map):
+    spec = {"markov": dict(MARKOV_2D, nu=nu, jump_map=jump_map),
+            "query": {"f": {"family": "affine", "weights": [1.0]}, "t": 0.001}}
+    with pytest.raises(st.SpecError, match="2 coordinates takes no jumps"):
+        modelspec.parse(spec)
+    code, out, err = run_cli(capsys, ["expansion", "--spec", write_spec(tmp_path, spec)])
+    assert code == 2 and out == ""
+    assert err.startswith("spec error: ") and err.count("\n") == 1, err
+
+
+def test_multi_coordinate_markov_without_jumps(tmp_path, capsys):
+    spec = {"markov": MARKOV_2D, "query": {"f": {"family": "affine", "weights": [1.0]}}}
+    code, out, _ = run_cli(capsys, ["expansion", "--spec", write_spec(tmp_path, spec),
+                                    "--t", "0.001"])
+    assert code == 0
+    assert json.loads(out)["generator_value"] == pytest.approx(0.1, rel=1e-12)
 
 
 def test_cmd_verify_pass_and_determinism(tmp_path, capsys):
@@ -364,6 +414,55 @@ RATE = hst.one_of(hst.floats(allow_nan=False, allow_infinity=False),
 # below, fall on both sides of the sparse-count crossover (0.5)
 INTENSITY = hst.one_of(FINITE, hst.floats(min_value=1.0, max_value=60.0))
 FUZZ_T_GRID = [0.001, 0.003, 0.01, 0.03, 0.1]
+SIGNED = hst.one_of(hst.floats(allow_nan=False, allow_infinity=False),
+                    hst.floats(min_value=-3.0, max_value=3.0))
+# query.f from every family: narrow bumps and bands, large weights and
+# coefficients, and ordinary values
+TEST_FUNCTION = hst.one_of(
+    hst.fixed_dictionaries({"family": hst.just("polynomial"),
+                            "coeffs": hst.lists(SIGNED, max_size=4), "center": SIGNED}),
+    hst.fixed_dictionaries({"family": hst.just("affine"),
+                            "weights": hst.lists(SIGNED, min_size=1, max_size=1),
+                            "intercept": SIGNED}),
+    hst.fixed_dictionaries({"family": hst.just("exp_affine"),
+                            "weights": hst.lists(SIGNED, min_size=1, max_size=1),
+                            "offset": SIGNED, "scale": SIGNED}),
+    hst.fixed_dictionaries({"family": hst.just("gaussian_bump"), "center": SIGNED,
+                            "width": hst.one_of(FINITE, hst.floats(min_value=1e-6,
+                                                                   max_value=1e-3)),
+                            "height": SIGNED, "offset": SIGNED}),
+    hst.fixed_dictionaries({"family": hst.just("mollified_call"), "strike": FINITE,
+                            "n": hst.one_of(FINITE, hst.floats(min_value=1.0,
+                                                               max_value=1e12))}))
+
+
+def _jump_block(jumps, intensity):
+    return {"normal": {"type": "density", "family": "normal", "intensity": intensity,
+                       "mean": 0.0, "std": 0.4},
+            "atomic": {"type": "atomic", "atoms": [[0.3, intensity]]},
+            "laplace": {"type": "density", "family": "laplace", "intensity": intensity,
+                        "mean": 0.0, "scale": 0.2},
+            "stable_like": {"type": "stable_like", "alpha": 1.5, "c": intensity,
+                            "residual": {"type": "atomic", "atoms": [[-0.2, 1.0]]}},
+            }[jumps]
+
+
+def _fuzz_cli(tmp_path_factory, spec, argv):
+    """Every outcome exits 0-5; a success, or a failed verify, writes strict
+    JSON, any other exit leaves stdout empty; stderr holds one line on a
+    nonzero exit and nothing on success."""
+    path = write_spec(tmp_path_factory.getbasetemp(), spec, "fuzz.json")
+    out, err = io.StringIO(), io.StringIO()
+    # a numpy warning would print lines of its own ahead of the result
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(argv[:1] + ["--spec", path] + argv[1:])
+    assert code in range(6), (code, err.getvalue())
+    if code in (0, 5):
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == ""
+    assert err.getvalue().count("\n") == (code != 0), err.getvalue()
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -374,27 +473,51 @@ FUZZ_T_GRID = [0.001, 0.003, 0.01, 0.03, 0.1]
          command="verify")
 @example(S0=2.0, r=0.0, sigma=0.3, intensity=6.0, strike=1.5, t=0.01, jumps="atomic",
          command="verify")
+# an atom's intensity times its integrand overflows (numpy scalars warned)
+@example(S0=1.0, r=0.0, sigma=0.0, intensity=1.468689319763899e+306, strike=0.0, t=0.0,
+         jumps="atomic", command="expansion")
+# the random draws rarely give asymptotics a stable-like model
+@example(S0=1.0, r=0.0, sigma=0.0, intensity=0.1, strike=1.0, t=0.01, jumps="stable_like",
+         command="asymptotics")
+@example(S0=1.0, r=0.0, sigma=0.2, intensity=0.1, strike=1.2, t=0.01, jumps="stable_like",
+         command="asymptotics")
 @given(S0=FINITE, r=RATE, sigma=FINITE, intensity=INTENSITY, strike=FINITE, t=FINITE,
-       jumps=hst.sampled_from(["normal", "atomic"]),
+       jumps=hst.sampled_from(["normal", "atomic", "laplace", "stable_like"]),
        command=hst.sampled_from(["asymptotics", "expansion", "simulate", "verify"]))
 def test_fuzz_extreme_finite_inputs(tmp_path_factory, S0, r, sigma, intensity, strike, t,
                                     jumps, command):
-    # normal and atomic jumps only: their samplers never allocate one entry
-    # per jump, however large the intensity
-    jump_block = ({"type": "density", "family": "normal", "intensity": intensity,
-                   "mean": 0.0, "std": 0.4} if jumps == "normal"
-                  else {"type": "atomic", "atoms": [[0.3, intensity]]})
-    spec = {"model": {"S0": S0, "r": r, "sigma": sigma, "jumps": jump_block},
-            "query": {"f": {"family": "polynomial", "coeffs": [0.0, 0.0, 1000.0]},
-                      "t_grid": FUZZ_T_GRID}}
-    path = write_spec(tmp_path_factory.getbasetemp(), spec, "fuzz.json")
-    argv = [command, "--spec", path, f"--strike={strike!r}", f"--t={t!r}",
-            "--paths", "100"]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
-    assert code in range(6), (code, err.getvalue())
-    if code in (0, 5):  # a failed verify still writes its record
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
-    else:
-        assert out.getvalue() == ""
+    # the Monte Carlo commands get normal and atomic jumps only: their
+    # samplers never allocate one entry per jump, however large the
+    # intensity, while the Laplace and power-tail samplers do
+    assume(jumps in ("normal", "atomic") or command in ("asymptotics", "expansion"))
+    spec = {"model": {"S0": S0, "r": r, "sigma": sigma,
+                      "jumps": _jump_block(jumps, intensity)},
+            "query": {"f": QUADRATIC_AT_ONE["f"], "t_grid": FUZZ_T_GRID}}
+    _fuzz_cli(tmp_path_factory, spec, [command, f"--strike={strike!r}", f"--t={t!r}",
+                                       "--paths", "100"])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+# a band and a bump far narrower than a 1e-5 finite-difference step
+@example(S0=1.0, sigma=0.2, intensity=1.0, jumps="laplace", at_feature=True,
+         f={"family": "mollified_call", "strike": 1.0, "n": 1e12})
+@example(S0=1.0, sigma=0.2, intensity=1.0, jumps="normal", at_feature=True,
+         f={"family": "gaussian_bump", "center": 1.0, "width": 1e-6})
+# a width whose square underflows (a ZeroDivisionError traceback before)
+@example(S0=1.0, sigma=0.2, intensity=1.0, jumps="none", at_feature=False,
+         f={"family": "gaussian_bump", "center": 0.0, "width": 3.7e-277})
+@given(S0=hst.one_of(hst.just(1.0), hst.floats(min_value=0.5, max_value=2.0), FINITE),
+       sigma=hst.one_of(hst.just(0.2), FINITE),
+       intensity=hst.one_of(hst.just(1.0), INTENSITY),
+       jumps=hst.sampled_from(["none", "normal", "atomic", "laplace", "stable_like"]),
+       f=TEST_FUNCTION, at_feature=hst.booleans())
+def test_fuzz_expansion_test_functions(tmp_path_factory, S0, sigma, intensity, jumps, f,
+                                       at_feature):
+    # the generator of every family, on the sharp feature (the band of a
+    # mollified call, the peak of a bump) or at a drawn point
+    if at_feature and f["family"] in ("gaussian_bump", "mollified_call"):
+        f = dict(f, **{"center" if "center" in f else "strike": S0})
+    jump_block = {"type": "none"} if jumps == "none" else _jump_block(jumps, intensity)
+    spec = {"model": {"S0": S0, "r": 0.01, "sigma": sigma, "jumps": jump_block},
+            "query": {"f": f}}
+    _fuzz_cli(tmp_path_factory, spec, ["expansion", "--t", "0.001"])

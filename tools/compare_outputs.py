@@ -24,7 +24,13 @@ Both trees run the same probes, each in a fresh interpreter with the tree's
   generators, the exponential double tails, ``leading_term`` at three
   strikes with and without a diffusion, ``from_time_changed_levy``, and
   ``from_markov`` on empty, atomic, normal and two-dimensional atomic
-  measures with the tails and support of each image, or the error raised.
+  measures with the tails and support of each image, or the error raised;
+* a function-family probe recording ``value``, ``gradient``, ``hessian``
+  and ``curvature_remainder`` at fixed points for the five one-dimensional
+  and three two-dimensional builtin families, ordinary and sharp (a
+  mollified call with n = 1e6, a bump of width 1e-3, ``exp_affine`` with
+  weights (30, 1)), or the error raised, plus ``expansion`` CLI runs on the
+  sharp one-dimensional functions.
 
 Each probe records its exit code, stdout and stderr. The script prints a
 unified diff of the two transcripts and exits 1 on any difference, 0 when
@@ -86,6 +92,12 @@ SPECS = {
                                     "nu": {"type": "atomic",
                                            "atoms": [[0.4, 1.0], [-0.6, 0.5]]}},
                     "query": {"f": BUMP}},
+    "sharp_call": {"model": _model(0.01, 0.2, {"type": "none"}),
+                   "query": {"f": {"family": "mollified_call", "strike": 1.0, "n": 1e6}}},
+    "sharp_bump": {"model": _model(0.01, 0.2, {"type": "density", "family": "normal",
+                                               "intensity": 1.0, "mean": 0.0, "std": 0.4}),
+                   "query": {"f": {"family": "gaussian_bump", "center": 1.0,
+                                   "width": 1e-3}}},
 }
 
 README_COMMANDS = [
@@ -105,7 +117,8 @@ CLI_RUNS = ([("merton", cmd) for cmd in README_COMMANDS]
             + [(name, ["expansion", "--t", "0.001"])
                for name in ("itm", "markov", "time_change")]
             + [("forward", ["simulate", "--t", "0.01"] + extra)
-               for extra in ([], ["--workers", "2", "--format", "csv"])])
+               for extra in ([], ["--workers", "2", "--format", "csv"])]
+            + [(name, ["expansion", "--t", "0.001"]) for name in ("sharp_call", "sharp_bump")])
 
 MODELS = r'''
 import hashlib, math
@@ -218,6 +231,43 @@ for name, nu, f in NUS:
         probe(f"{tag} lower_tail {-u}:", lambda: ch.jumps.lower_tail(-u))
 '''
 
+FUNCTIONS = r'''
+import numpy as np
+import smalltime as st
+
+FUNCTIONS = [
+    ("polynomial", lambda: st.polynomial([0.3, -1.2, 0.7, 0.05], center=0.4)),
+    ("affine", lambda: st.affine([1.7], intercept=-0.3)),
+    ("exp_affine", lambda: st.exp_affine([0.8], offset=0.1, scale=1.4)),
+    ("gaussian_bump", lambda: st.gaussian_bump(0.2, 0.7, height=2.0, offset=-0.5)),
+    ("mollified_call", lambda: st.mollified_call(1.0, 25.0)),
+    ("mollified_call n=1e6", lambda: st.mollified_call(1.0, 1e6)),
+    ("gaussian_bump width=1e-3", lambda: st.gaussian_bump(1.0, 1e-3)),
+    ("affine 2d", lambda: st.affine([1.0, -0.5], intercept=0.2)),
+    ("exp_affine 2d", lambda: st.exp_affine([0.3, -0.4], offset=0.2, scale=1.5)),
+    ("gaussian_bump 2d", lambda: st.gaussian_bump([0.1, -0.2], 0.8, height=1.5)),
+    ("exp_affine 2d weights=(30,1)", lambda: st.exp_affine([30.0, 1.0])),
+]
+for name, make in FUNCTIONS:
+    try:
+        f = make()
+    except st.SmallTimeError as exc:
+        print(name, type(exc).__name__, exc)
+        continue
+    points = ([0.9, 1.0 - 3e-7, 1.0, 1.0 + 5e-7, 1.0004, 1.3] if f.dim == 1
+              else [np.array([0.3, 0.1]), np.array([-0.2, 0.9])])
+    for x in points:
+        tag = f"{name} x={x!r}:"
+        print(tag, repr(f.value(x)), repr(np.asarray(f.gradient(x)).tolist()),
+              repr(np.asarray(f.hessian(x)).tolist()))
+        # one remainder probe shows the DimensionMismatch of the 2-d families
+        for y in ((0.0, 1e-9, 1e-6, -0.3, 0.5) if f.dim == 1 else (0.1,)):
+            try:
+                print(tag, f"curvature_remainder y={y!r}:", repr(f.curvature_remainder(x, y)))
+            except (st.SmallTimeError, ArithmeticError) as exc:
+                print(tag, f"curvature_remainder y={y!r}:", type(exc).__name__, exc)
+'''
+
 
 def _run(tree, args, cwd):
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -241,6 +291,8 @@ def transcript(tree, spec_dir):
     lines += _run(tree, ["-c", SWEEP], spec_dir)
     lines.append("## analytic")
     lines += _run(tree, ["-c", ANALYTIC], spec_dir)
+    lines.append("## functions")
+    lines += _run(tree, ["-c", FUNCTIONS], spec_dir)
     return lines
 
 
@@ -270,10 +322,12 @@ def main(argv):
     if diff:
         print("\n".join(diff))
         return 1
-    analytic = new[new.index("## analytic"):]
+    analytic = new[new.index("## analytic"):new.index("## functions")]
+    functions = new[new.index("## functions"):]
     print(f"identical: {len(DEMOS)} demos, {len(CLI_RUNS)} CLI runs, "
           f"{sum('workers=' in x for x in new)} sweep rows, "
-          f"{sum(':' in x for x in analytic)} analytic rows")
+          f"{sum(':' in x for x in analytic)} analytic rows, "
+          f"{sum(':' in x for x in functions)} function rows")
     return 0
 
 
