@@ -187,9 +187,9 @@ class DensityCompensator(JumpCompensator):
     sum_sampler : callable, optional
         ``sum_sampler(rng, counts)`` returning, for each path i, the sum of
         ``counts[i]`` iid jump sizes from the normalized density in one
-        shot (``_per_jump`` builds it from a per-jump draw). Without it the
-        simulator inverts a tabulated CDF of ``fn``. The hook does not depend
-        on the intensity, so ``scaled`` passes it through.
+        shot. Without it the simulator sums per-jump draws from a tabulated
+        inverse CDF of ``fn``. The hook does not depend on the intensity, so
+        ``scaled`` passes it through.
     """
 
     form = "density"
@@ -299,20 +299,6 @@ class DensityCompensator(JumpCompensator):
             return float("inf")
         v, _ = self.integrate_with_error(lambda y: 1.0, 1e-10)
         return v
-
-
-def _per_jump(sampler):
-    """The ``sum_sampler`` hook of a per-jump draw ``sampler(rng, size)``:
-    one draw for every jump of the block, summed per path."""
-    def sum_sampler(rng, counts):
-        n_jumps = int(counts.sum())
-        if n_jumps == 0:
-            return np.zeros(counts.size)
-        draws = sampler(rng, n_jumps)
-        owner = np.repeat(np.arange(counts.size), counts)
-        return np.bincount(owner, weights=draws, minlength=counts.size)
-
-    return sum_sampler
 
 
 class StableLikeCompensator(JumpCompensator):
@@ -554,9 +540,17 @@ def laplace_jumps(intensity, scale, mean=0.0):
             return 0.5 * intensity * math.exp(-(mean - x) / scale)
         return intensity * (1.0 - 0.5 * math.exp(-(x - mean) / scale))
 
+    mu, b = float(mean), float(scale)
+
+    def sum_sampler(rng, counts):
+        # a Laplace(mu, b) jump is mu + b (E1 - E2) with E1, E2 ~ Exp(1), so
+        # a sum of k of them is k mu + b (G1 - G2) with G1, G2 ~ Gamma(k, 1)
+        # (0 for k = 0)
+        return mu * counts + b * (rng.standard_gamma(counts) - rng.standard_gamma(counts))
+
     return DensityCompensator(
         fn, (-np.inf, np.inf), 0.0, tail_up=tail_up, tail_dn=tail_dn,
-        sum_sampler=_per_jump(lambda rng, size: rng.laplace(mean, scale, size)))
+        sum_sampler=sum_sampler)
 
 
 def density(fn, support, singularity_order=0.0):

@@ -155,7 +155,17 @@ def gaussian_bump(center=0.0, width=1.0, height=1.0, offset=0.0):
             core = h * math.exp(-0.5 * a * a * iw2)
             z = (a + 0.5 * y) * y * iw2
             z_over_y = (a + 0.5 * y) * iw2
-            return core * (g2(-z) * z_over_y * z_over_y - 0.5 * iw2)
+            try:
+                remainder = core * (g2(-z) * z_over_y * z_over_y - 0.5 * iw2)
+            except OverflowError:
+                remainder = math.nan
+            if math.isfinite(remainder):
+                return remainder
+            # far out on the bump's tail e^-z overflows (or meets a core
+            # that underflowed to 0) while core e^-z, the value at x + y,
+            # is finite: h exp(-(a + y)^2 / (2 width^2))
+            return ((h * math.exp(-0.5 * (a + y) * (a + y) * iw2) - core * (1.0 - z)) / (y * y)
+                    - 0.5 * core * iw2)
 
         return SmoothFunction(1, "gaussian_bump", value, gradient, hessian,
                               curvature)

@@ -12,20 +12,50 @@ order, so results are bit identical no matter how blocks are scheduled
 across workers.
 
 Estimates stream: ``price_grid`` prices a whole maturity x strike grid in
-one pass and keeps no sample. Per block it draws the standard normals once
-(every maturity scales the same vector by sigma sqrt(t)), snapshots the
-generator state, and for each maturity restores that state before drawing
-the jump parts, so each maturity sees exactly the samples
-``simulate_terminal`` returns for it. Each (t, K) payoff vector is reduced
-to a partial (count, mean, M2) stored under its block index; after all
-lanes finish the partials are merged in block order with the
-Chan-Golub-LeVeque update, so the output is byte identical for any
-``n_workers`` and memory stays at about n_workers blocks whatever n_paths.
-``estimate_call`` is the 1 x 1 grid, ``slope_rows`` one strike over all
-maturities, and strike 0 gives the discounted forward.
+one pass and keeps no sample. Each block reduces every (t, K) cell to a
+partial (count, mean, M2) stored under its block index; after all lanes
+finish the partials are merged in block order with the Chan-Golub-LeVeque
+update, so the output is byte identical for any ``n_workers`` and memory
+stays at about n_workers blocks whatever n_paths. ``estimate_call`` is the
+1 x 1 grid, ``slope_rows`` one strike over all maturities, and strike 0
+gives the discounted forward.
+
+A block prices each maturity with one of two kernels. The rule reads only
+the model and the maturity:
+
+* conditional, when sigma sqrt(t) > 0, every jump part is compound Poisson
+  and every stream's Poisson mean lam t is below ``_SPARSE_BELOW``. Given
+  its jump sum J a path's log price is Gaussian, so its payoff is replaced
+  by its expectation given J: the Black-Scholes price at the forward
+  F e^J, with F = E S_t / E e^J (conditional Monte Carlo, Glasserman 2003,
+  section 4.5). The block restores its initial generator state and draws
+  each stream's sparse counts and jump sums (``_SimulationPlan.jump_sums``)
+  in the plain kernel's order, but no normals. It prices only the m paths
+  that jump; the other n - m share the price at J = 0, so the partial of
+  the n conditional payoffs costs O(m) and needs no row of length n. The
+  estimator keeps n_paths and the iid standard error, is unbiased, and
+  its variance is no larger than the plain one (Rao-Blackwell).
+* plain, for every other maturity: the block draws the standard normals
+  once for all plain maturities (each scales the same vector by
+  sigma sqrt(t)), snapshots the generator state, and for each maturity
+  restores that state before drawing the jump parts, so the maturity sees
+  exactly the samples ``simulate_terminal`` returns for it.
+
+Either way a maturity's realisation does not depend on the rest of the
+grid, so each cell equals the ``estimate_call`` of that cell alone.
+Jump-free models stay plain on purpose: their conditional estimate would
+be the exact Black-Scholes price with standard error 0, and ``verify``
+would no longer check Black-Scholes independently. ``simulate_terminal``
+always draws plain samples. At short horizons almost no path jumps (97 to
+99.9% of the paths on the t <= 0.03 grid at intensity 1), so a
+conditional maturity costs little: one ``verify`` of the README Merton
+spec (2**20 paths, four maturities, one strike, in-process) takes a
+median of 20 ms, against 69 ms with every maturity plain (2 shared
+vCPUs). Most of that gain is cost per path; the variance falls only about
+1.2x there, because the paths that jump carry most of it.
 
 Each lane owns one workspace, four block-long rows allocated once per
-call, and the block kernel writes into it in place, in this order: the
+call, and the plain kernel writes into it in place, in this order: the
 standard normals (``standard_normal(out=)``); per maturity, the log price
 (sigma sqrt(t) z, then plus x0 and the log drift, or a constant fill when
 sigma = 0); each jump part into the zeroed jump-sum row, added to the log
@@ -58,8 +88,8 @@ branch forced at every mu):
     counts, sparse             0.04   0.10  1.09  1.08  1.83  2.36  7.44
     + normal sum, every path   3.53   2.71  3.99  4.12  4.56  4.27  9.37
     + normal sum, sparse       0.05   0.18  1.30  2.12  3.35  3.90  9.64
-    + Laplace sum, every path  1.37   1.84  3.00  3.63  4.51  4.96  22.47
-    + Laplace sum, sparse      0.04   0.30  1.59  2.51  3.89  5.49  22.57
+    + Laplace sum, every path  3.22   3.56  5.33  6.16  7.05  7.94  10.38
+    + Laplace sum, sparse      0.07   0.33  1.49  2.51  3.82  5.76  14.46
     =========================  =====  ====  ====  ====  ====  ====  =====
 
 At 0.5 the sparse branch is 1.4 to 1.9 times as fast; near 1 it is at
@@ -70,15 +100,23 @@ dense and keep their samples. Still allocated per block: the counts, what
 the hooks return, and the uniforms of the power-tail inverse CDF, which is
 then transformed in place.
 
+The Laplace rows, from a later run, draw each path's sum as the difference
+of two Gamma draws (``laplace_jumps``). In that run, summing one Laplace
+draw per jump instead took 1.46, 1.56, 3.22, 4.42, 4.98, 6.28 and 22.80 ms
+on every path, and 0.03, 0.25, 1.57, 2.83, 3.49, 4.56 and 22.40 ms sparse.
+On the branch each mu uses, the Gamma pair is within 0.1 ms below 0.5, 1.3
+to 1.4 times as slow from 0.5 to 1 and twice as fast at 6.66, and it
+allocates per path, not per jump.
+
 The jump component is a list of parts of two types, each carrying the
 exponential compensation of what it draws:
 
 * ``_CompoundPoisson``: independent streams ``(intensity, sum_sampler)``;
   each block draws Poisson counts per stream, as above, and adds the sum of
   that many jump sizes to each path that jumps. Atomic measures give one
-  stream per atom, finite-activity densities one stream (their ``sum_sampler``, else an inverted CDF table
-  summed per path by ``compensators._per_jump``), and the truncated
-  stable-like tail one stream per side.
+  stream per atom, finite-activity densities one stream (their
+  ``sum_sampler``, else an inverted CDF table summed per path by
+  ``_per_jump``), and the truncated stable-like tail one stream per side.
 * ``_StableIncrement``: the exact small-jump stable increment.
 
 Schemes for stable-like jumps:
@@ -98,10 +136,11 @@ Schemes for stable-like jumps:
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy.special import ndtr
 
-from .compensators import _per_jump
 from .errors import (ConfigError, CutoffTooCoarse, DomainError,
                      InsufficientSignal, InvariantViolation)
 from .quadrature import quad_abs
@@ -172,6 +211,20 @@ def _table_sampler(grid, density_values):
         return np.interp(rng.uniform(0.0, 1.0, size), cdf, grid)
 
     return sampler
+
+
+def _per_jump(sampler):
+    """The ``sum_sampler`` hook of a per-jump draw ``sampler(rng, size)``:
+    one draw for every jump of the block, summed per path."""
+    def sum_sampler(rng, counts):
+        n_jumps = int(counts.sum())
+        if n_jumps == 0:
+            return np.zeros(counts.size)
+        draws = sampler(rng, n_jumps)
+        owner = np.repeat(np.arange(counts.size), counts)
+        return np.bincount(owner, weights=draws, minlength=counts.size)
+
+    return sum_sampler
 
 
 def _poisson_counts(rng, mu, n):
@@ -323,10 +376,21 @@ def _check_cutoff(m, eps):
             "variance (limit 10%)")
 
 
+class _Horizon(NamedTuple):
+    t: float
+    log_drift: float  # of the log price, jump compensation included
+    discount: float
+    log_forward: float  # log E S_t
+    sd: float  # sigma sqrt(t)
+    conditional: bool  # priced by the conditional kernel (module docstring)
+
+
 class _SimulationPlan:
-    """Frozen per-model sampling recipe for a list of horizons, with a fixed
-    intra-block draw order: Gaussian (shared by every horizon), then each
-    jump part (from the same generator state for every horizon)."""
+    """Frozen per-model sampling recipe for a list of horizons, each marked
+    plain or conditional (module docstring), with a fixed intra-block draw
+    order: for the plain horizons the Gaussian (shared by all of them), then
+    each jump part (from the same generator state for each of them); for a
+    conditional horizon each jump part from the block's initial state."""
 
     def __init__(self, ec, ts, cfg, rate_fn):
         for t in ts:
@@ -337,9 +401,11 @@ class _SimulationPlan:
         compensation = sum(part.compensation for part in self.parts)
         max_intensity = max((float(lam) for part in self.parts
                              for lam, _ in part.streams), default=0.0)
+        streams_only = bool(self.parts) and all(
+            isinstance(part, _CompoundPoisson) for part in self.parts)
         half_variance = 0.5 * ec.variance()
         self.x0 = math.log(ec.S0)
-        self.horizons = []  # (t, log drift, discount factor)
+        self.horizons = []
         for t in ts:
             if max_intensity * t > _POISSON_MAX:
                 raise DomainError(
@@ -349,26 +415,47 @@ class _SimulationPlan:
             log_drift = rate_integral - half_variance * t - compensation * t
             if not math.isfinite(log_drift):
                 raise DomainError(f"log drift at t = {t!r} is not finite")
-            self.horizons.append((t, log_drift, math.exp(-rate_integral)))
+            sd = self.sigma * math.sqrt(t)
+            self.horizons.append(_Horizon(
+                t, log_drift, math.exp(-rate_integral),
+                self.x0 + rate_integral - compensation * t, sd,
+                sd > 0 and streams_only and max_intensity * t < _SPARSE_BELOW))
 
-    def draw_block(self, rng, ws):
-        """Yield one block of samples of S_t for each horizon, in horizon
-        order, each in the same workspace row; a block has ws.shape[1]
+    def draw_block(self, rng, ws, horizons):
+        """Yield one block of samples of S_t for each of the given horizons,
+        in order, each in the same workspace row; a block has ws.shape[1]
         paths."""
         z, x, jumps = ws[_GAUSSIAN], ws[_PRICE], ws[_JUMPS]
-        if self.sigma > 0:
+        if self.sigma > 0 and horizons:
             rng.standard_normal(out=z)
         after_gaussian = rng.bit_generator.state
-        for t, log_drift, _ in self.horizons:
+        for h in horizons:
             rng.bit_generator.state = after_gaussian
             if self.sigma > 0:
-                np.multiply(z, self.sigma * math.sqrt(t), out=x)
-                x += self.x0 + log_drift
+                np.multiply(z, h.sd, out=x)
+                x += self.x0 + h.log_drift
             else:
-                x.fill(self.x0 + log_drift)
+                x.fill(self.x0 + h.log_drift)
             for part in self.parts:
-                x += part.draw(rng, t, jumps)
+                x += part.draw(rng, h.t, jumps)
             yield np.exp(x, out=x)
+
+    def jump_sums(self, rng, t, n):
+        """The jump sums at horizon t of the paths of a block of n that jump
+        (at least one jump, though the sizes may cancel), one per path in no
+        fixed order, from the draws ``draw_block`` makes without its Gaussian
+        row. Every stream must be sparse at t, so that each one hands over
+        the indices of its jumping paths."""
+        paths, sums = [], []
+        for part in self.parts:
+            for lam, sum_sampler in part.streams:
+                jumped, counts = _poisson_counts(rng, lam * t, n)
+                paths.append(jumped)
+                sums.append(sum_sampler(rng, counts))
+        if len(sums) == 1:
+            return sums[0]
+        _, owner = np.unique(np.concatenate(paths), return_inverse=True)
+        return np.bincount(owner, weights=np.concatenate(sums))
 
 
 def _rate_integral(ec, t, cfg, rate_fn):
@@ -425,16 +512,40 @@ def simulate_terminal(ec, t, cfg, rate_fn=None):
     numpy.ndarray
         Samples of S_t, strictly positive, in path order. Bit identical for
         identical (ec, t, cfg) regardless of n_workers, and equal to the
-        samples the estimators reduce.
+        samples the estimators reduce at a horizon they price with the
+        plain kernel (module docstring).
     """
     plan = _SimulationPlan(ec, [t], cfg, rate_fn)
     out = np.empty(cfg.n_paths)
 
     def fill(i, rng, lo, hi, ws):
-        out[lo:hi] = next(plan.draw_block(rng, ws))
+        out[lo:hi] = next(plan.draw_block(rng, ws, plan.horizons))
 
     _for_each_block(cfg, fill)
     return out
+
+
+def _call_given_jumps(n, log_forward, sd, jump_sums, K):
+    """(mean, M2) of the n payoffs E[(S_t - K)^+ | jump sum] of a block whose
+    jumping paths have the given jump sums; the other paths share the payoff
+    at jump sum 0. Given its jump sum J a path's S_t is lognormal with mean
+    e^(log_forward + J) and log standard deviation sd, so the payoff is the
+    Black-Scholes price; a strike <= 0 gives the forward minus the strike."""
+    x = np.concatenate(([0.0], jump_sums))
+    x += log_forward
+    g = np.exp(x)
+    if K > 0:
+        d1 = (x - math.log(K)) / sd + 0.5 * sd
+        g *= ndtr(d1)
+        g -= K * ndtr(d1 - sd)
+        # rounding must not make a far out-of-the-money payoff negative
+        np.maximum(g, 0.0, out=g)
+    else:
+        g -= K
+    g0, g = g[0], g[1:]
+    mean = (g.sum() + (n - g.size) * g0) / n
+    g -= mean
+    return mean, np.square(g, out=g).sum() + (n - g.size) * (g0 - mean) ** 2
 
 
 def price_grid(ec, ts, Ks, cfg, rate_fn=None):
@@ -445,22 +556,33 @@ def price_grid(ec, ts, Ks, cfg, rate_fn=None):
     Inputs beyond the range of floats give non-finite estimates and no
     numpy warning."""
     plan = _SimulationPlan(ec, ts, cfg, rate_fn)
+    plain = [j for j, h in enumerate(plan.horizons) if not h.conditional]
+    conditional = [j for j, h in enumerate(plan.horizons) if h.conditional]
     partials = {}
 
     def reduce_block(i, rng, lo, hi, ws):
         n = hi - lo
+        start = rng.bit_generator.state
         pay = ws[_PAYOFF]
         mean = np.empty((len(ts), len(Ks)))
         m2 = np.empty_like(mean)
         # numpy's error state is per thread, so each lane sets its own
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, s in enumerate(plan.draw_block(rng, ws)):
+            samples = plan.draw_block(rng, ws, [plan.horizons[j] for j in plain])
+            for j, s in zip(plain, samples):
                 for k, K in enumerate(Ks):
                     np.subtract(s, K, out=pay)
                     np.maximum(pay, 0.0, out=pay)
                     mean[j, k] = pay.sum() / n
                     pay -= mean[j, k]
                     m2[j, k] = np.square(pay, out=pay).sum()
+            for j in conditional:
+                h = plan.horizons[j]
+                rng.bit_generator.state = start
+                jump_sums = plan.jump_sums(rng, h.t, n)
+                for k, K in enumerate(Ks):
+                    mean[j, k], m2[j, k] = _call_given_jumps(
+                        n, h.log_forward, h.sd, jump_sums, K)
         partials[i] = (n, mean, m2)
 
     _for_each_block(cfg, reduce_block)
@@ -473,10 +595,10 @@ def price_grid(ec, ts, Ks, cfg, rate_fn=None):
             mean = mean + delta * (n_b / total)
             m2 = m2 + m2_b + delta * delta * (n * n_b / total)
             n = total
-    return [[Estimate(disc * float(mean[j, k]),
-                      disc * math.sqrt(m2[j, k] / (n - 1)) / math.sqrt(n), n)
+    return [[Estimate(h.discount * float(mean[j, k]),
+                      h.discount * math.sqrt(m2[j, k] / (n - 1)) / math.sqrt(n), n)
              for k in range(len(Ks))]
-            for j, (_, _, disc) in enumerate(plan.horizons)]
+            for j, h in enumerate(plan.horizons)]
 
 
 def _check_strike(K):
@@ -487,9 +609,11 @@ def _check_strike(K):
 def estimate_call(ec, t, K, cfg, rate_fn=None):
     """Discounted Monte Carlo estimate of the call price E (S_t - K)^+.
 
-    Reduces the samples simulate_terminal draws for the same inputs block by
-    block, so memory does not grow with n_paths, and estimates at different
-    strikes are pathwise monotone.
+    Reduces block by block, so memory does not grow with n_paths: with the
+    plain kernel the payoffs of the samples simulate_terminal draws for the
+    same inputs, with the conditional kernel each path's Black-Scholes
+    price given its jump sum (module docstring). Either way estimates at
+    different strikes are pathwise monotone.
     """
     _check_strike(K)
     return price_grid(ec, [t], [K], cfg, rate_fn)[0][0]
@@ -541,7 +665,10 @@ def slope_study(ec, K, t_grid, p_hypothesis, cfg, constant_term=0.0):
     log(C - constant_term) against log t with weights 1/variance.
 
     Raises InsufficientSignal when more than half of the estimates are
-    within two standard errors of zero.
+    within two standard errors of zero, or when fewer than two have a
+    positive excess and a positive standard error: an exact estimate (one
+    with no path variance, such as a maturity at which no path jumps) has
+    no finite regression weight.
     """
     ts = sorted(float(t) for t in t_grid)
     if len(ts) < 4:
@@ -563,6 +690,10 @@ def slope_study(ec, K, t_grid, p_hypothesis, cfg, constant_term=0.0):
             xs.append(math.log(r.t))
             ys.append(math.log(excess))
             ws.append((excess / r.std_error) ** 2)
+    if len(xs) < 2:
+        raise InsufficientSignal(
+            f"{len(xs)} of {len(rows)} estimates have a positive excess and "
+            "a positive standard error; the exponent regression needs 2")
     xs, ys, ws = map(np.asarray, (xs, ys, ws))
     xbar = float(np.sum(ws * xs) / np.sum(ws))
     ybar = float(np.sum(ws * ys) / np.sum(ws))

@@ -87,3 +87,19 @@ def test_estimate_call_matches_exact_series(case, t):
         price = exact(K, t)
         assert est.std_error > 0
         assert abs(est.value - price) <= 5 * est.std_error, (K, est, price)
+
+
+@pytest.mark.parametrize("t", [1e-5, 1e-4])
+@pytest.mark.parametrize("case", ["merton", "atomic_diffusion"])
+def test_conditional_estimate_matches_exact_series_at_tiny_t(case, t):
+    # with a diffusion and sparse streams each path's payoff is its
+    # Black-Scholes price given its jump sum, and only the paths that jump
+    # are visited, so 2^23 paths (about 80 to 250 jumping ones at t = 1e-5)
+    # take well under a second
+    ec, exact, _ = MODELS[case]
+    cfg = st.SimConfig(n_paths=2**23, master_seed=1013)
+    for K in (0.9, 1.0, 1.2):
+        est = st.estimate_call(ec, t, K, cfg)
+        price = exact(K, t)
+        assert est.std_error > 0
+        assert abs(est.value - price) <= 5 * est.std_error, (K, est, price)

@@ -52,6 +52,15 @@ def test_curvature_remainder_tiny_y_limit(f):
         assert got == pytest.approx(0.5 * f.hessian(x), rel=1e-6, abs=1e-9)
 
 
+@pytest.mark.parametrize("x, y", [(1.3, -0.3), (0.7, 0.3), (1.7005, -1e-3)])
+def test_narrow_bump_remainder_from_its_far_tail(x, y):
+    # a jump from the far tail onto a narrow bump: e^-z overflows (the first
+    # two), or is finite but meets a core that underflowed to 0 (the last)
+    f = st.gaussian_bump(1.0, 1e-3)
+    direct = (f.value(x + y) - f.value(x) - y * f.gradient(x)) / (y * y)
+    assert f.curvature_remainder(x, y) == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
 def test_multidim_families():
     g = st.gaussian_bump([0.1, -0.2], 0.8, height=1.5)
     e = st.exp_affine([0.3, -0.4], offset=0.2)

@@ -10,6 +10,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
+from scipy import integrate
+from scipy.stats import norm
 
 import smalltime as st
 from smalltime import cli, modelspec
@@ -174,7 +176,16 @@ MARKOV_2D = {"b": [0.1, 0.0], "Sigma": [[0.3, 0.0], [0.1, 0.2]],
     ({"markov": dict(MARKOV_2D, f={"family": "exp_affine", "weights": [30.0, 1.0]}),
       "query": {"f": {"family": "affine", "weights": [1.0]}}},
      math.exp(0.1) * (30.0 * 0.1 + 0.5 * (900.0 * 0.09 + 2 * 30.0 * 0.03 + 0.05))),
-], ids=["mollified_call_n_1e6", "gaussian_bump_width_1e-3", "markov_exp_affine_30"])
+    # a bump 60 widths below S0, reached only by jumps: its remainder from
+    # the far tail overflowed (quadrature error inf, exit 4); L f(S0) is
+    # the jump integral of f(S0 e^y), here over u = S0 e^y
+    ({"model": {"S0": 1.3, "r": 0.01, "sigma": 0.2, "jumps": MERTON_SPEC["model"]["jumps"]},
+      "query": {"f": {"family": "gaussian_bump", "center": 1.0, "width": 5e-3}}},
+     integrate.quad(lambda u: math.exp(-0.5 * ((u - 1.0) / 5e-3) ** 2)
+                    * norm.pdf(math.log(u / 1.3), 0.0, 0.4) / u,
+                    0.8, 1.2, points=[1.0], epsabs=1e-14, epsrel=1e-13)[0]),
+], ids=["mollified_call_n_1e6", "gaussian_bump_width_1e-3", "markov_exp_affine_30",
+        "gaussian_bump_from_far_tail"])
 def test_cmd_expansion_on_sharp_or_large_functions(tmp_path, capsys, spec, generator_value):
     path = write_spec(tmp_path, spec)
     code, out, err = run_cli(capsys, ["expansion", "--spec", path, "--t", "0.001"])
@@ -473,6 +484,13 @@ def _fuzz_cli(tmp_path_factory, spec, argv):
          command="verify")
 @example(S0=2.0, r=0.0, sigma=0.3, intensity=6.0, strike=1.5, t=0.01, jumps="atomic",
          command="verify")
+# huge sigma on the conditional kernel: the Black-Scholes price given the
+# jump sum tends to the forward (exit 5), and on top of a huge S0 the
+# forward overflows (exit 1, not an OverflowError)
+@example(S0=1.0, r=0.0, sigma=9.6e9, intensity=1.0, strike=1.0, t=0.01, jumps="laplace",
+         command="verify")
+@example(S0=1.7e308, r=0.0, sigma=9.6e9, intensity=1.0, strike=1.0, t=0.01, jumps="atomic",
+         command="verify")
 # an atom's intensity times its integrand overflows (numpy scalars warned)
 @example(S0=1.0, r=0.0, sigma=0.0, intensity=1.468689319763899e+306, strike=0.0, t=0.0,
          jumps="atomic", command="expansion")
@@ -486,10 +504,10 @@ def _fuzz_cli(tmp_path_factory, spec, argv):
        command=hst.sampled_from(["asymptotics", "expansion", "simulate", "verify"]))
 def test_fuzz_extreme_finite_inputs(tmp_path_factory, S0, r, sigma, intensity, strike, t,
                                     jumps, command):
-    # the Monte Carlo commands get normal and atomic jumps only: their
-    # samplers never allocate one entry per jump, however large the
-    # intensity, while the Laplace and power-tail samplers do
-    assume(jumps in ("normal", "atomic") or command in ("asymptotics", "expansion"))
+    # the Monte Carlo commands get no stable-like jumps: the normal, atomic
+    # and Laplace samplers draw one value per path however large the
+    # intensity, while the power-tail sampler allocates one entry per jump
+    assume(jumps != "stable_like" or command in ("asymptotics", "expansion"))
     spec = {"model": {"S0": S0, "r": r, "sigma": sigma,
                       "jumps": _jump_block(jumps, intensity)},
             "query": {"f": QUADRATIC_AT_ONE["f"], "t_grid": FUZZ_T_GRID}}

@@ -8,11 +8,12 @@ deterministic.
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import gamma
-from scipy.stats import chisquare, norm, poisson
+from scipy.stats import chisquare, ks_2samp, norm, poisson
 
 import smalltime as st
 from smalltime.montecarlo import (_SPARSE_BELOW, _WORKSPACE_ROWS, _CompoundPoisson,
@@ -260,6 +261,21 @@ def test_compound_poisson_draw_without_jumps():
     assert not part.draw(_philox(1, 1), 1e-300, out).any()
 
 
+@pytest.mark.parametrize("k", [0, 1, 5, 40])
+def test_laplace_sum_sampler_law(k):
+    # one Gamma pair per path against k per-jump Laplace draws per path
+    sampler = st.laplace_jumps(1.0, 0.2, 0.05).sum_sampler
+    rng = _philox(3, k)
+    counts = np.full(20000, k)
+    counts[::7] = 0
+    sums = sampler(rng, counts)
+    assert sums.shape == counts.shape and not sums[counts == 0].any()
+    if k == 0:
+        return
+    reference = rng.laplace(0.05, 0.2, (20000, k)).sum(axis=1)
+    assert ks_2samp(sums[counts > 0], reference).pvalue > 1e-3
+
+
 # ----------------------------------------------------------------------
 # streaming grid core
 
@@ -271,6 +287,10 @@ GRID_CASES = {
         1.0, 0.0, 0.1, st.stable_like(1.5, 0.1)), "euler_log"),
     "stable_exact": (st.ExpModelCharacteristics(
         1.0, 0.0, 0.1, st.stable_like(1.5, 0.1)), "exact_stable_increment"),
+    # Poisson means 0.6, 0.15 and 0.03 at the grid's maturities: the first
+    # is priced by the plain kernel, the other two by the conditional one
+    "mixed_kernels": (st.ExpModelCharacteristics(
+        1.0, 0.01, 0.15, st.atomic([(0.1, 30.0), (-0.1, 20.0)])), "euler_log"),
 }
 
 
@@ -297,8 +317,56 @@ def test_price_grid_blocks_are_simulate_terminal_samples():
         key = np.array([cfg.master_seed, i], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
         ws = np.empty((_WORKSPACE_ROWS, hi - lo))
-        for t, samples, block in zip(ts, whole, plan.draw_block(rng, ws)):
+        for t, samples, block in zip(ts, whole, plan.draw_block(rng, ws, plan.horizons)):
             assert np.array_equal(block, samples[lo:hi]), f"t={t} block {i}"
+
+
+CONDITIONAL_CASES = {
+    # one stream (t = 0.03: Poisson mean 0.03)
+    "merton": (MERTON, 0.03),
+    # two streams, Poisson means 0.4 and 0.3: paths that jump on both merge,
+    # and one jump of each size leaves a jump sum of exactly 0
+    "two_atoms": (st.ExpModelCharacteristics(
+        1.0, 0.02, 0.15, st.atomic([(0.1, 0.4), (-0.1, 0.3)])), 1.0),
+    "laplace": (st.ExpModelCharacteristics(
+        1.0, 0.02, 0.15, st.laplace_jumps(1.5, 0.2, 0.05)), 0.2),
+}
+
+
+@pytest.mark.parametrize("case", CONDITIONAL_CASES)
+def test_conditional_block_matches_brute_force(case):
+    ec, t = CONDITIONAL_CASES[case]
+    Ks = [0.0, 0.9, 1.0, 1.15]
+    n = 40000  # one partial block
+    cfg = st.SimConfig(n_paths=n, master_seed=5)
+    plan = _SimulationPlan(ec, [t], cfg, None)
+    (h,) = plan.horizons
+    assert h.conditional
+    # redraw the block's jumps from its key, stream by stream, into a row
+    # with one entry per path
+    rng = _philox(cfg.master_seed, 0)
+    jumps, n_jumps = np.zeros(n), np.zeros(n, dtype=np.int64)
+    for part in plan.parts:
+        for lam, sum_sampler in part.streams:
+            paths, counts = _poisson_counts(rng, lam * t, n)
+            jumps[paths] += sum_sampler(rng, counts)
+            n_jumps[paths] += counts
+    if case == "two_atoms":
+        assert np.any((n_jumps > 0) & (jumps == 0.0))
+    # given its jump sum, a path's log price is Gaussian: Black-Scholes
+    sd = ec.sigma * math.sqrt(t)
+    log_forward = math.log(ec.S0) + h.log_drift + 0.5 * sd * sd + jumps
+    disc = math.exp(-ec.r * t)
+    for K, est in zip(Ks, price_grid(ec, [t], Ks, cfg)[0]):
+        if K == 0.0:
+            pay = np.exp(log_forward)
+        else:
+            d1 = (log_forward - math.log(K)) / sd + 0.5 * sd
+            pay = np.maximum(np.exp(log_forward) * norm.cdf(d1) - K * norm.cdf(d1 - sd), 0.0)
+        m2 = np.sum((pay - pay.mean()) ** 2)
+        assert est.value == pytest.approx(disc * pay.mean(), rel=1e-12, abs=0.0), K
+        assert est.std_error == pytest.approx(disc * math.sqrt(m2 / (n - 1) / n),
+                                              rel=1e-12, abs=0.0), K
 
 
 def _pin(ec, scheme="euler_log", cutoff=0.005, ts=(0.02, 0.005, 1e-3), Ks=(1.0, 1.1)):
@@ -309,8 +377,9 @@ PINNED_CASES = {
     **{name: _pin(ec, scheme) for name, (ec, scheme) in GRID_CASES.items()},
     "three_atoms_no_diffusion": _pin(st.ExpModelCharacteristics(
         1.0, 0.02, 0.0, st.atomic([(0.25, 3.0), (-0.15, 4.0), (0.05, 6.0)]))),
-    # the three paths that sum per-jump draws: a Laplace sampler, the CDF
-    # table of a density without hooks, and the tables of a callable c
+    # the Laplace sampler's Gamma pairs, and the two paths that sum per-jump
+    # draws: the CDF table of a density without hooks, and the tables of a
+    # callable c
     "laplace": _pin(st.ExpModelCharacteristics(
         1.0, 0.02, 0.15, st.laplace_jumps(1.5, 0.2, 0.05))),
     "density_cdf_table": _pin(st.ExpModelCharacteristics(
@@ -333,12 +402,12 @@ PINNED_CASES = {
 PINNED = {
     "merton": (
         "3b198b1ec65670134e78142356ca51a7683cf5c05b3f43b4e444cc94c4c4acc1",
-        [(0.014486756595870003, 0.00022924725150998054),
-         (0.0033040821557384988, 0.0001966735691060839),
-         (0.006405736045409337, 0.00010757493244457557),
-         (0.0007596993723426107, 8.991414160725056e-05),
-         (0.002654256696334715, 4.4059426012453605e-05),
-         (0.00013017187396583332, 3.597251477776865e-05)]),
+        [(0.014660236925646738, 0.00024380955291232015),
+         (0.0035219907054372993, 0.000221236892415991),
+         (0.006581335119981393, 0.00012024335482423489),
+         (0.0009331164523379236, 0.00010713961886175472),
+         (0.002602297804498049, 3.272612157007303e-05),
+         (9.117833458578242e-05, 2.7564821854101154e-05)]),
     "atomic_pure_jump": (
         "9e4bc8adab31f5defaa9b9433e0e855dc1f64302754d961fe6fa555f546197fc",
         [(0.013498789580237236, 0.0002664284162129544),
@@ -353,8 +422,8 @@ PINNED = {
          (0.0062583432199923884, 0.000199991959369654),
          (0.009746971153677201, 0.0001293869185162644),
          (0.0014015345759261016, 9.300150676203625e-05),
-         (0.003288406299071783, 7.058458952646069e-05),
-         (0.00033530816105352407, 5.516428940941272e-05)]),
+         (0.003271682690464079, 6.068270031291083e-05),
+         (0.0002759903870051287, 4.361338792548923e-05)]),
     "stable_exact": (
         "f659f21c7fed69c226798ae7b402df7b8b98575d24d84e0f13900eefa9516236",
         [(0.015119250153813157, 0.00020735937038590568),
@@ -363,6 +432,14 @@ PINNED = {
          (0.0006668606937750465, 9.544042182868988e-05),
          (0.0023664334630470354, 5.044171037775903e-05),
          (0.00015125191487642213, 4.153206469521639e-05)]),
+    "mixed_kernels": (
+        "d226021c2cf3bac0ed446c74cbb55d7fa3f03be613d8d7077532d928310f473d",
+        [(0.039058021059896565, 0.00026706580776608983),
+         (0.010885298015087138, 0.00015229695604704061),
+         (0.015097174946797312, 0.0001442950389855734),
+         (0.0015630246890086814, 4.65266022157073e-05),
+         (0.00433197801767225, 6.885689239581449e-05),
+         (0.0001865657273277128, 1.0664067930626778e-05)]),
     "three_atoms_no_diffusion": (
         "5f0890d5fa3a6bc0137e08c12d9f0a79c950c9c2d0093d46c74bbd0657ce8f86",
         [(0.02021337060821712, 0.00026343365661423654),
@@ -372,13 +449,13 @@ PINNED = {
          (0.001154791508617537, 6.309038255914211e-05),
          (0.0005635733193935029, 4.0056969964289434e-05)]),
     "laplace": (
-        "fee31fc91aaeb0f42ec6f53274cf9ac928c7abd6ff0acb50f2b27e40efb5867a",
-        [(0.01153328937574541, 0.0001994495551296638),
-         (0.0029748158826473697, 0.0001666821083512976),
-         (0.005059208663156935, 9.929743704993691e-05),
-         (0.0007726043669011619, 8.112283299882693e-05),
-         (0.002007457300596146, 3.6928367204397094e-05),
-         (0.00011617356394594229, 2.872114219010926e-05)]),
+        "7683b4b2e046967def30fbf13297c23b48a510d57a10c6804603a2f2cad05b4c",
+        [(0.01170367580650052, 0.00020455470036247607),
+         (0.003156073464169566, 0.00017719724777287346),
+         (0.0051493799075439965, 0.0001132617532535771),
+         (0.0008504799985135487, 9.92584698251705e-05),
+         (0.002114213241202125, 5.1836597465492285e-05),
+         (0.0001992093968829423, 4.4467658567406913e-05)]),
     "density_cdf_table": (
         "bfa9b45eaccaa2d36001530e314e18e067a7d6aa7e4c1f3be4c7fe552a45313f",
         [(0.01304022602269068, 0.00038578516748354085),
@@ -393,8 +470,8 @@ PINNED = {
          (0.00739190792708452, 0.00023321685737476733),
          (0.009822751641569235, 0.0001425798513251723),
          (0.0016903479775522026, 0.00010636678707388586),
-         (0.0032945696832183055, 7.622439621087422e-05),
-         (0.00038713537676496703, 6.0683034391107856e-05)]),
+         (0.0032698722934846576, 6.713528350326077e-05),
+         (0.0003305981855964217, 5.030869711044345e-05)]),
     "mc_stable_const_c": (
         "419be66fa0b8a54db57b3338b387f287881ec511a4b7e6dd9eb3e03d2f6d5df6",
         [(0.034327201487247425, 0.0005231615324513755),
@@ -558,6 +635,20 @@ def test_slope_study_insufficient_signal():
     cfg = st.SimConfig(n_paths=1000, master_seed=1)
     with pytest.raises(st.InsufficientSignal):
         st.slope_study(ec, 1.0, [1e-4, 1e-3, 1e-2, 0.05], 0.5, cfg)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_slope_study_exact_rows_raise_insufficient_signal(sigma):
+    # a jump too rare to occur in 1000 paths: with sigma = 0 every row is
+    # the deterministic price, with sigma > 0 the conditional kernel's
+    # Black-Scholes price; either way the standard errors are 0, the
+    # regression has no weight, and it ended in a ZeroDivisionError
+    ec = st.ExpModelCharacteristics(1.0, 0.05, sigma, st.atomic([(0.1, 1e-9)]))
+    cfg = st.SimConfig(n_paths=1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(st.InsufficientSignal):
+            st.slope_study(ec, 1.0, [1e-3, 3e-3, 1e-2, 0.1], 1.0, cfg)
 
 
 def test_stepwise_rate_hook():

@@ -30,7 +30,12 @@ Both trees run the same probes, each in a fresh interpreter with the tree's
   and three two-dimensional builtin families, ordinary and sharp (a
   mollified call with n = 1e6, a bump of width 1e-3, ``exp_affine`` with
   weights (30, 1)), or the error raised, plus ``expansion`` CLI runs on the
-  sharp one-dimensional functions.
+  sharp one-dimensional functions;
+* a conditional-kernel probe recording every ``price_grid`` cell at
+  strikes 0, 0.9, 1, 1.1 with 1 and 2 workers for Merton at t in {1e-5,
+  1e-3, 0.03}, atoms at +-0.1 with sigma = 0.15, Laplace jumps with
+  sigma = 0.15, and a grid whose Poisson means straddle the sparse-count
+  crossover (plain and conditional maturities in one pass).
 
 Each probe records its exit code, stdout and stderr. The script prints a
 unified diff of the two transcripts and exits 1 on any difference, 0 when
@@ -268,6 +273,29 @@ for name, make in FUNCTIONS:
                 print(tag, f"curvature_remainder y={y!r}:", type(exc).__name__, exc)
 '''
 
+CONDITIONAL = r'''
+import smalltime as st
+
+MODELS = [
+    ("merton", st.ExpModelCharacteristics(1.0, 0.0, 0.2, st.normal_jumps(1.0, 0.0, 0.4)),
+     [1e-5, 1e-3, 0.03]),
+    ("two_atoms", st.ExpModelCharacteristics(
+        1.0, 0.02, 0.15, st.atomic([(0.1, 1.0), (-0.1, 1.0)])), [1e-3, 0.03]),
+    ("laplace", st.ExpModelCharacteristics(
+        1.0, 0.02, 0.15, st.laplace_jumps(1.5, 0.2, 0.05)), [1e-3, 0.03]),
+    # Poisson means 0.6, 0.15 and 0.03 per path
+    ("straddle", st.ExpModelCharacteristics(
+        1.0, 0.01, 0.15, st.atomic([(0.1, 30.0), (-0.1, 20.0)])), [0.02, 0.005, 1e-3]),
+]
+for name, ec, ts in MODELS:
+    for workers in (1, 2):
+        cfg = st.SimConfig(n_paths=2**17 + 1000, master_seed=7, n_workers=workers)
+        grid = st.price_grid(ec, ts, [0.0, 0.9, 1.0, 1.1], cfg)
+        for t, row in zip(ts, grid):
+            print(f"conditional {name} t={t} workers={workers}:",
+                  [(e.value, e.std_error) for e in row])
+'''
+
 
 def _run(tree, args, cwd):
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -293,6 +321,8 @@ def transcript(tree, spec_dir):
     lines += _run(tree, ["-c", ANALYTIC], spec_dir)
     lines.append("## functions")
     lines += _run(tree, ["-c", FUNCTIONS], spec_dir)
+    lines.append("## conditional")
+    lines += _run(tree, ["-c", CONDITIONAL], spec_dir)
     return lines
 
 
@@ -322,12 +352,15 @@ def main(argv):
     if diff:
         print("\n".join(diff))
         return 1
+    sweep = new[new.index("## sweep"):new.index("## analytic")]
     analytic = new[new.index("## analytic"):new.index("## functions")]
-    functions = new[new.index("## functions"):]
+    functions = new[new.index("## functions"):new.index("## conditional")]
+    conditional = new[new.index("## conditional"):]
     print(f"identical: {len(DEMOS)} demos, {len(CLI_RUNS)} CLI runs, "
-          f"{sum('workers=' in x for x in new)} sweep rows, "
+          f"{sum('workers=' in x for x in sweep)} sweep rows, "
           f"{sum(':' in x for x in analytic)} analytic rows, "
-          f"{sum(':' in x for x in functions)} function rows")
+          f"{sum(':' in x for x in functions)} function rows, "
+          f"{sum('workers=' in x for x in conditional)} conditional rows")
     return 0
 
 
