@@ -188,7 +188,7 @@ class DensityCompensator(JumpCompensator):
         ``sum_sampler(rng, counts)`` returning, for each path i, the sum of
         ``counts[i]`` iid jump sizes from the normalized density in one
         shot. Without it the simulator sums per-jump draws from a tabulated
-        inverse CDF of ``fn``. The hook does not depend on the intensity, so
+        CDF of ``fn`` (an alias table). The hook does not depend on the intensity, so
         ``scaled`` passes it through.
     """
 

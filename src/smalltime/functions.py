@@ -2,9 +2,9 @@
 
 Every instance carries value, gradient and Hessian evaluators in closed form
 plus, in one dimension, the second-order Taylor remainder used by the
-singular jump quadratures: cancellation-free for every family but
-``mollified_call``, which takes the direct difference quotient. The tests
-check each family's derivatives against centered finite differences.
+singular jump quadratures, in a cancellation-free closed form for every
+family. The tests check each family's derivatives against centered finite
+differences.
 """
 
 import math
@@ -43,11 +43,7 @@ class SmoothFunction:
         """(f(x+y) - f(x) - y f'(x)) / y^2 for scalar x, stable near y = 0."""
         if self.dim != 1:
             raise DimensionMismatch("curvature_remainder is one-dimensional")
-        if self._curvature is not None:
-            return self._curvature(x, y)
-        if y == 0.0:
-            return 0.5 * self.hessian(x)
-        return (self.value(x + y) - self.value(x) - y * self.gradient(x)) / (y * y)
+        return self._curvature(x, y)
 
 
 # ----------------------------------------------------------------------
@@ -208,8 +204,32 @@ def mollified_call(strike, n):
         hess = nn * 0.75 * (1.0 - s * s)
         return val, grad, hess
 
+    def curvature(x, y):
+        # int_0^1 (1 - s) f''(x + s y) ds with f'' = (3n/4)(1 - u^2) in the
+        # band coordinate u = n (. - K) on [-1, 1] and 0 outside: over the
+        # part [p, q] of [ua, ub] inside the band, Simpson's rule is exact
+        # for the cubic (ub - u)(1 - u^2), whose nodes share one sign, so
+        # nothing cancels; the factor ub - u is carried divided by d = n y
+        if y == 0.0:
+            return 0.5 * _pieces(x)[2]
+        ua, d = nn * (x - K), nn * y
+        ub = ua + d
+        if min(ua, ub) >= 1.0 or max(ua, ub) <= -1.0:
+            return 0.0  # one side of the band: f is affine from x to x + y
+        p, q = min(max(ua, -1.0), 1.0), min(max(ub, -1.0), 1.0)
+        wp = 1.0 if p == ua else (ub - p) / d
+        wq = 0.0 if q == ub else (ub - q) / d
+        m = 0.5 * (p + q)
+        # (q - p) / d, which is 1 inside the band even where d is below
+        # the rounding of ua
+        span = 1.0 if (p, q) == (ua, ub) else (q - p) / d
+        return (nn / 8.0 * span
+                * (wp * (1.0 - p) * (1.0 + p) + 2.0 * (wp + wq) * (1.0 - m) * (1.0 + m)
+                   + wq * (1.0 - q) * (1.0 + q)))
+
     return SmoothFunction(1, "mollified_call", lambda x: _pieces(x)[0],
-                          lambda x: _pieces(x)[1], lambda x: _pieces(x)[2])
+                          lambda x: _pieces(x)[1], lambda x: _pieces(x)[2],
+                          curvature)
 
 
 _FAMILIES = {

@@ -77,36 +77,65 @@ of two ways (``_poisson_counts``), by its Poisson mean per path mu = lam t:
 * from 0.5 up, one ``rng.poisson(mu)`` draw per path.
 
 Both give iid Poisson(mu) counts; the sparse branch draws other samples
-than the dense one would. Cost per stream and block in ms at n = 2**16
-(fastest of 25 x 40 calls, 2 shared vCPUs; "every path" is the dense
-branch forced at every mu):
+than the dense one would. Cost per stream and block in ms at n = 2**16,
+as ``tools/sampler_costs.py --repeat 25 --number 40`` prints it (fastest
+of 25 x 40 calls, 2 shared vCPUs; "every path" is the dense branch forced
+at every mu; the power tail is one side at alpha 1.5, cutoff 0.01, c = 1
+for the closed form and c(y) = 1 + y/2 for the table):
 
-    =========================  =====  ====  ====  ====  ====  ====  =====
-    mu                         0.001  0.03  0.3   0.5   0.7   1     6.66
-    =========================  =====  ====  ====  ====  ====  ====  =====
-    counts, every path         0.82   0.82  2.09  1.89  2.17  2.46  4.86
-    counts, sparse             0.04   0.10  1.09  1.08  1.83  2.36  7.44
-    + normal sum, every path   3.53   2.71  3.99  4.12  4.56  4.27  9.37
-    + normal sum, sparse       0.05   0.18  1.30  2.12  3.35  3.90  9.64
-    + Laplace sum, every path  3.22   3.56  5.33  6.16  7.05  7.94  10.38
-    + Laplace sum, sparse      0.07   0.33  1.49  2.51  3.82  5.76  14.46
-    =========================  =====  ====  ====  ====  ====  ====  =====
+    =====================================  =====  ====  ====  ====  ====  ====  =====
+    mu                                     0.001  0.03  0.3   0.5   0.7   1     6.66
+    =====================================  =====  ====  ====  ====  ====  ====  =====
+    counts, every path                     1.20   1.62  2.25  2.64  3.04  3.37  7.06
+    counts, sparse                         0.02   0.12  0.84  1.46  2.56  3.81  9.43
+    + normal sum, every path               3.61   3.69  4.58  5.33  5.34  5.50  8.80
+    + normal sum, sparse                   0.05   0.19  1.45  2.71  3.39  4.91  11.72
+    + Laplace sum, every path              3.47   4.07  5.37  6.86  8.40  9.49  13.71
+    + Laplace sum, sparse                  0.08   0.27  2.10  3.78  5.79  8.16  14.66
+    + power tail, closed form, every path  1.46   1.80  3.28  3.94  4.75  5.45  19.14
+    + power tail, closed form, sparse      0.06   0.18  1.34  2.39  3.40  4.83  21.73
+    + power tail, table, every path        1.39   1.59  3.00  3.53  4.70  5.16  18.68
+    + power tail, table, sparse            0.07   0.22  1.34  2.27  3.60  5.30  24.23
+    =====================================  =====  ====  ====  ====  ====  ====  =====
 
-At 0.5 the sparse branch is 1.4 to 1.9 times as fast; near 1 it is at
-parity and above it slower (an earlier run of the table had it losing from
-0.7), so the crossover sits at 0.5, with margin. The power-tail streams of
-stable-like models (mu of about 6.7 at t = 0.01, cutoff 0.01, c = 1) stay
-dense and keep their samples. Still allocated per block: the counts, what
-the hooks return, and the uniforms of the power-tail inverse CDF, which is
-then transformed in place.
+At 0.5 the sparse branch is 1.6 to 2 times as fast; near 1 it is at
+parity and above it slower (earlier runs had it losing from 0.7), so the
+crossover sits at 0.5, with margin. The power-tail streams of stable-like
+models (mu of about 6.7 at t = 0.01, cutoff 0.01) stay dense and keep
+their samples. Still allocated per block: the counts, what the hooks
+return, the per-jump owner index of ``_per_jump``, and one row of
+per-jump draws per power-tail side or CDF table, each transformed in place
+(the CDF table's in chunks, below).
 
-The Laplace rows, from a later run, draw each path's sum as the difference
-of two Gamma draws (``laplace_jumps``). In that run, summing one Laplace
-draw per jump instead took 1.46, 1.56, 3.22, 4.42, 4.98, 6.28 and 22.80 ms
-on every path, and 0.03, 0.25, 1.57, 2.83, 3.49, 4.56 and 22.40 ms sparse.
-On the branch each mu uses, the Gamma pair is within 0.1 ms below 0.5, 1.3
-to 1.4 times as slow from 0.5 to 1 and twice as fast at 6.66, and it
+The Laplace rows draw each path's sum as the difference of two Gamma
+draws (``laplace_jumps``). In an earlier run, summing one Laplace draw per
+jump instead took 1.46, 1.56, 3.22, 4.42, 4.98, 6.28 and 22.80 ms on every
+path, and 0.03, 0.25, 1.57, 2.83, 3.49, 4.56 and 22.40 ms sparse; on the
+branch each mu uses, the Gamma pair was within 0.1 ms below 0.5, 1.3 to
+1.4 times as slow from 0.5 to 1 and twice as fast at 6.66, and it
 allocates per path, not per jump.
+
+Jump sizes without a closed-form sampler come from a CDF table: a
+density's without ``sum_sampler``, and each side of the power tail when c
+is a callable. ``_table_sampler`` draws them by Walker's alias method, O(1)
+per draw, in the law of the former ``np.interp`` inversion of the table.
+That inversion's binary search over 4097 nodes in random order cost 33.0
+ms per side of a 2**16-path block at t = 0.01 (about 436,000 jumps,
+callable c), against 6.7 ms now, the 4.1 ms of the Philox uniforms
+included in both; in the table above the two power-tail rows now cost
+alike. The draw runs in place over chunks of ``_TABLE_CHUNK`` draws with
+reused index and scratch rows; per side of that block, in ms (fastest of
+15, 2 shared vCPUs):
+
+    ===========  ====  ====  ====  ====  =====  =====  =====  ===============
+    chunk        1024  2048  4096  8192  16384  32768  65536  whole (436,000)
+    ===========  ====  ====  ====  ====  =====  =====  =====  ===============
+    alias draw   13.4  9.2   8.1   6.7   6.7    6.7    7.3    15.7
+    ===========  ====  ====  ====  ====  =====  =====  =====  ===============
+
+Unchunked, its block-long index and scratch rows also raise the peak RSS
+of six callable-c ``estimate_call`` at 2**18 paths from 91.6 to 98.2 MB
+(93.9 MB with the inversion).
 
 The jump component is a list of parts of two types, each carrying the
 exponential compensation of what it draws:
@@ -115,7 +144,7 @@ exponential compensation of what it draws:
   each block draws Poisson counts per stream, as above, and adds the sum of
   that many jump sizes to each path that jumps. Atomic measures give one
   stream per atom, finite-activity densities one stream (their
-  ``sum_sampler``, else an inverted CDF table summed per path by
+  ``sum_sampler``, else draws from a CDF table summed per path by
   ``_per_jump``), and the truncated stable-like tail one stream per side.
 * ``_StableIncrement``: the exact small-jump stable increment.
 
@@ -153,6 +182,8 @@ _WORKSPACE_ROWS = 4
 # Poisson mean per path from which a block draws a count for every path
 # instead of only for the paths that jump (module docstring, measured table)
 _SPARSE_BELOW = 0.5
+# draws per pass of the CDF-table sampler (module docstring, measured table)
+_TABLE_CHUNK = 1 << 14
 # largest mean numpy's Poisson sampler accepts
 _POISSON_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
@@ -198,17 +229,80 @@ def _stable_standard(u, e, alpha):
             * (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha))
 
 
+def _alias_table(mass):
+    """Walker's alias table of the cell probabilities ``mass`` (Vose 1991):
+    slot j keeps cell j with probability ``keep[j]``, else gives cell
+    ``alias[j]``. Only a cell whose share fills at least one slot becomes
+    an alias, so a cell of zero mass is never drawn."""
+    n = mass.size
+    keep = (mass * (n / mass.sum())).tolist()
+    alias = list(range(n))
+    small = [j for j, q in enumerate(keep) if q < 1.0]
+    large = [j for j, q in enumerate(keep) if q >= 1.0]
+    while small and large:
+        j, big = small.pop(), large[-1]
+        alias[j] = big
+        keep[big] = (keep[big] + keep[j]) - 1.0
+        if keep[big] < 1.0:
+            small.append(large.pop())
+    # what is left keeps its own cell: its share is 1 up to rounding
+    for j in small + large:
+        keep[j] = 1.0
+    return np.array(keep), np.array(alias)
+
+
 def _table_sampler(grid, density_values):
-    """Sampler ``(rng, size)`` inverting the normalized trapezoid CDF of
-    density values (clamped at 0) tabulated on grid."""
+    """Sampler ``(rng, size)`` of the normalized trapezoid CDF of density
+    values (clamped at 0) tabulated on grid, linear between the nodes.
+
+    Its law is that of the inversion ``np.interp(u, cdf, grid)``: cell i
+    with probability cdf[i+1] - cdf[i], uniform inside it. Walker's alias
+    method draws it in O(1) per draw with one uniform u each: the integer
+    part of u n picks slot j of the n cells, and its fraction f both picks
+    cell j (f < keep[j]) or its alias and places the draw inside that cell,
+    as ``offset[2j + take] + slope[2j + take] * f``. The draw runs in place
+    over chunks of ``_TABLE_CHUNK``, whose index and scratch rows are reused
+    (module docstring)."""
     dens = np.maximum(np.asarray(density_values, dtype=float), 0.0)
     cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
     if cdf[-1] <= 0:
         raise InvariantViolation("density has no mass on its support")
     cdf /= cdf[-1]
+    keep, alias = _alias_table(np.diff(cdf))
+    n = keep.size
+    width = np.diff(grid)
+    # the affine map of f in [0, keep) onto cell j at 2j, of f in
+    # [keep, 1) onto cell alias[j] at 2j + 1; a branch never taken gets 0
+    offset, slope = np.empty(2 * n), np.empty(2 * n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope[0::2] = np.where(keep > 0.0, width / keep, 0.0)
+        slope[1::2] = np.where(keep < 1.0, width[alias] / (1.0 - keep), 0.0)
+    offset[0::2] = grid[:-1]
+    offset[1::2] = grid[alias] - slope[1::2] * keep
+    lo, hi = grid[0], grid[-1]
 
     def sampler(rng, size):
-        return np.interp(rng.uniform(0.0, 1.0, size), cdf, grid)
+        out = rng.random(size)
+        slot = np.empty(min(size, _TABLE_CHUNK), dtype=np.intp)
+        take = np.empty(slot.size, dtype=bool)
+        scratch = np.empty(slot.size)
+        for start in range(0, size, _TABLE_CHUNK):
+            f = out[start:start + _TABLE_CHUNK]
+            j, t, w = slot[:f.size], take[:f.size], scratch[:f.size]
+            f *= n
+            np.copyto(j, f, casting="unsafe")  # truncates
+            f -= j
+            np.take(keep, j, out=w)
+            np.greater_equal(f, w, out=t)
+            j += j
+            j += t
+            np.take(slope, j, out=w)
+            f *= w
+            np.take(offset, j, out=w)
+            f += w
+            # rounding must not leave the table
+            np.clip(f, lo, hi, out=f)
+        return out
 
     return sampler
 

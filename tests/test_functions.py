@@ -61,6 +61,31 @@ def test_narrow_bump_remainder_from_its_far_tail(x, y):
     assert f.curvature_remainder(x, y) == pytest.approx(direct, rel=1e-12, abs=0.0)
 
 
+def test_mollified_call_remainder_matches_direct():
+    # band [0.5, 1.5]; every segment from x to x + y meets it, so the
+    # direct quotient keeps its digits
+    f = st.mollified_call(1.0, 2.0)
+    for x in (0.3, 0.8, 1.1, 1.4, 1.9):
+        for y in (0.5, -0.7, 0.25, 1.2, -0.05, -1.2):
+            lo, hi = sorted((x, x + y))
+            if hi <= 0.5 or lo >= 1.5:
+                continue
+            direct = (f.value(x + y) - f.value(x) - y * f.gradient(x)) / (y * y)
+            assert f.curvature_remainder(x, y) == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("x, y", [(0.3, 0.1), (0.5, -0.4), (1.5, 0.2), (2.0, -0.5), (3.0, 1e-300)])
+def test_mollified_call_remainder_zero_on_one_side_of_the_band(x, y):
+    # f is affine from x to x + y: the remainder is exactly 0
+    assert st.mollified_call(1.0, 2.0).curvature_remainder(x, y) == 0.0
+
+
+def test_mollified_call_remainder_below_rounding_of_x():
+    # n y is far below the rounding of n (x - K): the limit f''(x)/2 still
+    f = st.mollified_call(1.0, 2.0)
+    assert f.curvature_remainder(0.9, 1e-200) == pytest.approx(0.5 * f.hessian(0.9), rel=1e-15)
+
+
 def test_multidim_families():
     g = st.gaussian_bump([0.1, -0.2], 0.8, height=1.5)
     e = st.exp_affine([0.3, -0.4], offset=0.2)

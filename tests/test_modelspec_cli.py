@@ -194,6 +194,22 @@ def test_cmd_expansion_on_sharp_or_large_functions(tmp_path, capsys, spec, gener
     assert rec["generator_value"] == pytest.approx(generator_value, rel=1e-12, abs=1e-300)
 
 
+def test_cmd_expansion_wide_mollified_call_under_stable_jumps(tmp_path, capsys):
+    # the band [0, 2] holds every jump: the direct quotient of the remainder
+    # lost digits near y = 0 and quadrature refused it (exit 4)
+    spec = {"model": {"S0": 1.0, "r": 0.01, "sigma": 0.2,
+                      "jumps": {"type": "stable_like", "alpha": 1.5, "c": 1.0}},
+            "query": {"f": {"family": "mollified_call", "strike": 1.0, "n": 1}}}
+    path = write_spec(tmp_path, spec)
+    code, out, err = run_cli(capsys, ["expansion", "--spec", path, "--t", "0.001"])
+    assert code == 0 and err == ""
+    rec = json.loads(out, parse_constant=_reject_constant)
+    # r f'(1) + sigma^2 f''(1)/2 + the jump integral of f(e^y) - f(1) -
+    # (e^y - 1) f'(1) against |y|^-2.5 on [-1, 1], the last by mpmath at 40
+    # digits
+    assert rec["generator_value"] == pytest.approx(1.585391894240993, rel=1e-9)
+
+
 @pytest.mark.parametrize("nu", [
     {"type": "atomic", "atoms": [[0.1, 1.0]]},
     {"type": "density", "family": "normal", "intensity": 1.0, "mean": 0.0, "std": 0.3},

@@ -18,7 +18,7 @@ from scipy.stats import chisquare, ks_2samp, norm, poisson
 import smalltime as st
 from smalltime.montecarlo import (_SPARSE_BELOW, _WORKSPACE_ROWS, _CompoundPoisson,
                                   _poisson_counts, _SimulationPlan, _stable_standard,
-                                  price_grid)
+                                  _table_sampler, price_grid)
 
 
 def bs_call(S0, K, sigma, t, r=0.0):
@@ -276,6 +276,61 @@ def test_laplace_sum_sampler_law(k):
     assert ks_2samp(sums[counts > 0], reference).pvalue > 1e-3
 
 
+def _interp_inversion(rng, size, grid, cdf):
+    """The CDF-table draw the alias sampler replaced, kept as the reference
+    law: inverse of the piecewise-linear CDF through (grid, cdf)."""
+    return np.interp(rng.uniform(0.0, 1.0, size), cdf, grid)
+
+
+_POWER_GRID = np.linspace(0.01, 1.0, 4097)
+_SIGNED_GRID = np.linspace(-1.0, 1.0, 4097)
+_SPIKE = np.ones(4097)
+_SPIKE[0] = 1e6
+TABLE_LAWS = {
+    # one side of the callable-c power tail: c(y) = 1 + y/2, alpha 1.5,
+    # cutoff 0.01
+    "power_tail": (_POWER_GRID, (1.0 + 0.5 * _POWER_GRID) * _POWER_GRID ** -2.5),
+    # zero on [-0.25, 0.25], negative values clamped: 1024 zero-mass cells
+    "zero_cells": (_SIGNED_GRID, np.where(np.abs(_SIGNED_GRID) > 0.25,
+                                          3.0 * (1.0 - np.abs(_SIGNED_GRID)), -1.0)),
+    # the first cell holds 99.2% of the mass
+    "one_cell": (_SIGNED_GRID, _SPIKE),
+}
+
+
+@pytest.mark.parametrize("case", TABLE_LAWS)
+def test_table_sampler_law(case):
+    grid, dens = TABLE_LAWS[case]
+    clamped = np.maximum(dens, 0.0)
+    cdf = np.concatenate([[0.0], np.cumsum((clamped[1:] + clamped[:-1]) * 0.5 * np.diff(grid))])
+    cdf /= cdf[-1]
+    mass = np.diff(cdf)
+    n = 2_000_000
+    draws = _table_sampler(grid, dens)(_philox(11, 0), n)
+    assert draws.shape == (n,)
+    assert grid[0] <= draws.min() and draws.max() <= grid[-1]
+    # cell i is [grid[i], grid[i+1]); the top node belongs to the last cell
+    cell = np.minimum(np.searchsorted(grid, draws, side="right") - 1, mass.size - 1)
+    observed = np.bincount(cell, minlength=mass.size)
+    assert not observed[mass == 0.0].any()
+    # chi-square of cell frequencies against the trapezoid masses, adjacent
+    # cells pooled until each bin expects at least 5 draws
+    expected = n * mass
+    edges, acc = [0], 0.0
+    for i, e in enumerate(expected):
+        acc += e
+        if acc >= 5.0:
+            edges.append(i + 1)
+            acc = 0.0
+    edges[-1] = mass.size
+    obs = np.add.reduceat(observed, edges[:-1])
+    exp = np.add.reduceat(expected, edges[:-1])
+    assert chisquare(obs, exp * (n / exp.sum())).pvalue > 1e-3
+    # the whole law, in-cell placement included, against the inversion
+    reference = _interp_inversion(_philox(11, 1), n, grid, cdf)
+    assert ks_2samp(draws, reference).pvalue > 1e-3
+
+
 # ----------------------------------------------------------------------
 # streaming grid core
 
@@ -457,29 +512,29 @@ PINNED = {
          (0.002114213241202125, 5.1836597465492285e-05),
          (0.0001992093968829423, 4.4467658567406913e-05)]),
     "density_cdf_table": (
-        "bfa9b45eaccaa2d36001530e314e18e067a7d6aa7e4c1f3be4c7fe552a45313f",
-        [(0.01304022602269068, 0.00038578516748354085),
-         (0.010366340572028081, 0.0003383172251554966),
-         (0.003191766974086143, 0.00019061494994648755),
-         (0.002526986060588275, 0.00016664104716288547),
-         (0.000651151917827417, 8.418255149818055e-05),
-         (0.000514087682829493, 7.301200036224856e-05)]),
+        "962fcd324e70e8c44efd0c87f8fa1c805fb5650a080e9d5b00dd15ac7de09d7b",
+        [(0.012500799551940394, 0.00037631954443001817),
+         (0.009846388379643698, 0.00032985338516993985),
+         (0.0031857757013925535, 0.00019167242085294406),
+         (0.0025186087760718304, 0.00016789738587921754),
+         (0.0006772621102162142, 8.654253484040891e-05),
+         (0.0005391391240107146, 7.520350666800905e-05)]),
     "stable_callable_c": (
-        "a8bfeb7fd8c4ed2b626f8a539bc4cf88609324fee249134b9c18c16e180c2efe",
-        [(0.02480367952511354, 0.00029257067339143064),
-         (0.00739190792708452, 0.00023321685737476733),
-         (0.009822751641569235, 0.0001425798513251723),
-         (0.0016903479775522026, 0.00010636678707388586),
-         (0.0032698722934846576, 6.713528350326077e-05),
-         (0.0003305981855964217, 5.030869711044345e-05)]),
+        "8458f9b1be699e9ac0203849468712fd817d92635a617a42681f49ef582391ce",
+        [(0.025609695915435406, 0.00031026300129364165),
+         (0.008069572615196188, 0.00025136316769906004),
+         (0.009816917773285597, 0.00014773744690346787),
+         (0.001714891687497447, 0.00011304766059358071),
+         (0.0032671939178099073, 7.887552269721588e-05),
+         (0.0003700518280316711, 6.468209173125383e-05)]),
     "mc_stable_const_c": (
         "419be66fa0b8a54db57b3338b387f287881ec511a4b7e6dd9eb3e03d2f6d5df6",
         [(0.034327201487247425, 0.0005231615324513755),
          (0.021222673348521064, 0.00045064097016799974)]),
     "mc_stable_callable_c": (
-        "e9057127abe116485398a39e0a609a35b3e35533cf5973b20a078d7749371aed",
-        [(0.037625581927773676, 0.0005947052845710646),
-         (0.024681651503083588, 0.0005232621435430394)]),
+        "35cfdc2c6aac09a17b136420ffff9c0d8cc47e354b0527b8c49ac3f55ab91175",
+        [(0.037472129330609165, 0.0005838919781961286),
+         (0.024349765898298972, 0.0005117167484700015)]),
 }
 
 
