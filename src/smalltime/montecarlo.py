@@ -29,12 +29,20 @@ the model and the maturity:
   by its expectation given J: the Black-Scholes price at the forward
   F e^J, with F = E S_t / E e^J (conditional Monte Carlo, Glasserman 2003,
   section 4.5). The block restores its initial generator state and draws
-  each stream's sparse counts and jump sums (``_SimulationPlan.jump_sums``)
-  in the plain kernel's order, but no normals. It prices only the m paths
-  that jump; the other n - m share the price at J = 0, so the partial of
-  the n conditional payoffs costs O(m) and needs no row of length n. The
-  estimator keeps n_paths and the iid standard error, is unbiased, and
-  its variance is no larger than the plain one (Rao-Blackwell).
+  the jump sums from one superposed Poisson clock
+  (``_SimulationPlan.jump_sums``), with no normals and no path index: with
+  Lambda the sum of the stream intensities, m ~ Binomial(n, 1 - e^-Lambda t)
+  paths jump, their counts are zero-truncated Poisson(Lambda t) draws
+  (``_ztp_counts``), and with several streams one multinomial draw splits
+  each count among them in proportion to their intensities (superposition
+  and thinning of Poisson processes). It prices only those m paths; the
+  other n - m share the price at J = 0, so the partial of the n
+  conditional payoffs costs O(m) and needs no row of length n. The partial
+  is a symmetric function of the n jump sums, whose joint law the clock
+  draws exactly, so no path needs an index: the estimator keeps n_paths
+  and the iid standard error, is unbiased, and its variance is no larger
+  than the plain one (Rao-Blackwell). Its draws are not those of the
+  plain kernel.
 * plain, for every other maturity: the block draws the standard normals
   once for all plain maturities (each scales the same vector by
   sigma sqrt(t)), snapshots the generator state, and for each maturity
@@ -50,9 +58,11 @@ always draws plain samples. At short horizons almost no path jumps (97 to
 99.9% of the paths on the t <= 0.03 grid at intensity 1), so a
 conditional maturity costs little: one ``verify`` of the README Merton
 spec (2**20 paths, four maturities, one strike, in-process) takes a
-median of 20 ms, against 69 ms with every maturity plain (2 shared
-vCPUs). Most of that gain is cost per path; the variance falls only about
-1.2x there, because the paths that jump carry most of it.
+median of 9 to 11 ms, against 60 to 65 ms with every maturity plain, and
+16 ms when each stream drew its own sparse counts and path indices (two
+runs of 40 calls each, 2 shared vCPUs). Most of that gain is cost per
+path; the variance falls only about 1.2x there, because the paths that
+jump carry most of it.
 
 Each lane owns one workspace, four block-long rows allocated once per
 call, and the plain kernel writes into it in place, in this order: the
@@ -70,39 +80,60 @@ A compound-Poisson stream of intensity lam draws its block's counts in one
 of two ways (``_poisson_counts``), by its Poisson mean per path mu = lam t:
 
 * below ``_SPARSE_BELOW`` = 0.5, only for the paths that jump: their number
-  is Binomial(n, 1 - e^-mu), the paths a uniform subset, each count a
-  zero-truncated Poisson draw, and the ``sum_sampler`` hook gets only those
-  counts. At short horizons mu is small (at most 0.03 on a t <= 0.03 grid at
-  intensity 1), so the block costs O(n mu) instead of O(n);
+  is Binomial(n, 1 - e^-mu), the paths a uniform subset (``rng.choice``),
+  their counts zero-truncated Poisson draws, and the ``sum_sampler`` hook
+  gets only those counts. At short horizons mu is small (at most 0.03 on a
+  t <= 0.03 grid at intensity 1), so the block costs O(n mu) instead of
+  O(n);
 * from 0.5 up, one ``rng.poisson(mu)`` draw per path.
 
 Both give iid Poisson(mu) counts; the sparse branch draws other samples
-than the dense one would. Cost per stream and block in ms at n = 2**16,
-as ``tools/sampler_costs.py --repeat 25 --number 40`` prints it (fastest
-of 25 x 40 calls, 2 shared vCPUs; "every path" is the dense branch forced
-at every mu; the power tail is one side at alpha 1.5, cutoff 0.01, c = 1
-for the closed form and c(y) = 1 + y/2 for the table):
+than the dense one would.
+
+The zero-truncated counts (``_ztp_counts``, shared with the conditional
+clock) cost O(k) draws for the k of them that are 2 or more: k ~
+Binomial(m, q) with q = P(N >= 2 | N >= 1) = 1 - mu / (e^mu - 1), each of
+those is 2 plus an inversion of a short table of N - 2 given N >= 2,
+built once per mu, and every other count is 1. Those k come first; the
+random order of ``rng.choice`` puts them on a uniform subset of the paths.
+Per block of 2**16 paths at mu = 0.001, 0.003, 0.01, 0.03 and 0.3, the
+sparse branch takes 13, 18, 35, 60 and 210 us, of which the counts
+(the binomial draw for m included) take 3, 5, 9, 10 and 53 us; with one
+first-arrival uniform and an array-mean ``rng.poisson`` per jumping path
+it took 27, 34, 62, 114 and 696 us (fastest of 15 x 200 calls, best of
+four runs, 2 shared vCPUs). The rest is ``rng.choice``, which the
+conditional clock does not call.
+
+Cost per stream and block in ms at n = 2**16, as
+``tools/sampler_costs.py --repeat 25 --number 40`` prints it (fastest of
+25 x 40 calls, 2 shared vCPUs; "every path" is the dense branch forced at
+every mu; the power tail is one side at alpha 1.5, cutoff 0.01, c = 1 for
+the closed form and c(y) = 1 + y/2 for the table; the clock row is the
+conditional kernel's draw for one stream of normal jumps, at every mu):
 
     =====================================  =====  ====  ====  ====  ====  ====  =====
     mu                                     0.001  0.03  0.3   0.5   0.7   1     6.66
     =====================================  =====  ====  ====  ====  ====  ====  =====
-    counts, every path                     1.20   1.62  2.25  2.64  3.04  3.37  7.06
-    counts, sparse                         0.02   0.12  0.84  1.46  2.56  3.81  9.43
-    + normal sum, every path               3.61   3.69  4.58  5.33  5.34  5.50  8.80
-    + normal sum, sparse                   0.05   0.19  1.45  2.71  3.39  4.91  11.72
-    + Laplace sum, every path              3.47   4.07  5.37  6.86  8.40  9.49  13.71
-    + Laplace sum, sparse                  0.08   0.27  2.10  3.78  5.79  8.16  14.66
-    + power tail, closed form, every path  1.46   1.80  3.28  3.94  4.75  5.45  19.14
-    + power tail, closed form, sparse      0.06   0.18  1.34  2.39  3.40  4.83  21.73
-    + power tail, table, every path        1.39   1.59  3.00  3.53  4.70  5.16  18.68
-    + power tail, table, sparse            0.07   0.22  1.34  2.27  3.60  5.30  24.23
+    counts, every path                     0.96   1.05  1.67  2.11  2.61  2.78  6.54
+    counts, sparse                         0.02   0.07  0.35  0.36  0.56  1.09  4.20
+    + normal sum, every path               3.31   4.52  5.25  5.28  5.43  5.69  7.05
+    + normal sum, sparse                   0.05   0.18  0.67  1.74  2.40  3.14  6.93
+    + Laplace sum, every path              3.45   3.56  5.38  6.85  7.85  9.00  12.77
+    + Laplace sum, sparse                  0.08   0.28  1.08  2.10  3.11  4.19  12.05
+    + power tail, closed form, every path  1.67   1.82  2.99  3.63  4.85  5.97  17.49
+    + power tail, closed form, sparse      0.05   0.12  0.57  0.99  1.35  1.88  12.23
+    + power tail, table, every path        1.11   1.13  2.31  3.32  3.90  5.13  23.87
+    + power tail, table, sparse            0.09   0.25  0.88  1.30  1.72  2.73  18.48
+    conditional clock + normal sum         0.01   0.05  0.43  0.69  1.16  1.57  4.02
     =====================================  =====  ====  ====  ====  ====  ====  =====
 
-At 0.5 the sparse branch is 1.6 to 2 times as fast; near 1 it is at
-parity and above it slower (earlier runs had it losing from 0.7), so the
-crossover sits at 0.5, with margin. The power-tail streams of stable-like
-models (mu of about 6.7 at t = 0.01, cutoff 0.01) stay dense and keep
-their samples. Still allocated per block: the counts, what the hooks
+The crossover was set at 0.5 when the sparse counts were first-arrival
+draws: the sparse branch was then 1.6 to 2 times as fast at 0.5, at parity
+near 1 and slower above it. With the zero-truncated sampler it is faster
+at every mean of the table, 6.66 included, but the crossover is kept: a
+maturity's kernel and every dense stream's samples stay as they were. The
+power-tail streams of stable-like models (mu of about 6.7 at t = 0.01,
+cutoff 0.01) therefore stay dense and keep their samples. Still allocated per block: the counts, what the hooks
 return, the per-jump owner index of ``_per_jump``, and one row of
 per-jump draws per power-tail side or CDF table, each transformed in place
 (the CDF table's in chunks, below).
@@ -162,6 +193,7 @@ Schemes for stable-like jumps:
   exponential compensation are both o(t**(1/alpha)).
 """
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -170,6 +202,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr
 
+from .compensators import em1_over, g2
 from .errors import (ConfigError, CutoffTooCoarse, DomainError,
                      InsufficientSignal, InvariantViolation)
 from .quadrature import quad_abs
@@ -321,6 +354,49 @@ def _per_jump(sampler):
     return sum_sampler
 
 
+@functools.lru_cache(maxsize=256)
+def _excess_cdf(mu):
+    """Cumulative weights of N - 2 given N >= 2 for N ~ Poisson(mu), as
+    multiples of the weight at its mode: entry i weighs mu^i / (i + 2)!
+    over the mode's. The table ends where the rest weighs less than 2^-64
+    of the mode; past the mode the ratios mu / (i + 3) of successive
+    weights fall, so the rest is below a geometric sum."""
+    mode = max(0, math.floor(mu) - 2)
+    log_mu = math.log(mu)
+    log_mode = math.lgamma(mode + 3) - mode * log_mu
+    weights, i = [], 0
+    while True:
+        w = math.exp(i * log_mu - math.lgamma(i + 3) + log_mode)
+        weights.append(w)
+        r = mu / (i + 3)  # the largest ratio of the weights after entry i
+        if r < 1.0 and w * r < (1.0 - r) * 2.0**-64:
+            cdf = np.cumsum(weights)
+            cdf.flags.writeable = False  # shared by every call at this mu
+            return cdf
+        i += 1
+
+
+def _ztp_counts(rng, mu, m):
+    """m iid counts of N given N >= 1 for N ~ Poisson(mu), with O(k) draws
+    for the k of them that are at least 2: k ~ Binomial(m, q) with
+    q = P(N >= 2 | N >= 1) = 1 - mu / (e^mu - 1), those k come first, each
+    2 plus an inversion of ``_excess_cdf``, and every other count is 1."""
+    counts = np.ones(m, dtype=np.int64)
+    if m == 0:
+        return counts
+    # q = (e^mu - 1 - mu) / (e^mu - 1) without cancellation; above 50,
+    # where e^mu may overflow, q is 1 to double precision
+    q = 1.0 if mu > 50.0 else min(mu * g2(mu) / em1_over(mu), 1.0)
+    k = rng.binomial(m, q)
+    if k:
+        cdf = _excess_cdf(mu)
+        u = rng.random(k)
+        u *= cdf[-1]
+        # rounding may put u at the table's end: it then takes the last entry
+        counts[:k] += 1 + np.searchsorted(cdf[:-1], u, side="right")
+    return counts
+
+
 def _poisson_counts(rng, mu, n):
     """n iid Poisson(mu) counts as ``(paths, counts)``: path ``paths[i]``
     has count ``counts[i]``, every other path has 0.
@@ -328,32 +404,25 @@ def _poisson_counts(rng, mu, n):
     From ``_SPARSE_BELOW`` up, every path gets one draw and ``paths`` is the
     whole block. Below it only the paths that jump get a count: their
     number is Binomial(n, 1 - e^-mu), their indices a uniform subset, and
-    each count is 1 + Poisson(mu (1 - T)), where T is the first arrival of a
-    rate-mu Poisson process on [0, 1] given that one arrives, drawn by
-    inverting its CDF (1 - e^(-mu s)) / (1 - e^-mu)."""
+    their counts come from ``_ztp_counts``."""
     if mu >= _SPARSE_BELOW:
         return slice(None), rng.poisson(mu, n)
-    p_jump = -math.expm1(-mu)
-    m = rng.binomial(n, p_jump)
-    paths = rng.choice(n, m, replace=False)
-    # mu (1 - T) with T = -log1p(-U p_jump) / mu
-    residual = np.log1p(rng.random(m) * -p_jump)
-    residual += mu
-    # rounding must not hand the sampler a negative mean
-    np.maximum(residual, 0.0, out=residual)
-    counts = rng.poisson(residual)
-    counts += 1
-    return paths, counts
+    m = rng.binomial(n, -math.expm1(-mu))
+    # choice returns its sample in random order, so the counts of 2 or more
+    # that _ztp_counts puts first land on a uniform subset of the paths
+    return rng.choice(n, m, replace=False), _ztp_counts(rng, mu, m)
 
 
 class _CompoundPoisson:
     """Finite-activity jump part: independent streams ``(intensity,
     sum_sampler)`` and the exact compensation, the integral of e^y - 1
     against the simulated measure. ``sum_sampler(rng, counts)`` returns, per
-    entry i, the sum of counts[i] iid jump sizes; when a stream's Poisson
-    mean is below ``_SPARSE_BELOW`` it receives only the counts of the paths
-    that jump (see ``_poisson_counts``), so its result may be shorter than
-    the block."""
+    entry i, the sum of counts[i] iid jump sizes (0 for a count of 0); when
+    a stream's Poisson mean is below ``_SPARSE_BELOW`` it receives only the
+    counts of the paths that jump (see ``_poisson_counts``), so its result
+    may be shorter than the block. The conditional kernel does not call
+    ``draw``: it hands each hook that stream's share of the counts of the
+    superposed clock, zeros included (``_SimulationPlan.jump_sums``)."""
 
     def __init__(self, streams, compensation):
         self.streams = streams
@@ -484,7 +553,8 @@ class _SimulationPlan:
     plain or conditional (module docstring), with a fixed intra-block draw
     order: for the plain horizons the Gaussian (shared by all of them), then
     each jump part (from the same generator state for each of them); for a
-    conditional horizon each jump part from the block's initial state."""
+    conditional horizon the superposed clock of all streams from the
+    block's initial state."""
 
     def __init__(self, ec, ts, cfg, rate_fn):
         for t in ts:
@@ -493,8 +563,13 @@ class _SimulationPlan:
         self.sigma = ec.sigma
         self.parts = _jump_parts(ec.jumps, cfg.scheme, cfg.small_jump_cutoff)
         compensation = sum(part.compensation for part in self.parts)
-        max_intensity = max((float(lam) for part in self.parts
-                             for lam, _ in part.streams), default=0.0)
+        self.streams = [s for part in self.parts for s in part.streams]
+        intensities = [float(lam) for lam, _ in self.streams]
+        max_intensity = max(intensities, default=0.0)
+        # the conditional kernel's superposed Poisson clock (``jump_sums``);
+        # the total is 0 only for a lone stream of intensity 0
+        self.clock_intensity = sum(intensities)
+        self.clock_weights = [lam / (self.clock_intensity or 1.0) for lam in intensities]
         streams_only = bool(self.parts) and all(
             isinstance(part, _CompoundPoisson) for part in self.parts)
         half_variance = 0.5 * ec.variance()
@@ -536,20 +611,23 @@ class _SimulationPlan:
 
     def jump_sums(self, rng, t, n):
         """The jump sums at horizon t of the paths of a block of n that jump
-        (at least one jump, though the sizes may cancel), one per path in no
-        fixed order, from the draws ``draw_block`` makes without its Gaussian
-        row. Every stream must be sparse at t, so that each one hands over
-        the indices of its jumping paths."""
-        paths, sums = [], []
-        for part in self.parts:
-            for lam, sum_sampler in part.streams:
-                jumped, counts = _poisson_counts(rng, lam * t, n)
-                paths.append(jumped)
-                sums.append(sum_sampler(rng, counts))
-        if len(sums) == 1:
-            return sums[0]
-        _, owner = np.unique(np.concatenate(paths), return_inverse=True)
-        return np.bincount(owner, weights=np.concatenate(sums))
+        (at least one jump, though the sizes may cancel), in no fixed order.
+
+        The streams are drawn as one superposed Poisson clock of intensity
+        Lambda, the sum of theirs: m ~ Binomial(n, 1 - e^(-Lambda t)) paths
+        jump, with counts from ``_ztp_counts``, and with several streams one
+        multinomial draw splits each path's count among them in proportion
+        to their intensities. No path index is drawn: the estimator is a
+        symmetric function of the jump sums, whose joint law this is."""
+        mu = self.clock_intensity * t
+        counts = _ztp_counts(rng, mu, rng.binomial(n, -math.expm1(-mu)))
+        if len(self.streams) == 1:
+            return self.streams[0][1](rng, counts)
+        split = rng.multinomial(counts, self.clock_weights)
+        sums = np.zeros(counts.size)
+        for (_, sum_sampler), stream_counts in zip(self.streams, split.T):
+            sums += sum_sampler(rng, stream_counts)
+        return sums
 
 
 def _rate_integral(ec, t, cfg, rate_fn):

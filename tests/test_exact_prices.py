@@ -18,7 +18,7 @@ import pytest
 from scipy.stats import norm
 
 import smalltime as st
-from smalltime.montecarlo import _SPARSE_BELOW
+from smalltime.montecarlo import _SPARSE_BELOW, _SimulationPlan
 
 # jump counts beyond this carry less than 1e-30 of the mass at t <= 0.03
 MAX_JUMPS = 20
@@ -28,13 +28,19 @@ def poisson_pmf(k, mu):
     return math.exp(-mu) * mu**k / math.factorial(k)
 
 
+def std_normal_cdf(x):
+    # scalar norm.cdf costs about 50 us a call, and the sums over three
+    # atoms make 8000 pairs of calls
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def lognormal_call(mean, var, K):
     """E (e^X - K)^+ for X ~ N(mean, var); var = 0 is the constant e^mean."""
     if var == 0.0:
         return max(math.exp(mean) - K, 0.0)
     sd = math.sqrt(var)
     d1 = (mean - math.log(K) + var) / sd
-    return math.exp(mean + 0.5 * var) * norm.cdf(d1) - K * norm.cdf(d1 - sd)
+    return math.exp(mean + 0.5 * var) * std_normal_cdf(d1) - K * std_normal_cdf(d1 - sd)
 
 
 def merton_call(S0, K, t, r, sigma, lam, m, s):
@@ -107,6 +113,52 @@ def test_conditional_estimate_matches_exact_series_at_tiny_t(case, t):
         price = exact(K, t)
         assert est.std_error > 0
         assert abs(est.value - price) <= 5 * est.std_error, (K, est, price)
+
+
+def _plan(ec, t):
+    return _SimulationPlan(ec, [t], st.SimConfig(n_paths=100), None)
+
+
+def test_two_conditional_streams_match_exact_sum():
+    # Poisson means 0.24 and 0.18 at t = 0.03: both streams are priced by the
+    # conditional kernel, and about 4% of the paths jump on both, so the
+    # clock's multinomial split of a path's count shows in the price
+    atoms = [(0.3, 8.0), (-0.4, 6.0)]
+    ec = st.ExpModelCharacteristics(1.0, 0.0, 0.15, st.atomic(atoms))
+    assert _plan(ec, 0.03).horizons[0].conditional
+    cfg = st.SimConfig(n_paths=2**18 + 300, master_seed=1021)
+    for K in (0.9, 1.0, 1.2):
+        est = st.estimate_call(ec, 0.03, K, cfg)
+        price = atomic_call(1.0, K, 0.03, 0.0, 0.15, atoms)
+        assert est.std_error > 0
+        assert abs(est.value - price) <= 5 * est.std_error, (K, est, price)
+
+
+def _fuzzed_atomic_shapes(count=8, seed=1031):
+    """(atoms, t, r, sigma): 1 to 3 atoms with sizes in (-0.5, 0.5) and every
+    stream's Poisson mean in (0.01, 0.5); sigma 0 draws the plain kernel's
+    sparse counts, sigma > 0 prices by the conditional kernel's clock."""
+    rng = np.random.default_rng(seed)
+    shapes = []
+    for _ in range(count):
+        t = float(rng.choice([1e-3, 1e-2, 3e-2]))
+        atoms = [(float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.01, 0.5)) / t)
+                 for _ in range(int(rng.integers(1, 4)))]
+        shapes.append((atoms, t, float(rng.uniform(0.0, 0.05)),
+                       float(rng.choice([0.0, 0.1, 0.25]))))
+    return shapes
+
+
+@pytest.mark.parametrize("shape", _fuzzed_atomic_shapes())
+def test_fuzzed_atomic_shapes_match_exact_sum(shape):
+    atoms, t, r, sigma = shape
+    ec = st.ExpModelCharacteristics(1.0, r, sigma, st.atomic(atoms))
+    assert _plan(ec, t).horizons[0].conditional == (sigma > 0)
+    cfg = st.SimConfig(n_paths=2**18 + 300, master_seed=1033)
+    for K in (0.9, 1.0, 1.2):
+        est = st.estimate_call(ec, t, K, cfg)
+        price = atomic_call(1.0, K, t, r, sigma, atoms)
+        assert abs(est.value - price) <= 5 * est.std_error + 1e-12, (K, est, price)
 
 
 def _gauss_panels(lo, hi, panels, nodes=20):

@@ -17,8 +17,8 @@ from scipy.stats import chisquare, ks_2samp, norm, poisson
 
 import smalltime as st
 from smalltime.montecarlo import (_SPARSE_BELOW, _WORKSPACE_ROWS, _CompoundPoisson,
-                                  _poisson_counts, _SimulationPlan, _stable_standard,
-                                  _table_sampler, price_grid)
+                                  _excess_cdf, _poisson_counts, _SimulationPlan,
+                                  _stable_standard, _table_sampler, _ztp_counts, price_grid)
 
 
 def bs_call(S0, K, sigma, t, r=0.0):
@@ -218,39 +218,153 @@ def test_poisson_counts_dense_branch_is_one_draw_per_path():
     assert np.array_equal(counts, b.poisson(_SPARSE_BELOW, 1000))
 
 
-class _EdgeUniforms:
-    """Generator stand-in: every path jumps, and the first-arrival uniforms
-    are given, so the residual means reach the sampler as computed."""
-
-    def __init__(self, u):
-        self.u = np.asarray(u)
-        self.means = None
-
-    def binomial(self, n, p):
-        return self.u.size
-
-    def choice(self, n, m, replace):
-        return np.arange(m)
-
-    def random(self, m):
-        return self.u.copy()
-
-    def poisson(self, lam):
-        self.means = lam.copy()
-        return np.zeros(lam.size, dtype=np.int64)
+ZTP_MEANS = [1e-300, 1e-6, 1e-3, 0.03, 0.3, float(np.nextafter(_SPARSE_BELOW, 0.0)),
+             # a superposed clock's total mean can lie above the crossover
+             3.0]
 
 
-def test_poisson_counts_residual_mean_clamped_at_zero():
-    # U = 0 leaves the whole mean mu; U -> 1 leaves about 0, and one ulp
-    # past 1 stands in for the rounding that lands below 0
-    mu = 0.3
-    rng = _EdgeUniforms([0.0, 0.5, np.nextafter(1.0, 0.0), 1.0 + 2.0**-52])
-    paths, counts = _poisson_counts(rng, mu, 10)
-    assert np.all(rng.means >= 0.0)
-    assert rng.means[0] == pytest.approx(mu, rel=1e-15)
-    assert rng.means[1] == pytest.approx(mu + math.log1p(0.5 * math.expm1(-mu)), rel=1e-14)
-    assert rng.means[3] == 0.0
-    assert np.array_equal(counts, [1, 1, 1, 1])
+def _pooled_chisquare(observed, expected):
+    """Chi-square p-value of the observed against the expected counts, with
+    every cell that expects fewer than 5 pooled into one."""
+    observed, expected = np.ravel(observed), np.ravel(expected)
+    small = expected < 5.0
+    obs = np.append(observed[~small], observed[small].sum())
+    exp = np.append(expected[~small], expected[small].sum())
+    if exp[-1] == 0.0:
+        obs, exp = obs[:-1], exp[:-1]
+    return chisquare(obs, exp * (obs.sum() / exp.sum())).pvalue
+
+
+@pytest.mark.parametrize("mu", ZTP_MEANS)
+def test_ztp_counts_law(mu):
+    # 2^20 counts against P(N = j | N >= 1), the tail pooled where fewer
+    # than 5 are expected
+    rng = _philox(79, 0)
+    counts = np.concatenate([_ztp_counts(rng, mu, 2**16) for _ in range(16)])
+    N = counts.size
+    assert counts.dtype.kind == "i" and counts.min() >= 1
+    if mu == 1e-300:
+        assert np.all(counts == 1)  # k = 0
+        return
+    top = int(poisson.isf(1e-12, mu)) + 2
+    observed = np.bincount(np.minimum(counts, top), minlength=top + 1)[1:]
+    j = np.arange(1, top + 1)
+    expected = N * poisson.pmf(j, mu) / -math.expm1(-mu)
+    expected[-1] = N * poisson.sf(top - 1, mu) / -math.expm1(-mu)
+    if expected[1:].sum() < 5.0:
+        # about one count of 2 in 2^20 at mu = 1e-6: only rare ones allowed
+        assert observed[1:].sum() <= 10 and observed[2:].sum() == 0
+        return
+    assert _pooled_chisquare(observed, expected) > 1e-3
+
+
+@pytest.mark.parametrize("mu, bins, calls", [(0.015, 64, 1024), (0.3, 16, 16)])
+def test_poisson_counts_multi_jump_paths_uniform(mu, bins, calls):
+    # _ztp_counts puts the counts of 2 or more first, and choice's random
+    # order must spread them over the block: a chi-square of (position bin,
+    # count 0, 1, 2, ... pooled at the top) against uniform positions and
+    # Poisson(mu) counts. At 0.015 choice takes Floyd's path (m below n/50),
+    # whose unshuffled i-th index never exceeds n - m + i, so the top bin
+    # would lose about 95% of its counts of 2; at 0.3 it takes the tail
+    # shuffle
+    n, top = 2**16, 2 if mu < 0.1 else 3
+    rng = _philox(83, bins)
+    observed = np.zeros(bins * (top + 1), dtype=np.int64)
+    for _ in range(calls):
+        paths, counts = _poisson_counts(rng, mu, n)
+        row = np.zeros(n, dtype=np.int64)
+        row[paths] = counts
+        cell = np.arange(n) * bins // n * (top + 1) + np.minimum(row, top)
+        observed += np.bincount(cell, minlength=observed.size)
+    p = poisson.pmf(np.arange(top + 1), mu)
+    p[top] = poisson.sf(top - 1, mu)
+    expected = np.tile(calls * n / bins * p, bins)
+    assert expected.min() >= 5.0
+    assert chisquare(observed, expected).pvalue > 1e-3
+
+
+def test_conditional_clock_splits_counts_by_intensity():
+    # jump sizes 1 and 2^-6 at intensities 0.3 and 0.2 (t = 1): a path's jump
+    # sum N1 + N2 / 64 gives both counts back exactly. The (N1, N2) table of
+    # 2^20 paths, the paths that do not jump included, against
+    # Poisson(0.3) x Poisson(0.2)
+    ec = st.ExpModelCharacteristics(1.0, 0.0, 0.15, st.atomic([(1.0, 0.3), (2.0**-6, 0.2)]))
+    plan = _SimulationPlan(ec, [1.0], st.SimConfig(n_paths=100), None)
+    assert plan.horizons[0].conditional and len(plan.streams) == 2
+    n, calls, top = 2**16, 16, 4
+    rng = _philox(89, 0)
+    observed = np.zeros((top + 1, top + 1), dtype=np.int64)
+    for _ in range(calls):
+        sums = plan.jump_sums(rng, 1.0, n)
+        n1 = np.floor(sums)
+        n2 = (sums - n1) * 64.0
+        assert np.all(n2 == np.floor(n2)) and np.all(n1 + n2 >= 1)
+        np.add.at(observed, (np.minimum(n1, top).astype(int), np.minimum(n2, top).astype(int)), 1)
+        observed[0, 0] += n - sums.size
+    marginals = []
+    for mu in (0.3, 0.2):
+        p = poisson.pmf(np.arange(top + 1), mu)
+        p[top] = poisson.sf(top - 1, mu)
+        marginals.append(p)
+    expected = calls * n * np.outer(*marginals)
+    assert _pooled_chisquare(observed, expected) > 1e-3
+
+
+class _EdgeGenerator:
+    """Generator stand-in for ``_ztp_counts``: records the probability the
+    binomial draw gets, makes k of the counts 2 or more (default none), and
+    hands over the given uniforms."""
+
+    def __init__(self, k=0, u=()):
+        self.k, self.u, self.q = k, np.asarray(u, dtype=float), None
+
+    def binomial(self, m, q):
+        self.q = q
+        return self.k
+
+    def random(self, size):
+        return self.u[:size].copy()
+
+
+@pytest.mark.parametrize("mu", [5e-324, 1e-300, 1e-6, 1e-4, np.nextafter(1e-4, 1.0), 0.5,
+                                3.0, 50.0, np.nextafter(50.0, 51.0), 709.0, 710.0, 1e6])
+def test_ztp_counts_q_is_a_probability(mu):
+    # q = 1 - mu / (e^mu - 1) on both sides of g2's series switch, of the
+    # cut-off at 50 and of expm1's overflow, and at the smallest means
+    rng = _EdgeGenerator()
+    assert np.array_equal(_ztp_counts(rng, mu, 7), np.ones(7))
+    assert 0.0 <= rng.q <= 1.0
+    if mu < 1e-3:
+        exact = mu / 2 - mu * mu / 12  # the next term is mu^4 / 720
+    elif mu < 700:
+        exact = 1.0 - mu / math.expm1(mu)  # cancels less than 2e-13
+    else:
+        exact = 1.0
+    assert rng.q == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("mu", [1e-300, 0.3, 3.0])
+def test_ztp_counts_table_end(mu):
+    # the smallest uniform takes the first entry (count 2), the largest an
+    # entry of positive mass, and a uniform of 1, standing in for the rounding
+    # of u times the table's total up to the total, takes the last entry, not
+    # one past the table
+    cdf = _excess_cdf(mu)
+    assert np.all(np.diff(cdf) >= 0.0) and not cdf.flags.writeable
+    rng = _EdgeGenerator(k=3, u=[0.0, np.nextafter(1.0, 0.0), 1.0])
+    counts = _ztp_counts(rng, mu, 5)
+    assert counts[0] == 2 and counts[2] == 1 + cdf.size and list(counts[3:]) == [1, 1]
+    i = counts[1] - 2
+    assert cdf[i] > (cdf[i - 1] if i else 0.0)
+
+
+@pytest.mark.parametrize("mu", [800.0, 1e4])
+def test_ztp_counts_large_means(mu):
+    # e^mu overflows: q is 1 and the table is built relative to its mode
+    counts = _ztp_counts(_philox(7, 1), mu, 4096)
+    assert counts.min() >= 2
+    assert abs(counts.mean() - mu) <= 5 * math.sqrt(mu / counts.size)
+    assert abs(counts.var() / mu - 1.0) <= 0.15
 
 
 def test_compound_poisson_draw_without_jumps():
@@ -379,8 +493,9 @@ def test_price_grid_blocks_are_simulate_terminal_samples():
 CONDITIONAL_CASES = {
     # one stream (t = 0.03: Poisson mean 0.03)
     "merton": (MERTON, 0.03),
-    # two streams, Poisson means 0.4 and 0.3: paths that jump on both merge,
-    # and one jump of each size leaves a jump sum of exactly 0
+    # two streams, Poisson means 0.4 and 0.3 (a clock of total mean 0.7):
+    # a path's count is split between them, and one jump of each size
+    # leaves a jump sum of exactly 0
     "two_atoms": (st.ExpModelCharacteristics(
         1.0, 0.02, 0.15, st.atomic([(0.1, 0.4), (-0.1, 0.3)])), 1.0),
     "laplace": (st.ExpModelCharacteristics(
@@ -397,15 +512,22 @@ def test_conditional_block_matches_brute_force(case):
     plan = _SimulationPlan(ec, [t], cfg, None)
     (h,) = plan.horizons
     assert h.conditional
-    # redraw the block's jumps from its key, stream by stream, into a row
-    # with one entry per path
+    # redraw the block's jumps from its key through the superposed clock:
+    # the number m of paths that jump, their zero-truncated counts at the
+    # total mean, with several streams a multinomial split by intensity,
+    # then each stream's sums. No path index is drawn, so the paths that
+    # jump fill the first m entries of a row with one entry per path
     rng = _philox(cfg.master_seed, 0)
+    lams = [lam for lam, _ in plan.streams]
+    mu = sum(lams) * t
+    m = rng.binomial(n, -math.expm1(-mu))
+    counts = _ztp_counts(rng, mu, m)
+    split = (counts[:, None] if len(lams) == 1
+             else rng.multinomial(counts, [lam / sum(lams) for lam in lams]))
     jumps, n_jumps = np.zeros(n), np.zeros(n, dtype=np.int64)
-    for part in plan.parts:
-        for lam, sum_sampler in part.streams:
-            paths, counts = _poisson_counts(rng, lam * t, n)
-            jumps[paths] += sum_sampler(rng, counts)
-            n_jumps[paths] += counts
+    n_jumps[:m] = counts
+    for (_, sum_sampler), stream_counts in zip(plan.streams, split.T):
+        jumps[:m] += sum_sampler(rng, stream_counts)
     if case == "two_atoms":
         assert np.any((n_jumps > 0) & (jumps == 0.0))
     # given its jump sum, a path's log price is Gaussian: Black-Scholes
@@ -456,29 +578,29 @@ PINNED_CASES = {
 # with them, so a kernel change that is meant to be exact keeps them
 PINNED = {
     "merton": (
-        "3b198b1ec65670134e78142356ca51a7683cf5c05b3f43b4e444cc94c4c4acc1",
-        [(0.014660236925646738, 0.00024380955291232015),
-         (0.0035219907054372993, 0.000221236892415991),
-         (0.006581335119981393, 0.00012024335482423489),
-         (0.0009331164523379236, 0.00010713961886175472),
-         (0.002602297804498049, 3.272612157007303e-05),
-         (9.117833458578242e-05, 2.7564821854101154e-05)]),
+        "3af812474ed4403a8b70bea2de1b9010f53157348777bfa181fe7e96f36b29bb",
+        [(0.01425907661121498, 0.00020919647560542875),
+         (0.003127702996734395, 0.00018532057042426462),
+         (0.006215210829689331, 9.082691398527985e-05),
+         (0.000614132337828223, 7.903669134845345e-05),
+         (0.0025944536864294355, 2.7847728644676455e-05),
+         (7.82614379791313e-05, 2.2241500946624432e-05)]),
     "atomic_pure_jump": (
-        "9e4bc8adab31f5defaa9b9433e0e855dc1f64302754d961fe6fa555f546197fc",
-        [(0.013498789580237236, 0.0002664284162129544),
-         (0.009624441556874438, 0.00019324891062430814),
-         (0.003499919117566137, 0.00013600965923839887),
-         (0.0024991000833486207, 9.75002821394594e-05),
+        "06ff047ed29f88c28e02bf8d7a08659a7b7d1ccbc291868473a3b325d0cebba4",
+        [(0.01346410793985574, 0.00026624032378664306),
+         (0.009604894088459206, 0.00019318010839347808),
+         (0.003528472453971709, 0.0001378402785272488),
+         (0.002527653419754193, 9.960933222997083e-05),
          (0.0007248523218868169, 6.18645092128207e-05),
          (0.0005173959495116736, 4.4158576193729956e-05)]),
     "stable_euler": (
-        "5829365ab7d55905f425a674b64dde9ee5ae2d89785a0ffa5971f190bc9a4f16",
+        "1b73843efddd64c244d6cfe856d39f5c7960a3dd16072811e8c815d372bb08a4",
         [(0.02448602070685249, 0.00026127584178214805),
          (0.0062583432199923884, 0.000199991959369654),
          (0.009746971153677201, 0.0001293869185162644),
          (0.0014015345759261016, 9.300150676203625e-05),
-         (0.003271682690464079, 6.068270031291083e-05),
-         (0.0002759903870051287, 4.361338792548923e-05)]),
+         (0.003282066240000123, 6.402967876502972e-05),
+         (0.00029781843582740134, 4.756561030584994e-05)]),
     "stable_exact": (
         "f659f21c7fed69c226798ae7b402df7b8b98575d24d84e0f13900eefa9516236",
         [(0.015119250153813157, 0.00020735937038590568),
@@ -488,45 +610,45 @@ PINNED = {
          (0.0023664334630470354, 5.044171037775903e-05),
          (0.00015125191487642213, 4.153206469521639e-05)]),
     "mixed_kernels": (
-        "d226021c2cf3bac0ed446c74cbb55d7fa3f03be613d8d7077532d928310f473d",
-        [(0.039058021059896565, 0.00026706580776608983),
-         (0.010885298015087138, 0.00015229695604704061),
-         (0.015097174946797312, 0.0001442950389855734),
-         (0.0015630246890086814, 4.65266022157073e-05),
-         (0.00433197801767225, 6.885689239581449e-05),
-         (0.0001865657273277128, 1.0664067930626778e-05)]),
+        "e325ce3db811400f3ebe3f04b3f7ea4d3d5eef1aaf797a187082f3db57c2327e",
+        [(0.03905153874411898, 0.00026708605255885845),
+         (0.01088668161975365, 0.00015236104172784975),
+         (0.015212241430348423, 0.00014560496913872402),
+         (0.001642712125530905, 4.791379642941183e-05),
+         (0.004475452708201863, 7.046564959148918e-05),
+         (0.00019782063582186892, 1.1132905884714516e-05)]),
     "three_atoms_no_diffusion": (
-        "5f0890d5fa3a6bc0137e08c12d9f0a79c950c9c2d0093d46c74bbd0657ce8f86",
-        [(0.02021337060821712, 0.00026343365661423654),
-         (0.010242432913857211, 0.00017697853396183037),
-         (0.005632495542465708, 0.0001388322372025432),
-         (0.0027473655087229755, 8.941988719596688e-05),
-         (0.001154791508617537, 6.309038255914211e-05),
-         (0.0005635733193935029, 4.0056969964289434e-05)]),
+        "66a21d78c3a9d3af4c3856dbd8cc698f78b530b3e94b6fe8870e76820aa79661",
+        [(0.02017043236158659, 0.0002625575715600069),
+         (0.01022759149444699, 0.00017591315132627997),
+         (0.00567985385624618, 0.0001375645107216755),
+         (0.002723558901778684, 8.7658766365636e-05),
+         (0.0011803316784838116, 6.298367304641026e-05),
+         (0.0005638183222571433, 3.963241329292371e-05)]),
     "laplace": (
-        "7683b4b2e046967def30fbf13297c23b48a510d57a10c6804603a2f2cad05b4c",
-        [(0.01170367580650052, 0.00020455470036247607),
-         (0.003156073464169566, 0.00017719724777287346),
-         (0.0051493799075439965, 0.0001132617532535771),
-         (0.0008504799985135487, 9.92584698251705e-05),
-         (0.002114213241202125, 5.1836597465492285e-05),
-         (0.0001992093968829423, 4.4467658567406913e-05)]),
+        "cbe4705e5a230e0d3a7df80b9ef2082e438a8cbb467126ab93fea7f11e21c443",
+        [(0.011606584335166379, 0.0001992416872327061),
+         (0.0030575745119719483, 0.00017183868480787472),
+         (0.005115624315030738, 0.00010252406311216599),
+         (0.0008244593331147133, 8.73186875257225e-05),
+         (0.0021261753420982604, 5.4863243566300687e-05),
+         (0.0002108116872580993, 4.7578320142162215e-05)]),
     "density_cdf_table": (
-        "962fcd324e70e8c44efd0c87f8fa1c805fb5650a080e9d5b00dd15ac7de09d7b",
-        [(0.012500799551940394, 0.00037631954443001817),
-         (0.009846388379643698, 0.00032985338516993985),
-         (0.0031857757013925535, 0.00019167242085294406),
-         (0.0025186087760718304, 0.00016789738587921754),
-         (0.0006772621102162142, 8.654253484040891e-05),
-         (0.0005391391240107146, 7.520350666800905e-05)]),
+        "2c0e128a9d6b5c56a126a30202f00bd11d58e6cf7c6104f721724fb63faa3f4c",
+        [(0.012502359869470254, 0.00037736557369174174),
+         (0.00991181908306264, 0.0003308703602480973),
+         (0.0031627598546161545, 0.00018844149813687725),
+         (0.002520126274050955, 0.00016430896387606598),
+         (0.0005737601752741437, 7.677364606138956e-05),
+         (0.00044704464888405593, 6.600612221078982e-05)]),
     "stable_callable_c": (
-        "8458f9b1be699e9ac0203849468712fd817d92635a617a42681f49ef582391ce",
+        "98a3e6b1dd98de4e622b2d078bf7472820b637a2517ffbaa90ce669b34802ccc",
         [(0.025609695915435406, 0.00031026300129364165),
          (0.008069572615196188, 0.00025136316769906004),
          (0.009816917773285597, 0.00014773744690346787),
          (0.001714891687497447, 0.00011304766059358071),
-         (0.0032671939178099073, 7.887552269721588e-05),
-         (0.0003700518280316711, 6.468209173125383e-05)]),
+         (0.0032272833973718824, 6.464374395343821e-05),
+         (0.000318169116813554, 4.7788668967750414e-05)]),
     "mc_stable_const_c": (
         "419be66fa0b8a54db57b3338b387f287881ec511a4b7e6dd9eb3e03d2f6d5df6",
         [(0.034327201487247425, 0.0005231615324513755),

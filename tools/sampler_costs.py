@@ -8,18 +8,25 @@ Each cell is the fastest of R x N calls (``timeit.repeat``), in ms per
 compound-Poisson stream and block of n = 2**16 paths, at the Poisson means
 per path of the docstring's table. The rows:
 
-* ``counts``: ``_poisson_counts`` alone;
+* ``counts``: ``_poisson_counts`` alone (its sparse branch draws the
+  zero-truncated counts of ``_ztp_counts``);
 * ``+ normal sum``, ``+ Laplace sum``: the counts, the ``sum_sampler`` hook
   of ``normal_jumps(1, 0, 0.4)`` or ``laplace_jumps(1, 0.2)``, and the
   scatter into the jump-sum row (one ``_CompoundPoisson.draw``);
 * ``+ power tail, closed form`` and ``+ power tail, table``: the same with
   the positive side of the ``euler_log`` power tail at alpha 1.5 and cutoff
   0.01, for c = 1 (closed-form inverse CDF) and c(y) = 1 + y/2 (the alias
-  table of ``_table_sampler``), so its per-jump cost shows at every mean.
+  table of ``_table_sampler``), so its per-jump cost shows at every mean;
+* ``conditional clock + normal sum``: ``_SimulationPlan.jump_sums`` of a
+  one-stream plan with normal jumps, the draws of the conditional kernel:
+  the number of paths that jump, their zero-truncated counts and the
+  ``sum_sampler`` hook, with no path index and no scatter.
 
-"every path" forces the dense branch of ``_poisson_counts`` at every mean,
-"sparse" the sparse branch; by default each mean uses the branch the
-simulator picks, and the table shows both.
+In the other rows "every path" forces the dense branch of
+``_poisson_counts`` at every mean, "sparse" the sparse branch; by default
+each mean uses the branch the simulator picks, and the table shows both.
+The clock row draws the same way at every mean, although the simulator
+prices a maturity by the conditional kernel only below ``_SPARSE_BELOW``.
 """
 
 import argparse
@@ -79,6 +86,13 @@ def measure(repeat, number):
                 rows.append((f"{name}, {branch}", cells))
     finally:
         mc._SPARSE_BELOW = saved
+    cells = []
+    for mu in MEANS:
+        ec = st.ExpModelCharacteristics(1.0, 0.0, 0.2, st.normal_jumps(mu, 0.0, 0.4))
+        plan = mc._SimulationPlan(ec, [1.0], st.SimConfig(n_paths=100), None)
+        cells.append(_fastest_ms(lambda plan=plan: plan.jump_sums(rng, 1.0, BLOCK),
+                                 repeat, number))
+    rows.append(("conditional clock + normal sum", cells))
     return rows
 
 
