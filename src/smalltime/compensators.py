@@ -297,8 +297,10 @@ class DensityCompensator(JumpCompensator):
     def total_intensity(self):
         if self.singularity_order >= 1:
             return float("inf")
-        v, _ = self.integrate_with_error(lambda y: 1.0, 1e-10)
-        return v
+        # the two tails at 0: closed forms where the family has them, else
+        # quad_soft, whose budget is also relative to the tail; an absolute
+        # budget fails at large intensities, since the error grows with them
+        return self.upper_tail(0.0) + self.lower_tail(0.0)
 
 
 class StableLikeCompensator(JumpCompensator):

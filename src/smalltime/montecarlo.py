@@ -24,7 +24,8 @@ A block prices each maturity with one of two kernels. The rule reads only
 the model and the maturity:
 
 * conditional, when sigma sqrt(t) > 0, every jump part is compound Poisson
-  and every stream's Poisson mean lam t is below ``_SPARSE_BELOW``. Given
+  and every stream's Poisson mean lam t is below ``_CONDITIONAL_BELOW``
+  = 0.5 (its comment gives the reason). Given
   its jump sum J a path's log price is Gaussian, so its payoff is replaced
   by its expectation given J: the Black-Scholes price at the forward
   F e^J, with F = E S_t / E e^J (conditional Monte Carlo, Glasserman 2003,
@@ -76,19 +77,17 @@ array per step instead had glibc map and trim pages in every block:
 their order are those of the allocating kernel, so the samples are bit
 identical to it.
 
-A compound-Poisson stream of intensity lam draws its block's counts in one
-of two ways (``_poisson_counts``), by its Poisson mean per path mu = lam t:
-
-* below ``_SPARSE_BELOW`` = 0.5, only for the paths that jump: their number
-  is Binomial(n, 1 - e^-mu), the paths a uniform subset (``rng.choice``),
-  their counts zero-truncated Poisson draws, and the ``sum_sampler`` hook
-  gets only those counts. At short horizons mu is small (at most 0.03 on a
-  t <= 0.03 grid at intensity 1), so the block costs O(n mu) instead of
-  O(n);
-* from 0.5 up, one ``rng.poisson(mu)`` draw per path.
-
-Both give iid Poisson(mu) counts; the sparse branch draws other samples
-than the dense one would.
+A compound-Poisson stream of intensity lam draws its block's counts only
+for the paths that jump (``_poisson_counts``), at every Poisson mean per
+path mu = lam t: their number is Binomial(n, 1 - e^-mu), the paths a
+uniform subset (``rng.choice``), their counts zero-truncated Poisson
+draws, and the ``sum_sampler`` hook gets only those counts. At short
+horizons mu is small (at most 0.03 on a t <= 0.03 grid at intensity 1), so
+the block costs O(n mu) instead of O(n). At large mu almost every path
+jumps, and this way still costs less than one ``rng.poisson(mu)`` draw per
+path: at mu = 6.66 that took 6.54 ms for the counts against 4.20 this way,
+and 17.49 against 12.23 ms with the closed-form power tail (an earlier run
+of the tool that prints the table below, on the same machine).
 
 The zero-truncated counts (``_ztp_counts``, shared with the conditional
 clock) cost O(k) draws for the k of them that are 2 or more: k ~
@@ -96,55 +95,47 @@ Binomial(m, q) with q = P(N >= 2 | N >= 1) = 1 - mu / (e^mu - 1), each of
 those is 2 plus an inversion of a short table of N - 2 given N >= 2,
 built once per mu, and every other count is 1. Those k come first; the
 random order of ``rng.choice`` puts them on a uniform subset of the paths.
-Per block of 2**16 paths at mu = 0.001, 0.003, 0.01, 0.03 and 0.3, the
-sparse branch takes 13, 18, 35, 60 and 210 us, of which the counts
-(the binomial draw for m included) take 3, 5, 9, 10 and 53 us; with one
-first-arrival uniform and an array-mean ``rng.poisson`` per jumping path
-it took 27, 34, 62, 114 and 696 us (fastest of 15 x 200 calls, best of
-four runs, 2 shared vCPUs). The rest is ``rng.choice``, which the
-conditional clock does not call.
+Above mu = 50, where q is 1 to double precision and the table would grow
+like mu, the counts are ``rng.poisson(mu)`` draws with every 0 drawn
+again, so the table never has more than 129 entries. Per block of 2**16
+paths at mu = 0.001, 0.003, 0.01, 0.03 and 0.3, ``_poisson_counts`` takes
+13, 18, 35, 60 and 210 us, of which the counts (the binomial draw for m
+included) take 3, 5, 9, 10 and 53 us; with one first-arrival uniform and
+an array-mean ``rng.poisson`` per jumping path it took 27, 34, 62, 114 and
+696 us (fastest of 15 x 200 calls, best of four runs, 2 shared vCPUs). The
+rest is ``rng.choice``, which the conditional clock does not call.
 
 Cost per stream and block in ms at n = 2**16, as
 ``tools/sampler_costs.py --repeat 25 --number 40`` prints it (fastest of
-25 x 40 calls, 2 shared vCPUs; "every path" is the dense branch forced at
-every mu; the power tail is one side at alpha 1.5, cutoff 0.01, c = 1 for
-the closed form and c(y) = 1 + y/2 for the table; the clock row is the
-conditional kernel's draw for one stream of normal jumps, at every mu):
+25 x 40 calls, 2 shared vCPUs; the power tail is one side at alpha 1.5,
+cutoff 0.01, c = 1 for the closed form and c(y) = 1 + y/2 for the table;
+the clock row is the conditional kernel's draw for one stream of normal
+jumps, at every mu):
 
-    =====================================  =====  ====  ====  ====  ====  ====  =====
-    mu                                     0.001  0.03  0.3   0.5   0.7   1     6.66
-    =====================================  =====  ====  ====  ====  ====  ====  =====
-    counts, every path                     0.96   1.05  1.67  2.11  2.61  2.78  6.54
-    counts, sparse                         0.02   0.07  0.35  0.36  0.56  1.09  4.20
-    + normal sum, every path               3.31   4.52  5.25  5.28  5.43  5.69  7.05
-    + normal sum, sparse                   0.05   0.18  0.67  1.74  2.40  3.14  6.93
-    + Laplace sum, every path              3.45   3.56  5.38  6.85  7.85  9.00  12.77
-    + Laplace sum, sparse                  0.08   0.28  1.08  2.10  3.11  4.19  12.05
-    + power tail, closed form, every path  1.67   1.82  2.99  3.63  4.85  5.97  17.49
-    + power tail, closed form, sparse      0.05   0.12  0.57  0.99  1.35  1.88  12.23
-    + power tail, table, every path        1.11   1.13  2.31  3.32  3.90  5.13  23.87
-    + power tail, table, sparse            0.09   0.25  0.88  1.30  1.72  2.73  18.48
-    conditional clock + normal sum         0.01   0.05  0.43  0.69  1.16  1.57  4.02
-    =====================================  =====  ====  ====  ====  ====  ====  =====
+    ==============================  =====  ====  ====  ====  ====  ====  =====
+    mu                              0.001  0.03  0.3   0.5   0.7   1     6.66
+    ==============================  =====  ====  ====  ====  ====  ====  =====
+    counts                          0.02   0.10  0.33  0.37  0.95  0.74  4.20
+    + normal sum                    0.04   0.15  0.72  1.68  2.20  2.52  6.34
+    + Laplace sum                   0.05   0.16  1.02  2.24  4.07  4.88  11.14
+    + power tail, closed form       0.05   0.13  0.74  1.81  2.34  3.47  16.30
+    + power tail, table             0.09   0.16  0.80  1.37  1.91  3.40  20.39
+    conditional clock + normal sum  0.02   0.07  0.57  0.91  0.91  1.35  4.26
+    ==============================  =====  ====  ====  ====  ====  ====  =====
 
-The crossover was set at 0.5 when the sparse counts were first-arrival
-draws: the sparse branch was then 1.6 to 2 times as fast at 0.5, at parity
-near 1 and slower above it. With the zero-truncated sampler it is faster
-at every mean of the table, 6.66 included, but the crossover is kept: a
-maturity's kernel and every dense stream's samples stay as they were. The
-power-tail streams of stable-like models (mu of about 6.7 at t = 0.01,
-cutoff 0.01) therefore stay dense and keep their samples. Still allocated per block: the counts, what the hooks
-return, the per-jump owner index of ``_per_jump``, and one row of
-per-jump draws per power-tail side or CDF table, each transformed in place
-(the CDF table's in chunks, below).
+The power-tail streams of stable-like models (mu of about 6.7 at t = 0.01,
+cutoff 0.01) draw the same way: all but about 0.1% of their paths jump.
+Still allocated per block: the path indices and the counts, what the hooks
+return, the per-jump owner index of ``_per_jump``, and one row of per-jump
+draws per power-tail side or CDF table, each transformed in place (the
+CDF table's in chunks, below).
 
-The Laplace rows draw each path's sum as the difference of two Gamma
-draws (``laplace_jumps``). In an earlier run, summing one Laplace draw per
-jump instead took 1.46, 1.56, 3.22, 4.42, 4.98, 6.28 and 22.80 ms on every
-path, and 0.03, 0.25, 1.57, 2.83, 3.49, 4.56 and 22.40 ms sparse; on the
-branch each mu uses, the Gamma pair was within 0.1 ms below 0.5, 1.3 to
-1.4 times as slow from 0.5 to 1 and twice as fast at 6.66, and it
-allocates per path, not per jump.
+The Laplace row draws each path's sum as the difference of two Gamma draws
+(``laplace_jumps``). In an earlier run, summing one Laplace draw per jump
+of the paths that jump instead took 0.03, 0.25, 1.57, 2.83, 3.49, 4.56 and
+22.40 ms: the Gamma pair is about as fast up to mu = 0.5, up to 17% slower
+at 0.7 and 1, twice as fast at 6.66, and it allocates per path, not per
+jump.
 
 Jump sizes without a closed-form sampler come from a CDF table: a
 density's without ``sum_sampler``, and each side of the power tail when c
@@ -212,9 +203,14 @@ _BLOCK = 1 << 16
 # the log price (then the price), the jump sum and the payoff
 _GAUSSIAN, _PRICE, _JUMPS, _PAYOFF = range(4)
 _WORKSPACE_ROWS = 4
-# Poisson mean per path from which a block draws a count for every path
-# instead of only for the paths that jump (module docstring, measured table)
-_SPARSE_BELOW = 0.5
+# every stream's Poisson mean per path below which a maturity with a
+# diffusion is priced by the conditional kernel (module docstring). Above it
+# conditioning costs more than the variance it removes: at mean 0.6 (Merton,
+# intensity 20, t = 0.03, strikes 0.9 to 1.1, 2**18 paths) the conditional
+# kernel took 43 ms against 19 plain (fastest of 15, 2 shared vCPUs), for a
+# standard error 0.996 to 1.001 times the plain one. Every maturity keeps
+# the kernel it had when this value also chose how counts were drawn
+_CONDITIONAL_BELOW = 0.5
 # draws per pass of the CDF-table sampler (module docstring, measured table)
 _TABLE_CHUNK = 1 << 14
 # largest mean numpy's Poisson sampler accepts
@@ -377,16 +373,27 @@ def _excess_cdf(mu):
 
 
 def _ztp_counts(rng, mu, m):
-    """m iid counts of N given N >= 1 for N ~ Poisson(mu), with O(k) draws
-    for the k of them that are at least 2: k ~ Binomial(m, q) with
-    q = P(N >= 2 | N >= 1) = 1 - mu / (e^mu - 1), those k come first, each
-    2 plus an inversion of ``_excess_cdf``, and every other count is 1."""
+    """m iid counts of N given N >= 1 for N ~ Poisson(mu).
+
+    Up to a mean of 50 they take O(k) draws for the k of them that are at
+    least 2: k ~ Binomial(m, q) with q = P(N >= 2 | N >= 1) =
+    1 - mu / (e^mu - 1), those k come first, each 2 plus an inversion of
+    ``_excess_cdf``, and every other count is 1. Above 50, where q is 1 to
+    double precision and the table would grow like mu, they are Poisson(mu)
+    draws with every 0 drawn again until it is not: a 0 has probability
+    e^-mu < 2e-22, and the redraw keeps the law exact."""
+    if mu > 50.0:
+        counts = rng.poisson(mu, m)
+        zero = np.flatnonzero(counts == 0)
+        while zero.size:
+            counts[zero] = rng.poisson(mu, zero.size)
+            zero = zero[counts[zero] == 0]
+        return counts
     counts = np.ones(m, dtype=np.int64)
     if m == 0:
         return counts
-    # q = (e^mu - 1 - mu) / (e^mu - 1) without cancellation; above 50,
-    # where e^mu may overflow, q is 1 to double precision
-    q = 1.0 if mu > 50.0 else min(mu * g2(mu) / em1_over(mu), 1.0)
+    # q = (e^mu - 1 - mu) / (e^mu - 1) without cancellation
+    q = min(mu * g2(mu) / em1_over(mu), 1.0)
     k = rng.binomial(m, q)
     if k:
         cdf = _excess_cdf(mu)
@@ -399,14 +406,11 @@ def _ztp_counts(rng, mu, m):
 
 def _poisson_counts(rng, mu, n):
     """n iid Poisson(mu) counts as ``(paths, counts)``: path ``paths[i]``
-    has count ``counts[i]``, every other path has 0.
+    has count ``counts[i]`` >= 1, every other path has 0.
 
-    From ``_SPARSE_BELOW`` up, every path gets one draw and ``paths`` is the
-    whole block. Below it only the paths that jump get a count: their
-    number is Binomial(n, 1 - e^-mu), their indices a uniform subset, and
-    their counts come from ``_ztp_counts``."""
-    if mu >= _SPARSE_BELOW:
-        return slice(None), rng.poisson(mu, n)
+    Only the paths that jump get a count: their number is
+    Binomial(n, 1 - e^-mu), their indices a uniform subset, and their
+    counts come from ``_ztp_counts``."""
     m = rng.binomial(n, -math.expm1(-mu))
     # choice returns its sample in random order, so the counts of 2 or more
     # that _ztp_counts puts first land on a uniform subset of the paths
@@ -417,12 +421,12 @@ class _CompoundPoisson:
     """Finite-activity jump part: independent streams ``(intensity,
     sum_sampler)`` and the exact compensation, the integral of e^y - 1
     against the simulated measure. ``sum_sampler(rng, counts)`` returns, per
-    entry i, the sum of counts[i] iid jump sizes (0 for a count of 0); when
-    a stream's Poisson mean is below ``_SPARSE_BELOW`` it receives only the
-    counts of the paths that jump (see ``_poisson_counts``), so its result
-    may be shorter than the block. The conditional kernel does not call
-    ``draw``: it hands each hook that stream's share of the counts of the
-    superposed clock, zeros included (``_SimulationPlan.jump_sums``)."""
+    entry i, the sum of counts[i] iid jump sizes (0 for a count of 0).
+    ``draw`` hands it only the counts of the paths that jump (see
+    ``_poisson_counts``), so its result is usually shorter than the block.
+    The conditional kernel does not call ``draw``: it hands each hook that
+    stream's share of the counts of the superposed clock, zeros included
+    (``_SimulationPlan.jump_sums``)."""
 
     def __init__(self, streams, compensation):
         self.streams = streams
@@ -455,7 +459,10 @@ def _finite_activity(m):
         lo, hi = m.support()
         ys = np.linspace(max(lo, -60.0), min(hi, 60.0), 4097)
         sum_sampler = _per_jump(_table_sampler(ys, [m.fn(y) for y in ys]))
-    return _CompoundPoisson([(lam, sum_sampler)], m.integrate(math.expm1, tol=1e-11))
+    # the quadrature error grows with the intensity (about 2.5e-14 lam for
+    # normal jumps), so the budget is 1e-11 or 1e-13 lam, whichever is larger
+    return _CompoundPoisson([(lam, sum_sampler)],
+                            m.integrate(math.expm1, tol=max(1e-11, 1e-13 * lam)))
 
 
 def _truncated_power_tail(m, eps):
@@ -588,7 +595,7 @@ class _SimulationPlan:
             self.horizons.append(_Horizon(
                 t, log_drift, math.exp(-rate_integral),
                 self.x0 + rate_integral - compensation * t, sd,
-                sd > 0 and streams_only and max_intensity * t < _SPARSE_BELOW))
+                sd > 0 and streams_only and max_intensity * t < _CONDITIONAL_BELOW))
 
     def draw_block(self, rng, ws, horizons):
         """Yield one block of samples of S_t for each of the given horizons,

@@ -1,13 +1,16 @@
 """Monte Carlo call prices against exact prices that share no code with the
 sampler.
 
-At horizons where most paths do not jump (Poisson mean per path below
-``montecarlo._SPARSE_BELOW``) the series condition on the jump counts: given
+For compound-Poisson jumps the series condition on the jump counts: given
 them, the log price is Gaussian (or constant without a diffusion), so the
-discounted call is a Poisson-weighted sum of lognormal calls. The truncated
-power tail of the ``euler_log`` scheme draws about 13 jumps per path, so its
-price comes from its characteristic function instead (Lewis 2001). These
-are prices, not asymptotic coefficients, so they check the simulator alone.
+discounted call is a Poisson-weighted sum of lognormal calls, summed over
+the counts that hold all but less than 1e-16 of each stream's Poisson mass.
+They cover both kernels: the conditional one (a diffusion and every stream's
+Poisson mean per path below ``montecarlo._CONDITIONAL_BELOW``) and the plain
+one (no diffusion, or a mean from there up). The truncated power tail of the
+``euler_log`` scheme draws about 13 jumps per path, so its price comes from
+its characteristic function instead (Lewis 2001). These are prices, not
+asymptotic coefficients, so they check the simulator alone.
 """
 
 import itertools
@@ -15,22 +18,24 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import norm, poisson
 
 import smalltime as st
-from smalltime.montecarlo import _SPARSE_BELOW, _SimulationPlan
-
-# jump counts beyond this carry less than 1e-30 of the mass at t <= 0.03
-MAX_JUMPS = 20
+from smalltime.montecarlo import _CONDITIONAL_BELOW, _SimulationPlan
 
 
 def poisson_pmf(k, mu):
     return math.exp(-mu) * mu**k / math.factorial(k)
 
 
+def jump_counts(mu):
+    """The counts 0..k of a Poisson(mu) stream, where P(N > k) <= 1e-16."""
+    return range(int(poisson.isf(1e-16, mu)) + 1)
+
+
 def std_normal_cdf(x):
     # scalar norm.cdf costs about 50 us a call, and the sums over three
-    # atoms make 8000 pairs of calls
+    # atoms make thousands of pairs of calls
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
@@ -49,7 +54,7 @@ def merton_call(S0, K, t, r, sigma, lam, m, s):
     x = math.log(S0) + (r - 0.5 * sigma * sigma - lam * kappa) * t
     total = sum(poisson_pmf(k, lam * t)
                 * lognormal_call(x + k * m, sigma * sigma * t + k * s * s, K)
-                for k in range(MAX_JUMPS))
+                for k in jump_counts(lam * t))
     return math.exp(-r * t) * total
 
 
@@ -58,7 +63,7 @@ def atomic_call(S0, K, t, r, sigma, atoms):
     compensation = sum(lam * math.expm1(y) for y, lam in atoms)
     x = math.log(S0) + (r - 0.5 * sigma * sigma - compensation) * t
     total = 0.0
-    for counts in itertools.product(range(MAX_JUMPS), repeat=len(atoms)):
+    for counts in itertools.product(*(jump_counts(lam * t) for _, lam in atoms)):
         weight = math.prod(poisson_pmf(k, lam * t) for k, (_, lam) in zip(counts, atoms))
         shift = sum(k * y for k, (y, _) in zip(counts, atoms))
         total += weight * lognormal_call(x + shift, sigma * sigma * t, K)
@@ -68,11 +73,11 @@ def atomic_call(S0, K, t, r, sigma, atoms):
 ATOMS = [(0.3, 2.0), (-0.4, 1.0)]
 MODELS = {
     "merton": (st.ExpModelCharacteristics(1.0, 0.02, 0.2, st.normal_jumps(1.0, 0.0, 0.4)),
-               lambda K, t: merton_call(1.0, K, t, 0.02, 0.2, 1.0, 0.0, 0.4), 1.0),
+               lambda K, t: merton_call(1.0, K, t, 0.02, 0.2, 1.0, 0.0, 0.4)),
     "atomic_pure_jump": (st.ExpModelCharacteristics(1.0, 0.03, 0.0, st.atomic(ATOMS)),
-                         lambda K, t: atomic_call(1.0, K, t, 0.03, 0.0, ATOMS), 2.0),
+                         lambda K, t: atomic_call(1.0, K, t, 0.03, 0.0, ATOMS)),
     "atomic_diffusion": (st.ExpModelCharacteristics(1.0, 0.0, 0.15, st.atomic(ATOMS)),
-                         lambda K, t: atomic_call(1.0, K, t, 0.0, 0.15, ATOMS), 2.0),
+                         lambda K, t: atomic_call(1.0, K, t, 0.0, 0.15, ATOMS)),
 }
 
 
@@ -89,8 +94,10 @@ def test_series_reduce_to_black_scholes():
 @pytest.mark.parametrize("t", [1e-3, 3e-2])
 @pytest.mark.parametrize("case", MODELS)
 def test_estimate_call_matches_exact_series(case, t):
-    ec, exact, max_intensity = MODELS[case]
-    assert max_intensity * t < _SPARSE_BELOW  # every stream draws sparse counts
+    ec, exact = MODELS[case]
+    # every stream's Poisson mean is below the kernel crossover: a diffusion
+    # puts the maturity on the conditional kernel
+    assert _plan(ec, t).horizons[0].conditional == (ec.sigma > 0)
     cfg = st.SimConfig(n_paths=2**18 + 300, master_seed=1009)
     for K in (0.9, 1.0, 1.2):
         est = st.estimate_call(ec, t, K, cfg)
@@ -106,7 +113,7 @@ def test_conditional_estimate_matches_exact_series_at_tiny_t(case, t):
     # Black-Scholes price given its jump sum, and only the paths that jump
     # are visited, so 2^23 paths (about 80 to 250 jumping ones at t = 1e-5)
     # take well under a second
-    ec, exact, _ = MODELS[case]
+    ec, exact = MODELS[case]
     cfg = st.SimConfig(n_paths=2**23, master_seed=1013)
     for K in (0.9, 1.0, 1.2):
         est = st.estimate_call(ec, t, K, cfg)
@@ -117,6 +124,36 @@ def test_conditional_estimate_matches_exact_series_at_tiny_t(case, t):
 
 def _plan(ec, t):
     return _SimulationPlan(ec, [t], st.SimConfig(n_paths=100), None)
+
+
+PLAIN_ATOMS = [(0.1, 30.0), (-0.15, 100.0)]
+# (model, t, exact price at strike K): the plain kernel's streams at Poisson
+# means per path of 0.5 and up, which the tests above do not reach
+PLAIN_MODELS = {
+    # means 0.9 and 3 per path, no diffusion
+    "atoms_without_diffusion": (
+        st.ExpModelCharacteristics(1.0, 0.02, 0.0, st.atomic(PLAIN_ATOMS)), 0.03,
+        lambda K: atomic_call(1.0, K, 0.03, 0.02, 0.0, PLAIN_ATOMS)),
+    # mean 0.6: at or above the crossover a diffusion does not make the
+    # maturity conditional
+    "merton_intensity_20": (
+        st.ExpModelCharacteristics(1.0, 0.0, 0.2, st.normal_jumps(20.0, 0.0, 0.4)), 0.03,
+        lambda K: merton_call(1.0, K, 0.03, 0.0, 0.2, 20.0, 0.0, 0.4)),
+}
+
+
+@pytest.mark.parametrize("case", PLAIN_MODELS)
+def test_plain_kernel_at_large_means_matches_exact_series(case):
+    ec, t, exact = PLAIN_MODELS[case]
+    plan = _plan(ec, t)
+    assert not plan.horizons[0].conditional
+    assert max(lam for lam, _ in plan.streams) * t >= _CONDITIONAL_BELOW
+    cfg = st.SimConfig(n_paths=2**18 + 300, master_seed=1039)
+    for K in (0.9, 1.0, 1.2):
+        est = st.estimate_call(ec, t, K, cfg)
+        price = exact(K)
+        assert est.std_error > 0
+        assert abs(est.value - price) <= 5 * est.std_error, (K, est, price)
 
 
 def test_two_conditional_streams_match_exact_sum():

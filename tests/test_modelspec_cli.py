@@ -15,6 +15,7 @@ from scipy.stats import norm
 
 import smalltime as st
 from smalltime import cli, modelspec
+from test_exact_prices import merton_call
 
 BS_SPEC = {
     "model": {"S0": 1.0, "r": 0.0, "sigma": 0.2, "jumps": {"type": "none"}},
@@ -312,6 +313,37 @@ def test_cmd_simulate_forward_without_strike(tmp_path, capsys):
     assert rec["estimate"] == pytest.approx(1.0, abs=4 * rec["std_error"])
 
 
+@pytest.mark.parametrize("intensity", [500.0, 5000.0])
+def test_cmd_simulate_high_intensity_normal_jumps(tmp_path, capsys, intensity):
+    # the quadrature errors of a density's intensity and compensation grow
+    # with the intensity: absolute budgets failed here with exit 4
+    jumps = {"type": "density", "family": "normal", "intensity": intensity,
+             "mean": 0.0, "std": 0.4}
+    spec = {"model": {**MERTON_SPEC["model"], "jumps": jumps},
+            "sim": {"n_paths": 100000, "master_seed": 3}}
+    path = write_spec(tmp_path, spec)
+    code, out, _ = run_cli(capsys, ["simulate", "--spec", path,
+                                    "--t", "0.001", "--strike", "1.05"])
+    assert code == 0
+    rec = json.loads(out)
+    price = merton_call(1.0, 1.05, 0.001, 0.0, 0.2, intensity, 0.0, 0.4)
+    assert rec["std_error"] > 0
+    assert abs(rec["estimate"] - price) <= 5 * rec["std_error"], (rec, price)
+
+
+def test_cmd_simulate_high_intensity_laplace_forward(tmp_path, capsys):
+    jumps = {"type": "density", "family": "laplace", "intensity": 300.0,
+             "mean": 0.05, "scale": 0.2}
+    spec = {"model": {**MERTON_SPEC["model"], "jumps": jumps},
+            "sim": {"n_paths": 100000, "master_seed": 3}}
+    path = write_spec(tmp_path, spec)
+    code, out, _ = run_cli(capsys, ["simulate", "--spec", path, "--t", "0.001"])
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["std_error"] > 0
+    assert abs(rec["estimate"] - 1.0) <= 5 * rec["std_error"], rec
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     path = write_spec(tmp_path, BS_SPEC)
     target = tmp_path / "result.json"
@@ -438,7 +470,7 @@ FINITE = hst.one_of(hst.floats(min_value=0.0, allow_infinity=False),
 RATE = hst.one_of(hst.floats(allow_nan=False, allow_infinity=False),
                   hst.floats(min_value=-0.1, max_value=0.1))
 # intensities whose Poisson means per path, intensity x t over the t grid
-# below, fall on both sides of the sparse-count crossover (0.5)
+# below, fall on both sides of the kernel crossover (0.5)
 INTENSITY = hst.one_of(FINITE, hst.floats(min_value=1.0, max_value=60.0))
 FUZZ_T_GRID = [0.001, 0.003, 0.01, 0.03, 0.1]
 SIGNED = hst.one_of(hst.floats(allow_nan=False, allow_infinity=False),

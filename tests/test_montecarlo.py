@@ -16,7 +16,7 @@ from scipy.special import gamma
 from scipy.stats import chisquare, ks_2samp, norm, poisson
 
 import smalltime as st
-from smalltime.montecarlo import (_SPARSE_BELOW, _WORKSPACE_ROWS, _CompoundPoisson,
+from smalltime.montecarlo import (_CONDITIONAL_BELOW, _WORKSPACE_ROWS, _CompoundPoisson,
                                   _excess_cdf, _poisson_counts, _SimulationPlan,
                                   _stable_standard, _table_sampler, _ztp_counts, price_grid)
 
@@ -170,57 +170,14 @@ def test_pathwise_monotonicity_in_strike():
 # ----------------------------------------------------------------------
 # Poisson counts per block
 
-COUNT_MEANS = [1e-300, 1e-3, 0.03, float(np.nextafter(_SPARSE_BELOW, 0.0)), _SPARSE_BELOW,
-               6.66]
+# the plain kernel's streams of a maturity with a diffusion start at the
+# kernel crossover; 60 and 800 take the large-mean branch of _ztp_counts
+COUNT_MEANS = [1e-300, 1e-3, 0.03, float(np.nextafter(_CONDITIONAL_BELOW, 0.0)),
+               _CONDITIONAL_BELOW, 6.66, 60.0, 800.0]
 
 
 def _philox(*key):
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
-
-
-@pytest.mark.parametrize("n", [100, 2**16 + 500])
-@pytest.mark.parametrize("mu", COUNT_MEANS)
-def test_poisson_counts_law(mu, n):
-    rng = _philox(77, n)
-    calls = max(1, 2**18 // n)
-    full = np.zeros((calls, n), dtype=np.int64)
-    for row in full:
-        paths, counts = _poisson_counts(rng, mu, n)
-        if mu < _SPARSE_BELOW:
-            assert paths.dtype.kind == "i" and paths.size == counts.size
-            assert np.unique(paths).size == paths.size
-            assert paths.size == 0 or 0 <= paths.min() <= paths.max() < n
-            assert np.all(counts >= 1)
-        else:
-            assert paths == slice(None) and counts.size == n
-        row[paths] = counts
-    full = full.ravel()
-    N = full.size
-    if mu == 1e-300:
-        assert not full.any()  # no path jumps: the m = 0 draw
-        return
-    assert abs(full.mean() - mu) <= 5 * math.sqrt(mu / N)
-    # the sample variance of Poisson(mu) counts has variance ~ (mu + 2 mu^2) / N
-    assert abs(full.var(ddof=1) - mu) <= 5 * math.sqrt((mu + 2 * mu * mu) / N)
-    # chi-square over the counts, zeros included, with the tail pooled into
-    # the last bin from where fewer than 5 counts are expected per bin
-    top = int(poisson.isf(5.0 / N, mu))
-    observed = np.bincount(np.minimum(full, top), minlength=top + 1)
-    expected = N * poisson.pmf(np.arange(top + 1), mu)
-    expected[top] = N * poisson.sf(top - 1, mu)
-    assert chisquare(observed, expected).pvalue > 1e-3
-
-
-def test_poisson_counts_dense_branch_is_one_draw_per_path():
-    a, b = _philox(5, 0), _philox(5, 0)
-    paths, counts = _poisson_counts(a, _SPARSE_BELOW, 1000)
-    assert paths == slice(None)
-    assert np.array_equal(counts, b.poisson(_SPARSE_BELOW, 1000))
-
-
-ZTP_MEANS = [1e-300, 1e-6, 1e-3, 0.03, 0.3, float(np.nextafter(_SPARSE_BELOW, 0.0)),
-             # a superposed clock's total mean can lie above the crossover
-             3.0]
 
 
 def _pooled_chisquare(observed, expected):
@@ -233,6 +190,43 @@ def _pooled_chisquare(observed, expected):
     if exp[-1] == 0.0:
         obs, exp = obs[:-1], exp[:-1]
     return chisquare(obs, exp * (obs.sum() / exp.sum())).pvalue
+
+
+@pytest.mark.parametrize("n", [100, 2**16 + 500])
+@pytest.mark.parametrize("mu", COUNT_MEANS)
+def test_poisson_counts_law(mu, n):
+    rng = _philox(77, n)
+    calls = max(1, 2**18 // n)
+    full = np.zeros((calls, n), dtype=np.int64)
+    for row in full:
+        paths, counts = _poisson_counts(rng, mu, n)
+        # at every mean only the paths that jump get a count
+        assert paths.dtype.kind == "i" and paths.size == counts.size
+        assert np.unique(paths).size == paths.size
+        assert paths.size == 0 or 0 <= paths.min() <= paths.max() < n
+        assert counts.dtype.kind == "i" and np.all(counts >= 1)
+        row[paths] = counts
+    full = full.ravel()
+    N = full.size
+    if mu == 1e-300:
+        assert not full.any()  # no path jumps: the m = 0 draw
+        return
+    assert abs(full.mean() - mu) <= 5 * math.sqrt(mu / N)
+    # the sample variance of Poisson(mu) counts has variance ~ (mu + 2 mu^2) / N
+    assert abs(full.var(ddof=1) - mu) <= 5 * math.sqrt((mu + 2 * mu * mu) / N)
+    # chi-square over the counts, zeros included: the tail from where fewer
+    # than 5 counts are expected per bin in the last bin, and every other
+    # bin that expects fewer than 5 pooled
+    top = int(poisson.isf(5.0 / N, mu))
+    observed = np.bincount(np.minimum(full, top), minlength=top + 1)
+    expected = N * poisson.pmf(np.arange(top + 1), mu)
+    expected[top] = N * poisson.sf(top - 1, mu)
+    assert _pooled_chisquare(observed, expected) > 1e-3
+
+
+ZTP_MEANS = [1e-300, 1e-6, 1e-3, 0.03, 0.3, float(np.nextafter(_CONDITIONAL_BELOW, 0.0)),
+             # a superposed clock's total mean can lie above the crossover
+             3.0]
 
 
 @pytest.mark.parametrize("mu", ZTP_MEANS)
@@ -327,20 +321,47 @@ class _EdgeGenerator:
 
 
 @pytest.mark.parametrize("mu", [5e-324, 1e-300, 1e-6, 1e-4, np.nextafter(1e-4, 1.0), 0.5,
-                                3.0, 50.0, np.nextafter(50.0, 51.0), 709.0, 710.0, 1e6])
+                                3.0, 50.0])
 def test_ztp_counts_q_is_a_probability(mu):
-    # q = 1 - mu / (e^mu - 1) on both sides of g2's series switch, of the
-    # cut-off at 50 and of expm1's overflow, and at the smallest means
+    # q = 1 - mu / (e^mu - 1) on both sides of g2's series switch, at the
+    # smallest means and at the largest mean that draws from the table
     rng = _EdgeGenerator()
     assert np.array_equal(_ztp_counts(rng, mu, 7), np.ones(7))
     assert 0.0 <= rng.q <= 1.0
     if mu < 1e-3:
         exact = mu / 2 - mu * mu / 12  # the next term is mu^4 / 720
-    elif mu < 700:
-        exact = 1.0 - mu / math.expm1(mu)  # cancels less than 2e-13
     else:
-        exact = 1.0
+        exact = 1.0 - mu / math.expm1(mu)  # cancels less than 2e-13
     assert rng.q == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
+class _ZerosFirstGenerator:
+    """Generator stand-in for the large-mean branch of ``_ztp_counts``: the
+    first ``poisson`` draw has a 0 in every other entry, the second a 0 in
+    its first entry, and every other entry is a positive Poisson draw."""
+
+    def __init__(self):
+        self.rng, self.draws = _philox(97, 0), []
+
+    def poisson(self, mu, size):
+        counts = np.maximum(self.rng.poisson(mu, size), 1)
+        if len(self.draws) == 0:
+            counts[::2] = 0
+        elif len(self.draws) == 1:
+            counts[0] = 0
+        self.draws.append(counts.copy())
+        return counts
+
+
+@pytest.mark.parametrize("mu", [np.nextafter(50.0, 51.0), 709.0, 710.0, 1e6])
+def test_ztp_counts_redraws_zeros(mu):
+    # above 50 the counts are Poisson draws with every 0 drawn again, as
+    # often as it takes; the counts that were not 0 are kept
+    rng = _ZerosFirstGenerator()
+    counts = _ztp_counts(rng, mu, 7)
+    assert counts.size == 7 and counts.min() >= 1
+    assert np.array_equal(counts[1::2], rng.draws[0][1::2])
+    assert len(rng.draws) == 3
 
 
 @pytest.mark.parametrize("mu", [1e-300, 0.3, 3.0])
@@ -360,7 +381,7 @@ def test_ztp_counts_table_end(mu):
 
 @pytest.mark.parametrize("mu", [800.0, 1e4])
 def test_ztp_counts_large_means(mu):
-    # e^mu overflows: q is 1 and the table is built relative to its mode
+    # the large-mean branch: Poisson draws, with any 0 drawn again
     counts = _ztp_counts(_philox(7, 1), mu, 4096)
     assert counts.min() >= 2
     assert abs(counts.mean() - mu) <= 5 * math.sqrt(mu / counts.size)
@@ -564,8 +585,8 @@ PINNED_CASES = {
     "stable_callable_c": _pin(st.ExpModelCharacteristics(
         1.0, 0.0, 0.1, st.stable_like(1.5, lambda y: 0.1 * (1.0 + 0.5 * y)))),
     # the euler_log models of the mc_stable benchmark workload: every
-    # power-tail stream has a Poisson mean of about 6.7 per path, so these
-    # draws take the dense branch of _poisson_counts
+    # power-tail stream has a Poisson mean of about 6.7 per path, so all but
+    # about 0.1% of the paths jump
     "mc_stable_const_c": _pin(st.ExpModelCharacteristics(
         1.0, 0.0, 0.0, st.stable_like(1.5, 1.0)), cutoff=0.01, ts=(0.01,), Ks=(1.1, 1.2)),
     "mc_stable_callable_c": _pin(st.ExpModelCharacteristics(
@@ -594,11 +615,11 @@ PINNED = {
          (0.0007248523218868169, 6.18645092128207e-05),
          (0.0005173959495116736, 4.4158576193729956e-05)]),
     "stable_euler": (
-        "1b73843efddd64c244d6cfe856d39f5c7960a3dd16072811e8c815d372bb08a4",
-        [(0.02448602070685249, 0.00026127584178214805),
-         (0.0062583432199923884, 0.000199991959369654),
-         (0.009746971153677201, 0.0001293869185162644),
-         (0.0014015345759261016, 9.300150676203625e-05),
+        "9dc212dde4d4a63fa6e5ca4ff1c0c5b3ac0b460dd6756801397659793f250b39",
+        [(0.025151006084416627, 0.0002764707256310121),
+         (0.006808053626893427, 0.00021602142316019086),
+         (0.009992911484847844, 0.00014306653525985577),
+         (0.0015763774284284465, 0.00010892705371560485),
          (0.003282066240000123, 6.402967876502972e-05),
          (0.00029781843582740134, 4.756561030584994e-05)]),
     "stable_exact": (
@@ -610,9 +631,9 @@ PINNED = {
          (0.0023664334630470354, 5.044171037775903e-05),
          (0.00015125191487642213, 4.153206469521639e-05)]),
     "mixed_kernels": (
-        "e325ce3db811400f3ebe3f04b3f7ea4d3d5eef1aaf797a187082f3db57c2327e",
-        [(0.03905153874411898, 0.00026708605255885845),
-         (0.01088668161975365, 0.00015236104172784975),
+        "21d266bcea5e72296df67edddd2fca1581bbf0390043c5f99b1fa7553d9ce5a4",
+        [(0.03932741414550902, 0.00026734460542650855),
+         (0.011026917999206735, 0.00015176553179428067),
          (0.015212241430348423, 0.00014560496913872402),
          (0.001642712125530905, 4.791379642941183e-05),
          (0.004475452708201863, 7.046564959148918e-05),
@@ -642,21 +663,21 @@ PINNED = {
          (0.0005737601752741437, 7.677364606138956e-05),
          (0.00044704464888405593, 6.600612221078982e-05)]),
     "stable_callable_c": (
-        "98a3e6b1dd98de4e622b2d078bf7472820b637a2517ffbaa90ce669b34802ccc",
-        [(0.025609695915435406, 0.00031026300129364165),
-         (0.008069572615196188, 0.00025136316769906004),
-         (0.009816917773285597, 0.00014773744690346787),
-         (0.001714891687497447, 0.00011304766059358071),
+        "17c56982f68792c1e96f6cb45380ae7b6a55f34adeac481317783bd13352e353",
+        [(0.02528697219823057, 0.0003026949498409399),
+         (0.0078014040856104324, 0.00024362829845105425),
+         (0.010321415688619133, 0.00016642444623985163),
+         (0.0020825725965107063, 0.00013249803111661394),
          (0.0032272833973718824, 6.464374395343821e-05),
          (0.000318169116813554, 4.7788668967750414e-05)]),
     "mc_stable_const_c": (
-        "419be66fa0b8a54db57b3338b387f287881ec511a4b7e6dd9eb3e03d2f6d5df6",
-        [(0.034327201487247425, 0.0005231615324513755),
-         (0.021222673348521064, 0.00045064097016799974)]),
+        "645b85242c5c937dd49618db7be6818e406c7c7e67ff22c8328602cef1594115",
+        [(0.03375532284701878, 0.0005070245191830517),
+         (0.020490594137672805, 0.0004340695347083259)]),
     "mc_stable_callable_c": (
-        "35cfdc2c6aac09a17b136420ffff9c0d8cc47e354b0527b8c49ac3f55ab91175",
-        [(0.037472129330609165, 0.0005838919781961286),
-         (0.024349765898298972, 0.0005117167484700015)]),
+        "a7b0809c44ef900958ebad66098d74205c5054a8c3fc666eabe1276496d10c07",
+        [(0.03837343342506368, 0.0005867041800891523),
+         (0.025227681859943764, 0.0005126723745354179)]),
 }
 
 

@@ -34,7 +34,7 @@ Both trees run the same probes, each in a fresh interpreter with the tree's
 * a conditional-kernel probe recording every ``price_grid`` cell at
   strikes 0, 0.9, 1, 1.1 with 1 and 2 workers for Merton at t in {1e-5,
   1e-3, 0.03}, atoms at +-0.1 with sigma = 0.15, Laplace jumps with
-  sigma = 0.15, and a grid whose Poisson means straddle the sparse-count
+  sigma = 0.15, and a grid whose Poisson means straddle the kernel
   crossover (plain and conditional maturities in one pass).
 
 Each probe records its exit code, stdout and stderr. The script prints a

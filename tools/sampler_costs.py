@@ -8,8 +8,8 @@ Each cell is the fastest of R x N calls (``timeit.repeat``), in ms per
 compound-Poisson stream and block of n = 2**16 paths, at the Poisson means
 per path of the docstring's table. The rows:
 
-* ``counts``: ``_poisson_counts`` alone (its sparse branch draws the
-  zero-truncated counts of ``_ztp_counts``);
+* ``counts``: ``_poisson_counts`` alone: the number of paths that jump,
+  their indices and their zero-truncated counts (``_ztp_counts``);
 * ``+ normal sum``, ``+ Laplace sum``: the counts, the ``sum_sampler`` hook
   of ``normal_jumps(1, 0, 0.4)`` or ``laplace_jumps(1, 0.2)``, and the
   scatter into the jump-sum row (one ``_CompoundPoisson.draw``);
@@ -22,11 +22,8 @@ per path of the docstring's table. The rows:
   the number of paths that jump, their zero-truncated counts and the
   ``sum_sampler`` hook, with no path index and no scatter.
 
-In the other rows "every path" forces the dense branch of
-``_poisson_counts`` at every mean, "sparse" the sparse branch; by default
-each mean uses the branch the simulator picks, and the table shows both.
-The clock row draws the same way at every mean, although the simulator
-prices a maturity by the conditional kernel only below ``_SPARSE_BELOW``.
+Every row draws the same way at every mean, although the simulator prices
+a maturity by the conditional kernel only below ``_CONDITIONAL_BELOW``.
 """
 
 import argparse
@@ -64,28 +61,20 @@ def measure(repeat, number):
     rng = np.random.Generator(np.random.Philox(key=np.array([0, 0], dtype=np.uint64)))
     out = np.empty(BLOCK)
     rows = []
-    branches = {"every path": 0.0, "sparse": np.inf}
     hooks = _hooks()
-    saved = mc._SPARSE_BELOW
-    try:
-        for label in ["counts", *hooks]:
-            for branch, crossover in branches.items():
-                mc._SPARSE_BELOW = crossover
-                cells = []
-                for mu in MEANS:
-                    if label == "counts":
-                        def call(mu=mu):
-                            mc._poisson_counts(rng, mu, BLOCK)
-                    else:
-                        part = mc._CompoundPoisson([(mu, hooks[label])], 0.0)
+    for label in ["counts", *hooks]:
+        cells = []
+        for mu in MEANS:
+            if label == "counts":
+                def call(mu=mu):
+                    mc._poisson_counts(rng, mu, BLOCK)
+            else:
+                part = mc._CompoundPoisson([(mu, hooks[label])], 0.0)
 
-                        def call(part=part):
-                            part.draw(rng, 1.0, out)
-                    cells.append(_fastest_ms(call, repeat, number))
-                name = label if label == "counts" else "+ " + label
-                rows.append((f"{name}, {branch}", cells))
-    finally:
-        mc._SPARSE_BELOW = saved
+                def call(part=part):
+                    part.draw(rng, 1.0, out)
+            cells.append(_fastest_ms(call, repeat, number))
+        rows.append((label if label == "counts" else "+ " + label, cells))
     cells = []
     for mu in MEANS:
         ec = st.ExpModelCharacteristics(1.0, 0.0, 0.2, st.normal_jumps(mu, 0.0, 0.4))
