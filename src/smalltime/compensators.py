@@ -96,13 +96,17 @@ class JumpCompensator:
         return False
 
     # -- shared validation ----------------------------------------------
-    def _validate_integrability(self):
+    def _validate_integrability(self, scale=1.0):
+        """Integrate min(1, y^2) and (e^y - 1)^2 with a budget of
+        ``_VALIDATE_TOL * scale``: the quadrature error grows with the size
+        of the measure, so a caller that knows it passes it as ``scale``."""
+        tol = _VALIDATE_TOL * scale
         try:
             levy, _ = self.integrate_with_error(
-                lambda y: min(1.0, y * y), tol=_VALIDATE_TOL,
+                lambda y: min(1.0, y * y), tol=tol,
                 g_over_y2=lambda y: min(1.0 / (y * y), 1.0) if y != 0.0 else 1.0)
             sqexp, _ = self.integrate_with_error(
-                lambda y: math.expm1(y) ** 2, tol=_VALIDATE_TOL,
+                lambda y: math.expm1(y) ** 2, tol=tol,
                 g_over_y2=lambda y: em1_over(y) ** 2)
         except (QuadratureDivergence, OverflowError) as exc:
             raise InvariantViolation(f"compensator fails integrability: {exc}") from exc
@@ -211,7 +215,10 @@ class DensityCompensator(JumpCompensator):
         for probe in np.linspace(max(lo, -5.0) + 1e-6, min(hi, 5.0) - 1e-6, 17):
             if probe != 0.0 and fn(probe) < 0:
                 raise InvariantViolation(f"density negative at y={probe}")
-        self._validate_integrability()
+        # a finite intensity above 1 scales the budget (normal jumps at
+        # intensity 1e7 have a quadrature error of about 1.5e-6)
+        lam = self.total_intensity()
+        self._validate_integrability(lam if 1.0 < lam < math.inf else 1.0)
 
     def integrate_with_error(self, g, tol=DEFAULT_TOL, points=None, g_over_y2=None):
         s = self.singularity_order

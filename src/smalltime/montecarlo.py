@@ -41,9 +41,22 @@ the model and the maturity:
   conditional payoffs costs O(m) and needs no row of length n. The partial
   is a symmetric function of the n jump sums, whose joint law the clock
   draws exactly, so no path needs an index: the estimator keeps n_paths
-  and the iid standard error, is unbiased, and its variance is no larger
-  than the plain one (Rao-Blackwell). Its draws are not those of the
-  plain kernel.
+  and the iid standard error, is unbiased, and averaging the calls given J
+  has a variance no larger than the plain one (Rao-Blackwell). Its draws
+  are not those of the plain kernel.
+
+  A strike K with 0 < K < E S_t = S0 e^(integral of r) averages the puts
+  given J instead and adds the constant E S_t - K (``_call_given_jumps``):
+  given J the call is the put plus F e^J - K, and the mean of F e^J is
+  E S_t exactly, so this control variate (Glasserman 2003, section 4.1,
+  coefficient 1) stays unbiased. Its variance is that of the puts, which
+  is Var(call) - Cov(F e^J, call + put): lower wherever upward jump sums
+  carry the variance of the call. On Merton (r = 0.05, sigma 0.2, normal
+  jumps N(0, 0.4) at intensity 1, 2**18 paths) the put's standard error is
+  0.25 to 0.53 of the call's at K = 0.8 to 1.0, t = 1e-3 and 0.03, and with
+  only an upward atom it is nearly 0. With only a downward atom (-0.4,
+  intensity 1) it is 0.65 of the call's at K = 0.8 but 2 to 120 times it
+  at K = 0.9 to 1.0, where the paths that jump end below the strike.
 * plain, for every other maturity: the block draws the standard normals
   once for all plain maturities (each scales the same vector by
   sigma sqrt(t)), snapshots the generator state, and for each maturity
@@ -550,7 +563,8 @@ class _Horizon(NamedTuple):
     t: float
     log_drift: float  # of the log price, jump compensation included
     discount: float
-    log_forward: float  # log E S_t
+    log_forward: float  # log E[S_t | jump sum 0]
+    forward: float  # E S_t = S0 e^(integral of r), exactly
     sd: float  # sigma sqrt(t)
     conditional: bool  # priced by the conditional kernel (module docstring)
 
@@ -591,10 +605,14 @@ class _SimulationPlan:
             log_drift = rate_integral - half_variance * t - compensation * t
             if not math.isfinite(log_drift):
                 raise DomainError(f"log drift at t = {t!r} is not finite")
+            try:
+                forward = ec.S0 * math.exp(rate_integral)
+            except OverflowError:
+                forward = math.inf
             sd = self.sigma * math.sqrt(t)
             self.horizons.append(_Horizon(
                 t, log_drift, math.exp(-rate_integral),
-                self.x0 + rate_integral - compensation * t, sd,
+                self.x0 + rate_integral - compensation * t, forward, sd,
                 sd > 0 and streams_only and max_intensity * t < _CONDITIONAL_BELOW))
 
     def draw_block(self, rng, ws, horizons):
@@ -704,19 +722,34 @@ def simulate_terminal(ec, t, cfg, rate_fn=None):
     return out
 
 
-def _call_given_jumps(n, log_forward, sd, jump_sums, K):
-    """(mean, M2) of the n payoffs E[(S_t - K)^+ | jump sum] of a block whose
-    jumping paths have the given jump sums; the other paths share the payoff
-    at jump sum 0. Given its jump sum J a path's S_t is lognormal with mean
-    e^(log_forward + J) and log standard deviation sd, so the payoff is the
-    Black-Scholes price; a strike <= 0 gives the forward minus the strike."""
+def _call_given_jumps(n, h, jump_sums, K):
+    """(mean, M2) of the n payoffs E[(S_t - K)^+ | jump sum] at horizon h of
+    a block whose jumping paths have the given jump sums; the other paths
+    share the payoff at jump sum 0. Given its jump sum J a path's S_t is
+    lognormal with mean F e^J, F = e^(h.log_forward), and log standard
+    deviation h.sd, so the payoff is the Black-Scholes price.
+
+    This function holds the route rule. For 0 < K < h.forward the paths are
+    priced by the put given J instead, and the mean gains the constant
+    h.forward - K: given J the call is the put plus F e^J - K, and the mean
+    of F e^J is exactly the forward E S_t (a control variate with
+    coefficient 1; module docstring). M2 is then that of the puts. A strike
+    >= the forward keeps the call, and a strike <= 0 gives the average of
+    F e^J minus the strike."""
     x = np.concatenate(([0.0], jump_sums))
-    x += log_forward
+    x += h.log_forward
     g = np.exp(x)
+    shift = 0.0
     if K > 0:
-        d1 = (x - math.log(K)) / sd + 0.5 * sd
-        g *= ndtr(d1)
-        g -= K * ndtr(d1 - sd)
+        d1 = (x - math.log(K)) / h.sd + 0.5 * h.sd
+        if K < h.forward:
+            # the put K N(-d2) - F e^J N(-d1)
+            g *= -ndtr(-d1)
+            g += K * ndtr(h.sd - d1)
+            shift = h.forward - K
+        else:
+            g *= ndtr(d1)
+            g -= K * ndtr(d1 - h.sd)
         # rounding must not make a far out-of-the-money payoff negative
         np.maximum(g, 0.0, out=g)
     else:
@@ -724,7 +757,7 @@ def _call_given_jumps(n, log_forward, sd, jump_sums, K):
     g0, g = g[0], g[1:]
     mean = (g.sum() + (n - g.size) * g0) / n
     g -= mean
-    return mean, np.square(g, out=g).sum() + (n - g.size) * (g0 - mean) ** 2
+    return mean + shift, np.square(g, out=g).sum() + (n - g.size) * (g0 - mean) ** 2
 
 
 def price_grid(ec, ts, Ks, cfg, rate_fn=None):
@@ -760,8 +793,7 @@ def price_grid(ec, ts, Ks, cfg, rate_fn=None):
                 rng.bit_generator.state = start
                 jump_sums = plan.jump_sums(rng, h.t, n)
                 for k, K in enumerate(Ks):
-                    mean[j, k], m2[j, k] = _call_given_jumps(
-                        n, h.log_forward, h.sd, jump_sums, K)
+                    mean[j, k], m2[j, k] = _call_given_jumps(n, h, jump_sums, K)
         partials[i] = (n, mean, m2)
 
     _for_each_block(cfg, reduce_block)
@@ -791,8 +823,12 @@ def estimate_call(ec, t, K, cfg, rate_fn=None):
     Reduces block by block, so memory does not grow with n_paths: with the
     plain kernel the payoffs of the samples simulate_terminal draws for the
     same inputs, with the conditional kernel each path's Black-Scholes
-    price given its jump sum (module docstring). Either way estimates at
-    different strikes are pathwise monotone.
+    price given its jump sum (module docstring). With the plain kernel
+    estimates at different strikes are pathwise monotone. With the
+    conditional kernel they are on each side of the forward E S_t; across
+    it the estimates below the forward differ from the monotone average of
+    the conditional calls by the forward minus its sample mean, so the
+    order holds up to the forward's sampling error.
     """
     _check_strike(K)
     return price_grid(ec, [t], [K], cfg, rate_fn)[0][0]

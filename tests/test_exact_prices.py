@@ -78,7 +78,14 @@ MODELS = {
                          lambda K, t: atomic_call(1.0, K, t, 0.03, 0.0, ATOMS)),
     "atomic_diffusion": (st.ExpModelCharacteristics(1.0, 0.0, 0.15, st.atomic(ATOMS)),
                          lambda K, t: atomic_call(1.0, K, t, 0.0, 0.15, ATOMS)),
+    # r > 0 puts the strike S0 below the forward S0 e^(rt): the conditional
+    # kernel prices it by the put plus the exact forward
+    "atomic_diffusion_rate": (st.ExpModelCharacteristics(1.0, 0.05, 0.15, st.atomic(ATOMS)),
+                              lambda K, t: atomic_call(1.0, K, t, 0.05, 0.15, ATOMS)),
 }
+# strikes below the forward (0.8, 0.9, and 1.0 when r > 0) take the
+# conditional kernel's put route, the others its call route
+STRIKES = (0.8, 0.9, 1.0, 1.2)
 
 
 def test_series_reduce_to_black_scholes():
@@ -99,7 +106,7 @@ def test_estimate_call_matches_exact_series(case, t):
     # puts the maturity on the conditional kernel
     assert _plan(ec, t).horizons[0].conditional == (ec.sigma > 0)
     cfg = st.SimConfig(n_paths=2**18 + 300, master_seed=1009)
-    for K in (0.9, 1.0, 1.2):
+    for K in STRIKES:
         est = st.estimate_call(ec, t, K, cfg)
         price = exact(K, t)
         assert est.std_error > 0
@@ -115,7 +122,7 @@ def test_conditional_estimate_matches_exact_series_at_tiny_t(case, t):
     # take well under a second
     ec, exact = MODELS[case]
     cfg = st.SimConfig(n_paths=2**23, master_seed=1013)
-    for K in (0.9, 1.0, 1.2):
+    for K in STRIKES:
         est = st.estimate_call(ec, t, K, cfg)
         price = exact(K, t)
         assert est.std_error > 0

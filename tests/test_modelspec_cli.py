@@ -313,20 +313,26 @@ def test_cmd_simulate_forward_without_strike(tmp_path, capsys):
     assert rec["estimate"] == pytest.approx(1.0, abs=4 * rec["std_error"])
 
 
-@pytest.mark.parametrize("intensity", [500.0, 5000.0])
+# maturity per intensity: at 1e7 a Poisson mean of 0.1 per path
+HIGH_INTENSITY_T = {500.0: 0.001, 5000.0: 0.001, 1e7: 1e-8}
+
+
+@pytest.mark.parametrize("intensity", HIGH_INTENSITY_T)
 def test_cmd_simulate_high_intensity_normal_jumps(tmp_path, capsys, intensity):
-    # the quadrature errors of a density's intensity and compensation grow
-    # with the intensity: absolute budgets failed here with exit 4
+    # the quadrature errors of a density's intensity, compensation and
+    # integrability check grow with the intensity: absolute budgets failed
+    # here with exit 4 (500, 5000) and exit 1 (1e7)
+    t = HIGH_INTENSITY_T[intensity]
     jumps = {"type": "density", "family": "normal", "intensity": intensity,
              "mean": 0.0, "std": 0.4}
     spec = {"model": {**MERTON_SPEC["model"], "jumps": jumps},
             "sim": {"n_paths": 100000, "master_seed": 3}}
     path = write_spec(tmp_path, spec)
     code, out, _ = run_cli(capsys, ["simulate", "--spec", path,
-                                    "--t", "0.001", "--strike", "1.05"])
+                                    "--t", repr(t), "--strike", "1.05"])
     assert code == 0
     rec = json.loads(out)
-    price = merton_call(1.0, 1.05, 0.001, 0.0, 0.2, intensity, 0.0, 0.4)
+    price = merton_call(1.0, 1.05, t, 0.0, 0.2, intensity, 0.0, 0.4)
     assert rec["std_error"] > 0
     assert abs(rec["estimate"] - price) <= 5 * rec["std_error"], (rec, price)
 

@@ -117,6 +117,11 @@ def test_forward_identity_tiny_strike():
     est = st.estimate_call(ec, t, 1e-12, cfg)
     # discounted E S_t - K ~ S0
     assert abs(est.value - 1.0) <= 4 * est.std_error + 1e-12
+    # a tiny strike takes the conditional kernel's put route, whose forward
+    # is exact; strike 0 still averages every path's forward
+    (forward,) = price_grid(ec, [t], [0.0], cfg)[0]
+    assert forward.std_error > 0
+    assert abs(forward.value - 1.0) <= 4 * forward.std_error
 
 
 def test_huge_strike_exactly_zero():
@@ -551,20 +556,44 @@ def test_conditional_block_matches_brute_force(case):
         jumps[:m] += sum_sampler(rng, stream_counts)
     if case == "two_atoms":
         assert np.any((n_jumps > 0) & (jumps == 0.0))
-    # given its jump sum, a path's log price is Gaussian: Black-Scholes
+    # given its jump sum, a path's log price is Gaussian: Black-Scholes.
+    # Below the forward E S_t the kernel prices the put and adds the
+    # forward minus the strike (put-call parity given the jump sum)
     sd = ec.sigma * math.sqrt(t)
     log_forward = math.log(ec.S0) + h.log_drift + 0.5 * sd * sd + jumps
+    forward = ec.S0 * math.exp(ec.r * t)
     disc = math.exp(-ec.r * t)
     for K, est in zip(Ks, price_grid(ec, [t], Ks, cfg)[0]):
+        shift = 0.0
         if K == 0.0:
             pay = np.exp(log_forward)
+        elif K < forward:
+            d1 = (log_forward - math.log(K)) / sd + 0.5 * sd
+            pay = np.maximum(K * norm.cdf(sd - d1) - np.exp(log_forward) * norm.cdf(-d1), 0.0)
+            shift = forward - K
         else:
             d1 = (log_forward - math.log(K)) / sd + 0.5 * sd
             pay = np.maximum(np.exp(log_forward) * norm.cdf(d1) - K * norm.cdf(d1 - sd), 0.0)
         m2 = np.sum((pay - pay.mean()) ** 2)
-        assert est.value == pytest.approx(disc * pay.mean(), rel=1e-12, abs=0.0), K
+        assert est.value == pytest.approx(disc * (pay.mean() + shift), rel=1e-12, abs=0.0), K
         assert est.std_error == pytest.approx(disc * math.sqrt(m2 / (n - 1) / n),
                                               rel=1e-12, abs=0.0), K
+
+
+@pytest.mark.parametrize("r", [0.0, 0.05])
+def test_conditional_itm_estimates_are_at_least_intrinsic(r):
+    # below the forward the conditional kernel adds the exact discounted
+    # forward minus the strike to the discounted mean of nonnegative puts,
+    # so no seed can fall below S0 - K e^(-rt); averaging the calls could
+    ec = st.ExpModelCharacteristics(1.0, r, 0.2, st.normal_jumps(1.0, 0.0, 0.4))
+    ts, Ks = [0.03, 1e-3], [0.8, 0.9, 0.95, 1.0]
+    for seed in range(20):
+        grid = price_grid(ec, ts, Ks, st.SimConfig(n_paths=2**16, master_seed=seed))
+        for t, row in zip(ts, grid):
+            for K, est in zip(Ks, row):
+                if K < math.exp(r * t):
+                    intrinsic = 1.0 - K * math.exp(-r * t)
+                    assert est.value >= intrinsic - 1e-12, (seed, t, K, est, intrinsic)
 
 
 def _pin(ec, scheme="euler_log", cutoff=0.005, ts=(0.02, 0.005, 1e-3), Ks=(1.0, 1.1)):
@@ -634,9 +663,9 @@ PINNED = {
         "21d266bcea5e72296df67edddd2fca1581bbf0390043c5f99b1fa7553d9ce5a4",
         [(0.03932741414550902, 0.00026734460542650855),
          (0.011026917999206735, 0.00015176553179428067),
-         (0.015212241430348423, 0.00014560496913872402),
+         (0.015061533002117091, 0.00010813353667023351),
          (0.001642712125530905, 4.791379642941183e-05),
-         (0.004475452708201863, 7.046564959148918e-05),
+         (0.004236430452628403, 4.9603087564314956e-05),
          (0.00019782063582186892, 1.1132905884714516e-05)]),
     "three_atoms_no_diffusion": (
         "66a21d78c3a9d3af4c3856dbd8cc698f78b530b3e94b6fe8870e76820aa79661",
@@ -648,11 +677,11 @@ PINNED = {
          (0.0005638183222571433, 3.963241329292371e-05)]),
     "laplace": (
         "cbe4705e5a230e0d3a7df80b9ef2082e438a8cbb467126ab93fea7f11e21c443",
-        [(0.011606584335166379, 0.0001992416872327061),
+        [(0.011794090160865425, 8.797516835998486e-05),
          (0.0030575745119719483, 0.00017183868480787472),
-         (0.005115624315030738, 0.00010252406311216599),
+         (0.005080338042603268, 4.4259873435983984e-05),
          (0.0008244593331147133, 8.73186875257225e-05),
-         (0.0021261753420982604, 5.4863243566300687e-05),
+         (0.0020728352038760383, 2.0763508708043555e-05),
          (0.0002108116872580993, 4.7578320142162215e-05)]),
     "density_cdf_table": (
         "2c0e128a9d6b5c56a126a30202f00bd11d58e6cf7c6104f721724fb63faa3f4c",
