@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from . import compensators as comp
 from .errors import DomainError, QuadratureDivergence, RegimeUnknown
-from .quadrature import DEFAULT_TOL, quad_abs, quad_singular_origin
+from .quadrature import DEFAULT_TOL, PROBE_TOL, quad_abs, quad_singular_origin
 
 OTM = "OTM"
 ITM = "ITM"
@@ -70,7 +70,7 @@ def classify_regime(ec, K):
             "pure-jump model with infinite |y|-integral and no stable-like "
             "declaration")
     try:
-        m.integrate(abs, tol=1e-7)
+        m.integrate(abs, tol=PROBE_TOL)
     except QuadratureDivergence as exc:
         raise RegimeUnknown(
             "pure-jump model whose |y|-integral diverges numerically and is "
@@ -83,7 +83,8 @@ def otm_slope(ec, K, tol=DEFAULT_TOL):
 
     Both evaluation routes are computed: the direct payoff integral of
     (S0 e^y - K)^+ and S0 times the upper exponential double tail at
-    ln(K / S0). They must agree within 10 * tol; the tail form is reported.
+    ln(K / S0). They must agree within 10 * tol * max(1, |tail form|), the
+    quadrature's own budget rule scaled by 10; the tail form is reported.
     """
     if K <= ec.S0:
         raise DomainError("otm_slope requires K > S0")
@@ -94,10 +95,11 @@ def otm_slope(ec, K, tol=DEFAULT_TOL):
     psi = comp.exp_double_tail_up(m, z, tol)
     tail_form = ec.S0 * psi
     gap = abs(payoff_form - tail_form)
-    if gap > 10.0 * tol:
+    allowed = 10.0 * tol * max(1.0, abs(tail_form))
+    if gap > allowed:
         raise QuadratureDivergence(
             f"payoff and double-tail evaluations disagree by {gap:.3e} "
-            f"(> 10 tol = {10 * tol:.3e})")
+            f"(> 10 tol max(1, |tail form|) = {allowed:.3e})")
     return AsymptoticResult(
         OTM, 1.0, tail_form,
         diagnostics={"payoff_form": payoff_form, "tail_form": tail_form,

@@ -19,7 +19,7 @@ from . import compensators as comp
 from .compensators import JumpCompensator, kappa, no_jumps
 from .errors import (DegenerateGradient, DimensionMismatch, DomainError,
                      InvariantViolation, QuadratureDivergence)
-from .quadrature import DEFAULT_TOL
+from .quadrature import DEFAULT_TOL, PROBE_TOL
 
 
 class LocalCharacteristics:
@@ -197,7 +197,7 @@ def from_time_changed_levy(levy_triplet, theta0, tol=DEFAULT_TOL):
     if nu is None:
         nu = no_jumps()
     try:
-        nu.integrate(lambda y: y * y, tol=1e-7, g_over_y2=lambda y: 1.0)
+        nu.integrate(lambda y: y * y, tol=PROBE_TOL, g_over_y2=lambda y: 1.0)
     except QuadratureDivergence as exc:
         raise InvariantViolation(
             f"nu fails the square-integrability requirement: {exc}") from exc

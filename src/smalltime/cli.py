@@ -27,6 +27,7 @@ from .errors import (DomainError, QuadratureDivergence, RegimeUnknown,
                      SmallTimeError, SpecError)
 from .generator import apply_exp_generator, apply_generator
 from .functions import from_spec as function_from_spec
+from .quadrature import DEFAULT_TOL
 
 CSV_HEADER = "t,estimate,std_error,ratio,predicted"
 
@@ -224,7 +225,9 @@ def build_parser():
                         help="override sim.master_seed (spec default 0)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="write output to a file")
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                        help="quadrature error budget: absolute for integrands whose "
+                             "|f| integrates to at most 1, relative above")
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--paths", type=int, default=None,
                         help="override sim.n_paths")

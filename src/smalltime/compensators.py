@@ -33,10 +33,9 @@ import math
 import numpy as np
 
 from .errors import DomainError, InvariantViolation, QuadratureDivergence
-from .quadrature import (DEFAULT_TOL, expanding_upper_limit, quad_abs,
-                         quad_singular_origin, quad_soft)
+from .quadrature import (DEFAULT_TOL, PROBE_TOL, expanding_upper_limit, quad_abs,
+                         quad_singular_origin)
 
-_VALIDATE_TOL = 1e-7
 _SUPPORT_CAP = 60.0
 _SCAN_POINTS = 4001  # grid points of the pushforward level-set scan
 
@@ -96,17 +95,14 @@ class JumpCompensator:
         return False
 
     # -- shared validation ----------------------------------------------
-    def _validate_integrability(self, scale=1.0):
-        """Integrate min(1, y^2) and (e^y - 1)^2 with a budget of
-        ``_VALIDATE_TOL * scale``: the quadrature error grows with the size
-        of the measure, so a caller that knows it passes it as ``scale``."""
-        tol = _VALIDATE_TOL * scale
+    def _validate_integrability(self):
+        """Integrate min(1, y^2) and (e^y - 1)^2; both must be finite."""
         try:
             levy, _ = self.integrate_with_error(
-                lambda y: min(1.0, y * y), tol=tol,
+                lambda y: min(1.0, y * y), tol=PROBE_TOL,
                 g_over_y2=lambda y: min(1.0 / (y * y), 1.0) if y != 0.0 else 1.0)
             sqexp, _ = self.integrate_with_error(
-                lambda y: math.expm1(y) ** 2, tol=tol,
+                lambda y: math.expm1(y) ** 2, tol=PROBE_TOL,
                 g_over_y2=lambda y: em1_over(y) ** 2)
         except (QuadratureDivergence, OverflowError) as exc:
             raise InvariantViolation(f"compensator fails integrability: {exc}") from exc
@@ -212,13 +208,10 @@ class DensityCompensator(JumpCompensator):
         self._tail_up = tail_up
         self._tail_dn = tail_dn
         self.sum_sampler = sum_sampler
-        for probe in np.linspace(max(lo, -5.0) + 1e-6, min(hi, 5.0) - 1e-6, 17):
+        for probe in np.linspace(max(lo, -5.0) + 1e-6, min(hi, 5.0) - 1e-6, 17).tolist():
             if probe != 0.0 and fn(probe) < 0:
                 raise InvariantViolation(f"density negative at y={probe}")
-        # a finite intensity above 1 scales the budget (normal jumps at
-        # intensity 1e7 have a quadrature error of about 1.5e-6)
-        lam = self.total_intensity()
-        self._validate_integrability(lam if 1.0 < lam < math.inf else 1.0)
+        self._validate_integrability()
 
     def integrate_with_error(self, g, tol=DEFAULT_TOL, points=None, g_over_y2=None):
         s = self.singularity_order
@@ -276,7 +269,7 @@ class DensityCompensator(JumpCompensator):
             return 0.0
         if x <= 0 and self.singularity_order >= 1:
             return float("inf")
-        v, _ = quad_soft(self.fn, max(x, self.lo), self.hi, tol)
+        v, _ = quad_abs(self.fn, max(x, self.lo), self.hi, tol)
         return v
 
     def lower_tail(self, x, tol=DEFAULT_TOL):
@@ -286,7 +279,7 @@ class DensityCompensator(JumpCompensator):
             return 0.0
         if x >= 0 and self.singularity_order >= 1:
             return float("inf")
-        v, _ = quad_soft(self.fn, self.lo, min(x, self.hi), tol)
+        v, _ = quad_abs(self.fn, self.lo, min(x, self.hi), tol)
         return v
 
     def support(self):
@@ -304,9 +297,6 @@ class DensityCompensator(JumpCompensator):
     def total_intensity(self):
         if self.singularity_order >= 1:
             return float("inf")
-        # the two tails at 0: closed forms where the family has them, else
-        # quad_soft, whose budget is also relative to the tail; an absolute
-        # budget fails at large intensities, since the error grows with them
         return self.upper_tail(0.0) + self.lower_tail(0.0)
 
 
@@ -338,7 +328,7 @@ class StableLikeCompensator(JumpCompensator):
         if self.residual.form == "stable_like":
             raise InvariantViolation("residual must be atomic or density form")
         try:
-            self.residual.integrate(abs, tol=_VALIDATE_TOL)
+            self.residual.integrate(abs, tol=PROBE_TOL)
         except QuadratureDivergence as exc:
             raise InvariantViolation(f"residual |y|-integral diverges: {exc}") from exc
         self._validate_integrability()
@@ -366,8 +356,8 @@ class StableLikeCompensator(JumpCompensator):
         if self.constant_c is not None:
             return self.constant_c * (ax ** -self.alpha - 1.0) / self.alpha
         sgn = 1.0 if x > 0 else -1.0
-        v, _ = quad_soft(lambda y: self.c(sgn * y) * y ** (-1.0 - self.alpha),
-                         ax, 1.0, 1e-12)
+        v, _ = quad_abs(lambda y: self.c(sgn * y) * y ** (-1.0 - self.alpha),
+                        ax, 1.0, 1e-12)
         return v
 
     def side_second_moment(self, x):
@@ -464,7 +454,7 @@ class PushforwardCompensator(JumpCompensator):
         for a, b, flag in zip(cuts[:-1], cuts[1:],
                               _segment_flags(inside, len(edges))):
             if flag:
-                v, _ = quad_soft(self.nu.fn, a, b, 1e-11)
+                v, _ = quad_abs(self.nu.fn, a, b, 1e-11)
                 total += v
         return total
 
@@ -508,7 +498,8 @@ def normal_jumps(intensity, mean, std):
     z = intensity / (std * math.sqrt(2.0 * math.pi))
 
     def fn(y):
-        return z * math.exp(-0.5 * ((y - mean) / std) ** 2)
+        u = (y - mean) / std
+        return z * math.exp(-0.5 * u * u)
 
     def tail_up(x):
         return intensity * _norm_sf((x - mean) / std)
@@ -585,7 +576,9 @@ def _exp_times(x, t):
 # public operations
 
 def integrate(m, g, tol=DEFAULT_TOL, points=None, g_over_y2=None):
-    """Integral of g against the compensator m, absolute error <= tol.
+    """Integral of g against the compensator m, with quadrature error at
+    most tol times max(1, integral of |integrand|): absolute up to 1,
+    relative above (``quadrature.quad_abs``).
 
     ``points`` marks known kinks of g; ``g_over_y2`` optionally provides
     g(y)/y^2 in a cancellation-free form for singular measures.
@@ -593,15 +586,6 @@ def integrate(m, g, tol=DEFAULT_TOL, points=None, g_over_y2=None):
     if tol <= 0:
         raise DomainError("tol must be positive")
     return m.integrate(g, tol, points, g_over_y2)
-
-
-def _effective_upper_limit(m, z, tol):
-    _, hi = m.support()
-    if np.isfinite(hi):
-        return hi
-    return expanding_upper_limit(
-        lambda x: _exp_times(x, m.upper_tail(x, tol * 1e-2)), max(z, 0.0),
-        tol * 1e-2)
 
 
 def exp_double_tail_up(m, z, tol=DEFAULT_TOL):
@@ -617,12 +601,13 @@ def exp_double_tail_up(m, z, tol=DEFAULT_TOL):
     if m.form == "atomic":
         keep = m.locations > z
         return float(np.sum(m.masses[keep] * (np.exp(m.locations[keep]) - math.exp(z))))
-    hi = _effective_upper_limit(m, z, tol)
+    _, hi = m.support()
+    if not np.isfinite(hi):
+        hi = expanding_upper_limit(lambda x: _exp_times(x, m.upper_tail(x, tol)),
+                                   max(z, 0.0), tol * 1e-2)
     if hi <= z:
         return 0.0
-    inner_tol = max(tol * 1e-3 / max(1.0, math.exp(min(hi, 700.0))), 1e-14)
-    v, _ = quad_abs(lambda x: _exp_times(x, m.upper_tail(x, inner_tol)),
-                    z, hi, tol)
+    v, _ = quad_abs(lambda x: _exp_times(x, m.upper_tail(x, tol)), z, hi, tol)
     return max(v, 0.0)
 
 
@@ -638,7 +623,5 @@ def exp_double_tail_down(m, z, tol=DEFAULT_TOL):
     lo = max(lo, -_SUPPORT_CAP * 12)  # e^x kills the far left tail
     if lo >= z:
         return 0.0
-    inner_tol = max(tol * 1e-3, 1e-14)
-    v, _ = quad_abs(lambda x: math.exp(x) * m.lower_tail(x, inner_tol),
-                    lo, z, tol)
+    v, _ = quad_abs(lambda x: math.exp(x) * m.lower_tail(x, tol), lo, z, tol)
     return max(v, 0.0)

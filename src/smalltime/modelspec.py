@@ -29,6 +29,7 @@ from .characteristics import (ExpModelCharacteristics, from_markov,
                               from_time_changed_levy)
 from .errors import ConfigError, InvariantViolation, SpecError
 from .montecarlo import SimConfig
+from .quadrature import DEFAULT_TOL
 
 _BLOCKS = ("model", "markov", "time_change")
 
@@ -69,7 +70,7 @@ class ModelSpec:
         return ExpModelCharacteristics(blk["S0"], blk["r"], blk["sigma"],
                                        build_jumps(blk["jumps"]))
 
-    def local_characteristics(self, tol=1e-9):
+    def local_characteristics(self, tol=DEFAULT_TOL):
         if "markov" in self.data:
             blk = self.data["markov"]
             f = functions.from_spec(blk["f"])

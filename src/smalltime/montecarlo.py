@@ -472,10 +472,7 @@ def _finite_activity(m):
         lo, hi = m.support()
         ys = np.linspace(max(lo, -60.0), min(hi, 60.0), 4097)
         sum_sampler = _per_jump(_table_sampler(ys, [m.fn(y) for y in ys]))
-    # the quadrature error grows with the intensity (about 2.5e-14 lam for
-    # normal jumps), so the budget is 1e-11 or 1e-13 lam, whichever is larger
-    return _CompoundPoisson([(lam, sum_sampler)],
-                            m.integrate(math.expm1, tol=max(1e-11, 1e-13 * lam)))
+    return _CompoundPoisson([(lam, sum_sampler)], m.integrate(math.expm1, tol=1e-11))
 
 
 def _truncated_power_tail(m, eps):

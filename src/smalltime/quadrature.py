@@ -1,11 +1,14 @@
 """Adaptive quadrature helpers used by the compensator integrals.
 
-Thin wrappers around QUADPACK (scipy.integrate.quad) that enforce an
-absolute error budget and provide the power substitution that removes
-integrable singularities at the origin.
+Thin wrappers around QUADPACK (scipy.integrate.quad) with one acceptance
+rule, and the power substitution that removes integrable singularities at
+the origin. The rule: the summed QUADPACK error of an integral of f must be
+at most ``tol * max(1, integral of |f|)``, so integrals against a
+compensator stay linear in its intensity, also where f cancels (QUADPACK's
+error grows with |f|, not with the value). A piece flagged as probably
+divergent is rejected when |f| is flagged too: a relative budget alone
+accepts the extrapolated value of a divergent integral.
 """
-
-import warnings
 
 import numpy as np
 from scipy import integrate as _sci
@@ -13,12 +16,16 @@ from scipy import integrate as _sci
 from .errors import QuadratureDivergence
 
 DEFAULT_TOL = 1e-9
+# budget of the checks that only ask whether an integral is finite
+PROBE_TOL = 1e-7
 
 _QUAD_LIMIT = 400
+# how scipy words QUADPACK's ier = 5 in its full_output message
+_DIVERGENT = "The integral is probably divergent"
 
 
 def quad_abs(fn, a, b, tol, points=None):
-    """Integrate ``fn`` over [a, b] with certified absolute error <= tol.
+    """Integrate ``fn`` over [a, b] with error <= tol * max(1, integral of |fn|).
 
     Parameters
     ----------
@@ -27,7 +34,7 @@ def quad_abs(fn, a, b, tol, points=None):
     a, b : float
         Limits, possibly +-inf.
     tol : float
-        Absolute error budget.
+        Error budget, absolute up to an integral of |fn| of 1, relative above.
     points : sequence of float, optional
         Known breakpoints (kinks) strictly inside finite intervals.
 
@@ -38,48 +45,53 @@ def quad_abs(fn, a, b, tol, points=None):
     Raises
     ------
     QuadratureDivergence
-        If the QUADPACK error estimate does not fall below ``tol``.
+        If the integral of |fn| is not finite or QUADPACK flags it as
+        probably divergent, or if the summed error estimate exceeds the
+        budget.
     """
     if a == b:
         return 0.0, 0.0
     cuts = [a, b]
     if points:
         cuts = [a] + sorted(p for p in points if a < p < b) + [b]
+    pieces = list(zip(cuts[:-1], cuts[1:]))
+    epsabs = 0.5 * tol / len(pieces)
     total = 0.0
     err = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _sci.IntegrationWarning)
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            piece_tol = tol / (len(cuts) - 1)
-            v, e = _sci.quad(fn, lo, hi, epsabs=0.5 * piece_tol, epsrel=1e-12,
-                             limit=_QUAD_LIMIT)
-            if not np.isfinite(v) or e > piece_tol:
+    flagged = False
+    for lo, hi in pieces:
+        v, e, divergent = _quad_piece(fn, lo, hi, epsabs)
+        flagged = flagged or divergent or not np.isfinite(v)
+        total += v
+        err += e
+    # |value| bounds the integral of |fn| below: integrate |fn| only if it must
+    size = abs(total)
+    if flagged or err > tol * max(1.0, size):
+        size = 0.0
+        for lo, hi in pieces:
+            # the divergence flag is reliable on an integrand of one sign
+            v, e, divergent = _quad_piece(lambda y: abs(fn(y)), lo, hi, epsabs)
+            if divergent or not np.isfinite(v):
                 raise QuadratureDivergence(
-                    f"quadrature error {e:.3e} above budget {piece_tol:.3e} "
-                    f"on [{lo}, {hi}]")
-            total += v
-            err += e
+                    f"integral of |f| on [{lo}, {hi}] not finite or probably "
+                    f"divergent (value {v:.3e}, error {e:.3e})")
+            size += v
+    budget = tol * max(1.0, size)
+    if err > budget:
+        raise QuadratureDivergence(
+            f"quadrature error {err:.3e} above budget {budget:.3e} on [{a}, {b}]")
     return total, err
 
 
-def quad_soft(fn, a, b, tol):
-    """Quadrature with an absolute target and a relative escape hatch.
+def _quad_piece(fn, lo, hi, epsabs):
+    """One QUADPACK call: (value, error, flagged as probably divergent)."""
+    v, e, _, *msg = _sci.quad(fn, lo, hi, epsabs=epsabs, epsrel=1e-12,
+                              limit=_QUAD_LIMIT, full_output=1)
+    return v, e, bool(msg) and msg[0].startswith(_DIVERGENT)
 
-    Meant for smooth tail integrals evaluated inside other quadratures: the
-    requested absolute budget may be tighter than QUADPACK's floor on wide
-    intervals, but near machine relative accuracy is always achievable and
-    is what the enclosing integral needs.
-    """
-    if a >= b:
-        return 0.0, 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _sci.IntegrationWarning)
-        v, e = _sci.quad(fn, a, b, epsabs=tol, epsrel=1e-11, limit=_QUAD_LIMIT)
-    if not np.isfinite(v) or e > tol + 1e-8 * abs(v):
-        raise QuadratureDivergence(
-            f"tail quadrature error {e:.3e} not within {tol:.3e} absolute "
-            f"or 1e-8 relative on [{a}, {b}]")
-    return v, e
+
+# the bench tracer wraps quadrature entry points by name, quad_soft among them
+quad_soft = quad_abs
 
 
 def quad_singular_origin(rho, power, hi, tol, points=None):

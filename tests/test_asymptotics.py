@@ -228,6 +228,42 @@ def test_spot_homogeneity():
         assert c2.coefficient == pytest.approx(scale * c1.coefficient, rel=1e-12)
 
 
+def _tabulated(y):
+    return 3.0 * math.exp(-abs(y) / 0.2)
+
+
+INTENSITY_SCALED = {
+    "normal": st.normal_jumps(1.0, 0.0, 0.4),
+    "normal_martingale": st.normal_jumps(1.0, -0.08, 0.4),
+    "laplace": st.laplace_jumps(1.0, 0.2, -0.05),
+    "tabulated": st.density(_tabulated, (-1.5, 2.0)),
+    "atomic": st.atomic([(0.4, 1.0), (-0.6, 0.5)]),
+    "stable_normal": st.stable_like(1.5, 0.1, residual=st.normal_jumps(0.5, 0.0, 0.3)),
+    "stable_callable": st.stable_like(1.4, lambda y: 0.1 * (1.0 + 0.5 * y)),
+}
+
+
+def _jump_linear_coefficients(m):
+    # with r = 0 and sigma = 0 each of these is an integral against m alone
+    ec = st.ExpModelCharacteristics(1.0, 0.0, 0.0, m)
+    out = [st.otm_slope(ec, 1.05).coefficient, st.itm_slope(ec, 0.95).coefficient,
+           st.apply_exp_generator(ec, st.gaussian_bump(center=1.1, width=0.3), 1.0)]
+    if m.form != "stable_like":
+        out.append(st.atm_coefficient(ec).coefficient)
+    return out
+
+
+@pytest.mark.parametrize("name", INTENSITY_SCALED)
+def test_intensity_homogeneity(name):
+    # the coefficients are linear in the measure, so scaling the intensity
+    # by k scales them by k: the quadrature budget is relative above 1
+    m = INTENSITY_SCALED[name]
+    base = _jump_linear_coefficients(m)
+    for k in (1e2, 1e5, 1e7):
+        got = _jump_linear_coefficients(m.scaled(k))
+        assert got == pytest.approx([k * b for b in base], rel=1e-9), k
+
+
 def test_result_invariants():
     with pytest.raises(st.DomainError):
         st.AsymptoticResult("OTM", 1.0, -0.5)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import smalltime as st
+from smalltime.quadrature import quad_abs
 
 TOL = 1e-9
 
@@ -63,6 +64,14 @@ def test_integrate_divergent_raises():
     m = st.normal_jumps(1.0, 0.0, 0.4)
     with pytest.raises(st.QuadratureDivergence):
         st.integrate(m, lambda y: 1.0 / (y * y), points=[0.0])
+
+
+@pytest.mark.parametrize("power", [1.5, 2.0])
+def test_quad_abs_rejects_extrapolated_divergence(power):
+    # QUADPACK extrapolates these divergent integrals to a negative value
+    # with an error below 1e-12 and flags them as probably divergent
+    with pytest.raises(st.QuadratureDivergence):
+        quad_abs(lambda y: y ** -power, 0.0, 1.0, 1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -220,6 +229,14 @@ def test_stable_with_residual_integrates_both_parts():
     m = st.stable_like(1.5, 0.1, residual=resid)
     got = st.integrate(m, lambda y: y * y, g_over_y2=lambda y: 1.0)
     assert got == pytest.approx(0.4 + 0.3 * 1.5**2, abs=1e-9)
+
+
+def test_stable_with_large_residual_builds():
+    # the residual's |y|-integral is about 3e6: an absolute budget rejected it
+    resid = st.normal_jumps(1e7, 0.0, 0.4)
+    m = st.stable_like(1.5, 0.1, residual=resid)
+    got = st.integrate(m, lambda y: y * y, g_over_y2=lambda y: 1.0)
+    assert got == pytest.approx(0.4 + 1e7 * 0.16, rel=1e-9)
 
 
 def test_scaled_measures():

@@ -337,6 +337,35 @@ def test_cmd_simulate_high_intensity_normal_jumps(tmp_path, capsys, intensity):
     assert abs(rec["estimate"] - price) <= 5 * rec["std_error"], (rec, price)
 
 
+@pytest.mark.parametrize("intensity", [1e5, 1e6, 1e7])
+@pytest.mark.parametrize("argv", [
+    ["asymptotics", "--strike", "0.95"],
+    ["asymptotics", "--strike", "1.05"],
+    ["expansion", "--t", "0.001"],
+    ["simulate", "--t", "1e-8", "--strike", "1.0", "--paths", "1000"],
+], ids=["itm", "otm", "expansion", "simulate"])
+@pytest.mark.parametrize("mean", [0.0, -0.08], ids=["centred", "martingale"])
+def test_high_intensity_normal_jumps_exit_0(tmp_path, capsys, intensity, argv, mean):
+    # integrals against the compensator grow with the intensity and so do
+    # their quadrature errors: absolute budgets exited 4 here at 1e5 (otm,
+    # expansion) and at 1e7 (itm, otm, expansion). The martingale mean
+    # -std^2/2 makes simulate's compensation integral of e^y - 1 cancel to
+    # about 0, so a budget relative to |value| alone rejected it at 1e6
+    jumps = {"type": "density", "family": "normal", "intensity": intensity,
+             "mean": mean, "std": 0.4}
+    spec = {"model": {**MERTON_SPEC["model"], "jumps": jumps}, "query": QUADRATIC_AT_ONE}
+    path = write_spec(tmp_path, spec)
+    code, out, err = run_cli(capsys, argv[:1] + ["--spec", path] + argv[1:])
+    assert code == 0 and err == "", err
+    rec = json.loads(out)
+    if argv[0] == "asymptotics":
+        # r = 0: the coefficient is linear in the intensity
+        K = float(argv[2])
+        ec = st.ExpModelCharacteristics(1.0, 0.0, 0.2, st.normal_jumps(1.0, mean, 0.4))
+        unit = (st.otm_slope if K > 1.0 else st.itm_slope)(ec, K).coefficient
+        assert rec["coefficient"] == pytest.approx(intensity * unit, rel=1e-9)
+
+
 def test_cmd_simulate_high_intensity_laplace_forward(tmp_path, capsys):
     jumps = {"type": "density", "family": "laplace", "intensity": 300.0,
              "mean": 0.05, "scale": 0.2}
@@ -501,15 +530,22 @@ TEST_FUNCTION = hst.one_of(
                                                                max_value=1e12))}))
 
 
-def _jump_block(jumps, intensity):
+def _jump_block(jumps, intensity, std=0.4, scale=0.2, alpha=1.5):
     return {"normal": {"type": "density", "family": "normal", "intensity": intensity,
-                       "mean": 0.0, "std": 0.4},
+                       "mean": 0.0, "std": std},
             "atomic": {"type": "atomic", "atoms": [[0.3, intensity]]},
             "laplace": {"type": "density", "family": "laplace", "intensity": intensity,
-                        "mean": 0.0, "scale": 0.2},
-            "stable_like": {"type": "stable_like", "alpha": 1.5, "c": intensity,
+                        "mean": 0.0, "scale": scale},
+            "stable_like": {"type": "stable_like", "alpha": alpha, "c": intensity,
                             "residual": {"type": "atomic", "atoms": [[-0.2, 1.0]]}},
             }[jumps]
+
+
+DEFAULT_SHAPE = {"std": 0.4, "scale": 0.2, "alpha": 1.5}
+# jump shapes, each the default or drawn: tiny and huge widths, and values the
+# spec rejects (std 0, scale >= 0.5, alpha outside (1, 2)) with exit 2
+SHAPE = hst.fixed_dictionaries({key: hst.one_of(hst.just(value), FINITE)
+                                for key, value in DEFAULT_SHAPE.items()})
 
 
 def _fuzz_cli(tmp_path_factory, spec, argv):
@@ -533,37 +569,44 @@ def _fuzz_cli(tmp_path_factory, spec, argv):
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 # verify on ordinary models whose Poisson means straddle the crossover
 @example(S0=1.0, r=0.05, sigma=0.2, intensity=30.0, strike=1.1, t=0.01, jumps="normal",
-         command="verify")
+         command="verify", shape=DEFAULT_SHAPE)
 @example(S0=1.0, r=0.02, sigma=0.0, intensity=12.0, strike=1.0, t=0.01, jumps="atomic",
-         command="verify")
+         command="verify", shape=DEFAULT_SHAPE)
 @example(S0=2.0, r=0.0, sigma=0.3, intensity=6.0, strike=1.5, t=0.01, jumps="atomic",
-         command="verify")
+         command="verify", shape=DEFAULT_SHAPE)
 # huge sigma on the conditional kernel: the Black-Scholes price given the
 # jump sum tends to the forward (exit 5), and on top of a huge S0 the
 # forward overflows (exit 1, not an OverflowError)
 @example(S0=1.0, r=0.0, sigma=9.6e9, intensity=1.0, strike=1.0, t=0.01, jumps="laplace",
-         command="verify")
+         command="verify", shape=DEFAULT_SHAPE)
 @example(S0=1.7e308, r=0.0, sigma=9.6e9, intensity=1.0, strike=1.0, t=0.01, jumps="atomic",
-         command="verify")
+         command="verify", shape=DEFAULT_SHAPE)
 # an atom's intensity times its integrand overflows (numpy scalars warned)
 @example(S0=1.0, r=0.0, sigma=0.0, intensity=1.468689319763899e+306, strike=0.0, t=0.0,
-         jumps="atomic", command="expansion")
+         jumps="atomic", command="expansion", shape=DEFAULT_SHAPE)
 # the random draws rarely give asymptotics a stable-like model
 @example(S0=1.0, r=0.0, sigma=0.0, intensity=0.1, strike=1.0, t=0.01, jumps="stable_like",
-         command="asymptotics")
+         command="asymptotics", shape=DEFAULT_SHAPE)
 @example(S0=1.0, r=0.0, sigma=0.2, intensity=0.1, strike=1.2, t=0.01, jumps="stable_like",
-         command="asymptotics")
+         command="asymptotics", shape=DEFAULT_SHAPE)
+# jump widths whose scaled distance or normalisation overflows (numpy
+# warnings from the density's sign probes before)
+@example(S0=1.0, r=0.0, sigma=0.2, intensity=1.0, strike=1.05, t=0.01, jumps="normal",
+         command="asymptotics", shape=dict(DEFAULT_SHAPE, std=1e-300))
+@example(S0=1.0, r=0.0, sigma=0.2, intensity=1.0, strike=1.05, t=0.01, jumps="laplace",
+         command="expansion", shape=dict(DEFAULT_SHAPE, scale=5e-324))
 @given(S0=FINITE, r=RATE, sigma=FINITE, intensity=INTENSITY, strike=FINITE, t=FINITE,
        jumps=hst.sampled_from(["normal", "atomic", "laplace", "stable_like"]),
-       command=hst.sampled_from(["asymptotics", "expansion", "simulate", "verify"]))
+       command=hst.sampled_from(["asymptotics", "expansion", "simulate", "verify"]),
+       shape=SHAPE)
 def test_fuzz_extreme_finite_inputs(tmp_path_factory, S0, r, sigma, intensity, strike, t,
-                                    jumps, command):
+                                    jumps, command, shape):
     # the Monte Carlo commands get no stable-like jumps: the normal, atomic
     # and Laplace samplers draw one value per path however large the
     # intensity, while the power-tail sampler allocates one entry per jump
     assume(jumps != "stable_like" or command in ("asymptotics", "expansion"))
     spec = {"model": {"S0": S0, "r": r, "sigma": sigma,
-                      "jumps": _jump_block(jumps, intensity)},
+                      "jumps": _jump_block(jumps, intensity, **shape)},
             "query": {"f": QUADRATIC_AT_ONE["f"], "t_grid": FUZZ_T_GRID}}
     _fuzz_cli(tmp_path_factory, spec, [command, f"--strike={strike!r}", f"--t={t!r}",
                                        "--paths", "100"])

@@ -14,6 +14,12 @@ Both trees run the same probes, each in a fresh interpreter with the tree's
   runs of the Laplace and atomic specs, ``expansion`` on the jump-free,
   ``markov`` and ``time_change`` specs, and ``simulate`` without a strike
   (the discounted forward);
+* high-intensity runs: ``asymptotics`` at strikes 0.95 and 1.05,
+  ``expansion`` and ``simulate`` on normal jumps at intensities 1e5 and 1e7,
+  the last two also with the martingale mean -std^2/2 at 1e7 (whose
+  compensation integral cancels to about 0), and ``asymptotics`` and
+  ``expansion`` on a stable-like model whose residual is normal jumps at
+  intensity 1e7;
 * a sweep over every jump form x scheme x ``n_paths`` in {100, 2**16,
   2**17 + 1000} x ``n_workers`` in {1, 2} x t in {1e-3, 0.05} recording
   the SHA-256 of the ``simulate_terminal`` samples and then the
@@ -99,6 +105,17 @@ SPECS = {
                     "query": {"f": BUMP}},
     "sharp_call": {"model": _model(0.01, 0.2, {"type": "none"}),
                    "query": {"f": {"family": "mollified_call", "strike": 1.0, "n": 1e6}}},
+    **{name: {
+        "model": _model(0.0, 0.2, {"type": "density", "family": "normal",
+                                   "intensity": lam, "mean": mean, "std": 0.4}),
+        "query": {"f": BUMP}, "sim": SIM}
+       for name, lam, mean in (("normal_1e5", 1e5, 0.0), ("normal_1e7", 1e7, 0.0),
+                               ("martingale_1e7", 1e7, -0.08))},
+    "stable_residual": {"model": _model(0.0, 0.0, {
+        "type": "stable_like", "alpha": 1.5, "c": 0.1,
+        "residual": {"type": "density", "family": "normal", "intensity": 1e7,
+                     "mean": 0.0, "std": 0.4}}),
+        "query": {"strike": 1.05, "f": BUMP}},
     "sharp_bump": {"model": _model(0.01, 0.2, {"type": "density", "family": "normal",
                                                "intensity": 1.0, "mean": 0.0, "std": 0.4}),
                    "query": {"f": {"family": "gaussian_bump", "center": 1.0,
@@ -123,7 +140,17 @@ CLI_RUNS = ([("merton", cmd) for cmd in README_COMMANDS]
                for name in ("itm", "markov", "time_change")]
             + [("forward", ["simulate", "--t", "0.01"] + extra)
                for extra in ([], ["--workers", "2", "--format", "csv"])]
-            + [(name, ["expansion", "--t", "0.001"]) for name in ("sharp_call", "sharp_bump")])
+            + [(name, ["expansion", "--t", "0.001"]) for name in ("sharp_call", "sharp_bump")]
+            + [(name, cmd) for name in ("normal_1e5", "normal_1e7")
+               for cmd in (["asymptotics", "--strike", "0.95"],
+                           ["asymptotics", "--strike", "1.05"],
+                           ["expansion", "--t", "0.001"],
+                           ["simulate", "--t", "1e-8", "--strike", "1.0"])]
+            + [("martingale_1e7", cmd)
+               for cmd in (["expansion", "--t", "0.001"],
+                           ["simulate", "--t", "1e-8", "--strike", "1.0"])]
+            + [("stable_residual", cmd)
+               for cmd in (["asymptotics"], ["expansion", "--t", "0.001"])])
 
 MODELS = r'''
 import hashlib, math
