@@ -13,12 +13,15 @@ across workers.
 
 Estimates stream: ``price_grid`` prices a whole maturity x strike grid in
 one pass and keeps no sample. Each block reduces every (t, K) cell to a
-partial (count, mean, M2) stored under its block index; after all lanes
-finish the partials are merged in block order with the Chan-Golub-LeVeque
-update, so the output is byte identical for any ``n_workers`` and memory
-stays at about n_workers blocks whatever n_paths. ``estimate_call`` is the
-1 x 1 grid, ``slope_rows`` one strike over all maturities, and strike 0
-gives the discounted forward.
+partial stored under its block index: the count, the mean and the M2 (sum
+of squared deviations) of the payoffs, and for a conditional cell (below)
+also the mean and M2 of its control and the co-moment of payoff and
+control. After all lanes finish the partials are merged in block order
+with the Chan-Golub-LeVeque update, the co-moment like the M2s, so the
+output is byte identical for any ``n_workers`` and memory stays at about
+n_workers blocks whatever n_paths. ``estimate_call`` is the 1 x 1 grid,
+``slope_rows`` one strike over all maturities, and strike 0 gives the
+discounted forward.
 
 A block prices each maturity with one of two kernels. The rule reads only
 the model and the maturity:
@@ -45,18 +48,28 @@ the model and the maturity:
   has a variance no larger than the plain one (Rao-Blackwell). Its draws
   are not those of the plain kernel.
 
-  A strike K with 0 < K < E S_t = S0 e^(integral of r) averages the puts
-  given J instead and adds the constant E S_t - K (``_call_given_jumps``):
-  given J the call is the put plus F e^J - K, and the mean of F e^J is
-  E S_t exactly, so this control variate (Glasserman 2003, section 4.1,
-  coefficient 1) stays unbiased. Its variance is that of the puts, which
-  is Var(call) - Cov(F e^J, call + put): lower wherever upward jump sums
-  carry the variance of the call. On Merton (r = 0.05, sigma 0.2, normal
-  jumps N(0, 0.4) at intensity 1, 2**18 paths) the put's standard error is
-  0.25 to 0.53 of the call's at K = 0.8 to 1.0, t = 1e-3 and 0.03, and with
-  only an upward atom it is nearly 0. With only a downward atom (-0.4,
-  intensity 1) it is 0.65 of the call's at K = 0.8 but 2 to 120 times it
-  at K = 0.9 to 1.0, where the paths that jump end below the strike.
+  Every strike K > 0 then subtracts a control variate (Glasserman 2003,
+  section 4.1): each path's F e^J, whose mean is exactly the forward
+  E S_t = S0 e^(integral of r) (``_Horizon.forward``). The estimate is
+  mean(call | J) - beta (mean(F e^J) - E S_t) with
+  beta = Cov(call, F e^J) / Var(F e^J) taken from the merged totals, never
+  from one block, so its bias is O(1/n) and the output stays byte
+  identical for any n_workers. Its M2 is the residual one, the M2 of the
+  calls minus beta times the co-moment, divided by n - 1 as for every
+  other cell (cells where that is only rounding keep beta = 0, below).
+  beta = 0 is the average of the calls and beta = 1 the average of the
+  puts given J plus the exact forward minus the strike (put-call parity
+  given J); the fitted beta leaves the least residual of all on the
+  sample, so one formula serves strikes on both sides of the forward.
+  Against the fixed rule beta = 1 below the forward and 0 above it, on
+  Merton (sigma 0.2, normal jumps N(0, 0.4) at intensity 1, 2**18 paths,
+  6 seeds, t = 1e-3 and 0.03) the standard error is 0.89 to 0.91 of that
+  rule's at K = 0.8 and 0.9, 0.43 to 0.47 at K = 1.0 with r = 0 and 0.87
+  to 0.89 with r = 0.05, and 0.45 to 0.52 at K = 1.1 and 1.2. With
+  mostly downward jumps (atoms -0.4 and -0.1 at intensity 1 each,
+  r = 0.05) it is 0.25 to 0.31 at K = 0.8 and 0.9 and 0.01 to 0.05 at
+  K = 1.0, where beta = 1 leaves the variance of the jumping paths that
+  end below the strike.
 * plain, for every other maturity: the block draws the standard normals
   once for all plain maturities (each scales the same vector by
   sigma sqrt(t)), snapshots the generator state, and for each maturity
@@ -67,16 +80,36 @@ Either way a maturity's realisation does not depend on the rest of the
 grid, so each cell equals the ``estimate_call`` of that cell alone.
 Jump-free models stay plain on purpose: their conditional estimate would
 be the exact Black-Scholes price with standard error 0, and ``verify``
-would no longer check Black-Scholes independently. ``simulate_terminal``
-always draws plain samples. At short horizons almost no path jumps (97 to
-99.9% of the paths on the t <= 0.03 grid at intensity 1), so a
-conditional maturity costs little: one ``verify`` of the README Merton
-spec (2**20 paths, four maturities, one strike, in-process) takes a
-median of 9 to 11 ms, against 60 to 65 ms with every maturity plain, and
-16 ms when each stream drew its own sparse counts and path indices (two
-runs of 40 calls each, 2 shared vCPUs). Most of that gain is cost per
-path; the variance falls only about 1.2x there, because the paths that
-jump carry most of it.
+would no longer check Black-Scholes independently. For the same reason two
+conditional cells keep beta = 0, the average of the calls given J:
+
+* a strike <= 0, whose payoff is the control itself: beta = 1 would give
+  the exact discounted forward with standard error 0 and end the
+  martingale check of ``simulate`` without a strike;
+* every strike when the jump law is one atom. At short horizons almost no
+  path jumps twice, so the sample holds two jump sums, on which the call
+  given J is affine in F e^J: the fit leaves a residual of 0 and claims a
+  standard error of 0 that the samples do not carry (one up atom of 0.3
+  at intensity 1, sigma 0.2, t = 1e-3, K = 1.1, 2**20 paths, seed 3:
+  2.49430e-4 +- 1.6e-13 against the series value 2.49498e-4; the calls
+  alone give 2.53531e-4 +- 7.8e-6). The price of the rule: with one atom
+  at -0.4 (r = 0.05) the calls have 1.54 to 1.66 times the standard error
+  of beta = 1 at K = 0.8 (0.01 to 0.49 times it at K = 0.9 and 1.0).
+
+The same holds for any sample on which the call given J is affine in
+F e^J, for instance one in which a single path jumps, or one whose calls
+are all deep in the money: a fit whose residual is at most 1e-12 of the
+M2 of the calls, which is rounding, keeps beta = 0.
+
+``simulate_terminal`` always draws plain samples. At short horizons almost
+no path jumps (97 to 99.9% of the paths on the t <= 0.03 grid at
+intensity 1), so a conditional maturity costs little: one ``verify`` of
+the README Merton spec (2**20 paths, four maturities, one strike,
+in-process) takes a median of 9 to 11 ms, against 60 to 65 ms with every
+maturity plain, and 16 ms when each stream drew its own sparse counts and
+path indices (two runs of 40 calls each, 2 shared vCPUs). Most of that
+gain is cost per path; the variance falls only about 1.2x there, because
+the paths that jump carry most of it.
 
 Each lane owns one workspace, four block-long rows allocated once per
 call, and the plain kernel writes into it in place, in this order: the
@@ -561,7 +594,7 @@ class _Horizon(NamedTuple):
     log_drift: float  # of the log price, jump compensation included
     discount: float
     log_forward: float  # log E[S_t | jump sum 0]
-    forward: float  # E S_t = S0 e^(integral of r), exactly
+    forward: float  # E S_t = S0 e^(integral of r), the exact mean of the control F e^J
     sd: float  # sigma sqrt(t)
     conditional: bool  # priced by the conditional kernel (module docstring)
 
@@ -590,6 +623,10 @@ class _SimulationPlan:
         self.clock_weights = [lam / (self.clock_intensity or 1.0) for lam in intensities]
         streams_only = bool(self.parts) and all(
             isinstance(part, _CompoundPoisson) for part in self.parts)
+        # a single atom prices its conditional cells without the control
+        # (module docstring)
+        jumps = ec.jumps
+        self.controlled = not (jumps.form == "atomic" and np.unique(jumps.locations).size == 1)
         half_variance = 0.5 * ec.variance()
         self.x0 = math.log(ec.S0)
         self.horizons = []
@@ -719,42 +756,48 @@ def simulate_terminal(ec, t, cfg, rate_fn=None):
     return out
 
 
-def _call_given_jumps(n, h, jump_sums, K):
-    """(mean, M2) of the n payoffs E[(S_t - K)^+ | jump sum] at horizon h of
-    a block whose jumping paths have the given jump sums; the other paths
-    share the payoff at jump sum 0. Given its jump sum J a path's S_t is
-    lognormal with mean F e^J, F = e^(h.log_forward), and log standard
-    deviation h.sd, so the payoff is the Black-Scholes price.
+def _call_given_jumps(n, h, jump_sums, Ks, mean, m2):
+    """Partials of a conditional block at horizon h for every strike in Ks:
+    the means of the n calls E[(S_t - K)^+ | jump sum] and of the n controls
+    F e^J into ``mean[:, k]``, and the M2 of the calls, their co-moment with
+    the controls and the M2 of the controls into ``m2[:, k]``.
 
-    This function holds the route rule. For 0 < K < h.forward the paths are
-    priced by the put given J instead, and the mean gains the constant
-    h.forward - K: given J the call is the put plus F e^J - K, and the mean
-    of F e^J is exactly the forward E S_t (a control variate with
-    coefficient 1; module docstring). M2 is then that of the puts. A strike
-    >= the forward keeps the call, and a strike <= 0 gives the average of
-    F e^J minus the strike."""
+    Given its jump sum J a path's S_t is lognormal with mean F e^J,
+    F = e^(h.log_forward), and log standard deviation h.sd, so its call is
+    the Black-Scholes price and a strike <= 0 gives F e^J minus the strike.
+    The jumping paths have the given jump sums and the other paths share
+    the call and the control at J = 0, so each moment costs O(m) for the
+    m paths that jump. ``price_grid`` turns the merged partials into the
+    estimate (module docstring)."""
     x = np.concatenate(([0.0], jump_sums))
     x += h.log_forward
     g = np.exp(x)
-    shift = 0.0
-    if K > 0:
-        d1 = (x - math.log(K)) / h.sd + 0.5 * h.sd
-        if K < h.forward:
-            # the put K N(-d2) - F e^J N(-d1)
-            g *= -ndtr(-d1)
-            g += K * ndtr(h.sd - d1)
-            shift = h.forward - K
+    x /= h.sd
+    # entry 0 is the value at J = 0 of the n - m paths that do not jump:
+    # the sums count it once and ``rest`` adds the others
+    rest = n - g.size
+    control = (g.sum() + rest * g[0]) / n
+    e = g - control
+    m2_control = np.dot(e, e) + rest * e[0] ** 2
+    for k, K in enumerate(Ks):
+        if K > 0:
+            d1 = x - (math.log(K) / h.sd - 0.5 * h.sd)
+            c = ndtr(d1)
+            c *= g
+            d1 -= h.sd
+            ndtr(d1, out=d1)
+            d1 *= K
+            c -= d1
+            # rounding must not make a far out-of-the-money payoff negative
+            np.maximum(c, 0.0, out=c)
         else:
-            g *= ndtr(d1)
-            g -= K * ndtr(d1 - h.sd)
-        # rounding must not make a far out-of-the-money payoff negative
-        np.maximum(g, 0.0, out=g)
-    else:
-        g -= K
-    g0, g = g[0], g[1:]
-    mean = (g.sum() + (n - g.size) * g0) / n
-    g -= mean
-    return mean + shift, np.square(g, out=g).sum() + (n - g.size) * (g0 - mean) ** 2
+            c = g - K
+        call = (c.sum() + rest * c[0]) / n
+        c -= call
+        mean[0, k], mean[1, k] = call, control
+        m2[0, k] = np.dot(c, c) + rest * c[0] ** 2
+        m2[1, k] = np.dot(c, e) + rest * c[0] * e[0]
+        m2[2, k] = m2_control
 
 
 def price_grid(ec, ts, Ks, cfg, rate_fn=None):
@@ -773,8 +816,11 @@ def price_grid(ec, ts, Ks, cfg, rate_fn=None):
         n = hi - lo
         start = rng.bit_generator.state
         pay = ws[_PAYOFF]
-        mean = np.empty((len(ts), len(Ks)))
-        m2 = np.empty_like(mean)
+        # per cell the means of the call and of the control F e^J, and the
+        # M2 of the call, the co-moment and the M2 of the control; a plain
+        # cell has no control, so its control entries stay 0
+        mean = np.zeros((2, len(ts), len(Ks)))
+        m2 = np.zeros((3, len(ts), len(Ks)))
         # numpy's error state is per thread, so each lane sets its own
         with np.errstate(over="ignore", invalid="ignore"):
             samples = plan.draw_block(rng, ws, [plan.horizons[j] for j in plain])
@@ -782,18 +828,18 @@ def price_grid(ec, ts, Ks, cfg, rate_fn=None):
                 for k, K in enumerate(Ks):
                     np.subtract(s, K, out=pay)
                     np.maximum(pay, 0.0, out=pay)
-                    mean[j, k] = pay.sum() / n
-                    pay -= mean[j, k]
-                    m2[j, k] = np.square(pay, out=pay).sum()
+                    mean[0, j, k] = pay.sum() / n
+                    pay -= mean[0, j, k]
+                    m2[0, j, k] = np.square(pay, out=pay).sum()
             for j in conditional:
                 h = plan.horizons[j]
                 rng.bit_generator.state = start
-                jump_sums = plan.jump_sums(rng, h.t, n)
-                for k, K in enumerate(Ks):
-                    mean[j, k], m2[j, k] = _call_given_jumps(n, h, jump_sums, K)
+                _call_given_jumps(n, h, plan.jump_sums(rng, h.t, n), Ks,
+                                  mean[:, j], m2[:, j])
         partials[i] = (n, mean, m2)
 
     _for_each_block(cfg, reduce_block)
+    # merge in block order (Chan-Golub-LeVeque), the co-moment like the M2s
     n, mean, m2 = partials[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, len(partials)):
@@ -801,12 +847,28 @@ def price_grid(ec, ts, Ks, cfg, rate_fn=None):
             total = n + n_b
             delta = mean_b - mean
             mean = mean + delta * (n_b / total)
-            m2 = m2 + m2_b + delta * delta * (n * n_b / total)
+            m2 = m2 + m2_b + delta[[0, 0, 1]] * delta[[0, 1, 1]] * (n * n_b / total)
             n = total
-    return [[Estimate(h.discount * float(mean[j, k]),
-                      h.discount * math.sqrt(m2[j, k] / (n - 1)) / math.sqrt(n), n)
-             for k in range(len(Ks))]
-            for j, h in enumerate(plan.horizons)]
+    (call, control), (m2_call, co, m2_control) = mean, m2
+
+    def estimate(j, k):
+        h = plan.horizons[j]
+        value, residual = call[j, k], m2_call[j, k]
+        if h.conditional and plan.controlled and Ks[k] > 0 and m2_control[j, k] > 0:
+            # the control variate with its coefficient fitted on the merged
+            # totals; the residual is the M2 left after the fit. A fit that
+            # leaves only rounding cannot measure its own error (module
+            # docstring), so the calls stay alone
+            beta = co[j, k] / m2_control[j, k]
+            fitted = residual - beta * co[j, k]
+            if fitted > 1e-12 * residual:
+                value = value - beta * (control[j, k] - h.forward)
+                residual = fitted
+        return Estimate(h.discount * float(value),
+                        h.discount * math.sqrt(residual / (n - 1)) / math.sqrt(n), n)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [[estimate(j, k) for k in range(len(Ks))] for j in range(len(ts))]
 
 
 def _check_strike(K):
@@ -820,12 +882,10 @@ def estimate_call(ec, t, K, cfg, rate_fn=None):
     Reduces block by block, so memory does not grow with n_paths: with the
     plain kernel the payoffs of the samples simulate_terminal draws for the
     same inputs, with the conditional kernel each path's Black-Scholes
-    price given its jump sum (module docstring). With the plain kernel
-    estimates at different strikes are pathwise monotone. With the
-    conditional kernel they are on each side of the forward E S_t; across
-    it the estimates below the forward differ from the monotone average of
-    the conditional calls by the forward minus its sample mean, so the
-    order holds up to the forward's sampling error.
+    price given its jump sum, less the fitted control (module docstring).
+    With the plain kernel estimates at different strikes are pathwise
+    monotone. With the conditional kernel each strike fits its own control
+    coefficient, so their order holds only up to sampling error.
     """
     _check_strike(K)
     return price_grid(ec, [t], [K], cfg, rate_fn)[0][0]

@@ -117,8 +117,8 @@ def test_forward_identity_tiny_strike():
     est = st.estimate_call(ec, t, 1e-12, cfg)
     # discounted E S_t - K ~ S0
     assert abs(est.value - 1.0) <= 4 * est.std_error + 1e-12
-    # a tiny strike takes the conditional kernel's put route, whose forward
-    # is exact; strike 0 still averages every path's forward
+    # strike 0 averages every path's forward without a control, so its
+    # standard error stays that of the martingale check
     (forward,) = price_grid(ec, [t], [0.0], cfg)[0]
     assert forward.std_error > 0
     assert abs(forward.value - 1.0) <= 4 * forward.std_error
@@ -529,21 +529,17 @@ CONDITIONAL_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", CONDITIONAL_CASES)
-def test_conditional_block_matches_brute_force(case):
-    ec, t = CONDITIONAL_CASES[case]
-    Ks = [0.0, 0.9, 1.0, 1.15]
-    n = 40000  # one partial block
-    cfg = st.SimConfig(n_paths=n, master_seed=5)
-    plan = _SimulationPlan(ec, [t], cfg, None)
+def _redrawn_block(ec, t, n, seed):
+    """The horizon and the per-path jump sums of the one block of n paths,
+    redrawn from its key through the superposed clock: the number m of paths
+    that jump, their zero-truncated counts at the total mean, with several
+    streams a multinomial split by intensity, then each stream's sums. No
+    path index is drawn, so the paths that jump fill the first m entries of
+    a row with one entry per path; the counts come back in a second row."""
+    plan = _SimulationPlan(ec, [t], st.SimConfig(n_paths=n, master_seed=seed), None)
     (h,) = plan.horizons
     assert h.conditional
-    # redraw the block's jumps from its key through the superposed clock:
-    # the number m of paths that jump, their zero-truncated counts at the
-    # total mean, with several streams a multinomial split by intensity,
-    # then each stream's sums. No path index is drawn, so the paths that
-    # jump fill the first m entries of a row with one entry per path
-    rng = _philox(cfg.master_seed, 0)
+    rng = _philox(seed, 0)
     lams = [lam for lam, _ in plan.streams]
     mu = sum(lams) * t
     m = rng.binomial(n, -math.expm1(-mu))
@@ -554,37 +550,116 @@ def test_conditional_block_matches_brute_force(case):
     n_jumps[:m] = counts
     for (_, sum_sampler), stream_counts in zip(plan.streams, split.T):
         jumps[:m] += sum_sampler(rng, stream_counts)
+    return h, jumps, n_jumps
+
+
+def _call_and_control(ec, h, jumps, K):
+    """Per path the call given its jump sum, Black-Scholes at the forward
+    F e^J (F e^J - K for K <= 0), and the control F e^J."""
+    sd = ec.sigma * math.sqrt(h.t)
+    log_forward = math.log(ec.S0) + h.log_drift + 0.5 * sd * sd + jumps
+    control = np.exp(log_forward)
+    if K <= 0.0:
+        return control - K, control
+    d1 = (log_forward - math.log(K)) / sd + 0.5 * sd
+    return np.maximum(control * norm.cdf(d1) - K * norm.cdf(d1 - sd), 0.0), control
+
+
+def _fitted_control(call, control, forward):
+    """The value and the residual M2 of the control variate with the least
+    squares coefficient, and the residual M2 as a function of any beta."""
+    dc, dy = call - call.mean(), control - control.mean()
+    m2_c, co, m2_y = np.dot(dc, dc), np.dot(dc, dy), np.dot(dy, dy)
+    beta = co / m2_y
+
+    def residual(b):
+        return m2_c - 2.0 * b * co + b * b * m2_y
+
+    return call.mean() - beta * (control.mean() - forward), m2_c - beta * co, residual
+
+
+@pytest.mark.parametrize("case", CONDITIONAL_CASES)
+def test_conditional_block_matches_brute_force(case):
+    ec, t = CONDITIONAL_CASES[case]
+    Ks = [0.0, 0.9, 1.0, 1.15]
+    n = 40000  # one partial block
+    h, jumps, n_jumps = _redrawn_block(ec, t, n, seed=5)
     if case == "two_atoms":
         assert np.any((n_jumps > 0) & (jumps == 0.0))
-    # given its jump sum, a path's log price is Gaussian: Black-Scholes.
-    # Below the forward E S_t the kernel prices the put and adds the
-    # forward minus the strike (put-call parity given the jump sum)
-    sd = ec.sigma * math.sqrt(t)
-    log_forward = math.log(ec.S0) + h.log_drift + 0.5 * sd * sd + jumps
+    # given its jump sum a path's log price is Gaussian: its call is the
+    # Black-Scholes price. A strike > 0 subtracts beta times the control
+    # F e^J minus its exact mean, the forward, with beta = Cov / Var fitted
+    # on the block; its standard error is that of the residual. Strike 0 is
+    # the plain average of F e^J
     forward = ec.S0 * math.exp(ec.r * t)
     disc = math.exp(-ec.r * t)
-    for K, est in zip(Ks, price_grid(ec, [t], Ks, cfg)[0]):
-        shift = 0.0
-        if K == 0.0:
-            pay = np.exp(log_forward)
-        elif K < forward:
-            d1 = (log_forward - math.log(K)) / sd + 0.5 * sd
-            pay = np.maximum(K * norm.cdf(sd - d1) - np.exp(log_forward) * norm.cdf(-d1), 0.0)
-            shift = forward - K
+    for K, est in zip(Ks, price_grid(ec, [t], Ks, st.SimConfig(n_paths=n, master_seed=5))[0]):
+        call, control = _call_and_control(ec, h, jumps, K)
+        if K > 0.0:
+            value, m2, _ = _fitted_control(call, control, forward)
         else:
-            d1 = (log_forward - math.log(K)) / sd + 0.5 * sd
-            pay = np.maximum(np.exp(log_forward) * norm.cdf(d1) - K * norm.cdf(d1 - sd), 0.0)
-        m2 = np.sum((pay - pay.mean()) ** 2)
-        assert est.value == pytest.approx(disc * (pay.mean() + shift), rel=1e-12, abs=0.0), K
+            value, m2 = call.mean(), np.sum((call - call.mean()) ** 2)
+        assert est.value == pytest.approx(disc * value, rel=1e-12, abs=0.0), K
         assert est.std_error == pytest.approx(disc * math.sqrt(m2 / (n - 1) / n),
                                               rel=1e-12, abs=0.0), K
 
 
 @pytest.mark.parametrize("r", [0.0, 0.05])
+def test_fitted_control_dominates_both_fixed_coefficients(r):
+    # beta fitted on the sample minimises the residual over every beta, so
+    # its standard error is at most that of beta = 0 (the calls alone) and
+    # of beta = 1 (the puts plus the exact forward)
+    ec = st.ExpModelCharacteristics(1.0, r, 0.2, st.normal_jumps(1.0, 0.0, 0.4))
+    n = 2**16
+    for t in (1e-3, 0.03):
+        h, jumps, _ = _redrawn_block(ec, t, n, seed=7)
+        Ks = [0.8, 0.9, 1.0, 1.1, 1.2]
+        row = price_grid(ec, [t], Ks, st.SimConfig(n_paths=n, master_seed=7))[0]
+        for K, est in zip(Ks, row):
+            call, control = _call_and_control(ec, h, jumps, K)
+            _, _, residual = _fitted_control(call, control, ec.S0 * math.exp(r * t))
+            fixed = min(residual(0.0), residual(1.0))
+            se = math.exp(-r * t) * math.sqrt(fixed / (n - 1) / n)
+            assert est.std_error <= se * (1.0 + 1e-12), (t, K, est.std_error, se)
+
+
+AFFINE_CASES = {
+    # with one atom a sample at N <= 1 sees two jump sums
+    "single_atom": (st.ExpModelCharacteristics(1.0, 0.0, 0.2, st.atomic([(0.3, 1.0)])),
+                    40000, 11),
+    # seed 3 draws a block of 100 paths in which one path jumps
+    "one_path_jumps": (MERTON, 100, 3),
+}
+
+
+@pytest.mark.parametrize("case", AFFINE_CASES)
+def test_affine_samples_keep_the_calls_alone(case):
+    # on two jump sums the call given J is affine in F e^J: a fitted
+    # control would leave a residual of 0 and claim a standard error of 0,
+    # so these cells average the calls (beta = 0); a single atom by rule,
+    # any other sample because its fit leaves only rounding
+    ec, n, seed = AFFINE_CASES[case]
+    t = 1e-3
+    h, jumps, n_jumps = _redrawn_block(ec, t, n, seed)
+    assert n_jumps.max() <= 1
+    Ks = [0.9, 1.0, 1.1]
+    for K, est in zip(Ks, price_grid(ec, [t], Ks, st.SimConfig(n_paths=n, master_seed=seed))[0]):
+        call, control = _call_and_control(ec, h, jumps, K)
+        m2 = np.sum((call - call.mean()) ** 2)
+        assert est.value == pytest.approx(call.mean(), rel=1e-12, abs=0.0), K
+        assert est.std_error == pytest.approx(math.sqrt(m2 / (n - 1) / n), rel=1e-12, abs=0.0), K
+        assert est.std_error > 0, K
+        # the fit these cells avoid
+        _, fitted_m2, _ = _fitted_control(call, control, ec.S0)
+        assert fitted_m2 <= 1e-12 * m2, K
+
+
+@pytest.mark.parametrize("r", [0.0, 0.05])
 def test_conditional_itm_estimates_are_at_least_intrinsic(r):
-    # below the forward the conditional kernel adds the exact discounted
-    # forward minus the strike to the discounted mean of nonnegative puts,
-    # so no seed can fall below S0 - K e^(-rt); averaging the calls could
+    # not a bound by construction: below the forward the fitted control
+    # F e^J takes out the sampling error of the forward, which could put an
+    # average of the calls alone below S0 - K e^(-rt); what is left is far
+    # below the time value here, so no seed falls under that line
     ec = st.ExpModelCharacteristics(1.0, r, 0.2, st.normal_jumps(1.0, 0.0, 0.4))
     ts, Ks = [0.03, 1e-3], [0.8, 0.9, 0.95, 1.0]
     for seed in range(20):
@@ -629,12 +704,12 @@ PINNED_CASES = {
 PINNED = {
     "merton": (
         "3af812474ed4403a8b70bea2de1b9010f53157348777bfa181fe7e96f36b29bb",
-        [(0.01425907661121498, 0.00020919647560542875),
-         (0.003127702996734395, 0.00018532057042426462),
-         (0.006215210829689331, 9.082691398527985e-05),
-         (0.000614132337828223, 7.903669134845345e-05),
-         (0.0025944536864294355, 2.7847728644676455e-05),
-         (7.82614379791313e-05, 2.2241500946624432e-05)]),
+        [(0.01439181895410941, 9.596271372945604e-05),
+         (0.0032434381107672196, 8.986944740410476e-05),
+         (0.006449395167010346, 5.028768362372726e-05),
+         (0.0008147572183804767, 4.52573663872518e-05),
+         (0.0026506018826832228, 1.9888311569922043e-05),
+         (0.00012209899741879652, 1.6219707666820805e-05)]),
     "atomic_pure_jump": (
         "06ff047ed29f88c28e02bf8d7a08659a7b7d1ccbc291868473a3b325d0cebba4",
         [(0.01346410793985574, 0.00026624032378664306),
@@ -649,8 +724,8 @@ PINNED = {
          (0.006808053626893427, 0.00021602142316019086),
          (0.009992911484847844, 0.00014306653525985577),
          (0.0015763774284284465, 0.00010892705371560485),
-         (0.003282066240000123, 6.402967876502972e-05),
-         (0.00029781843582740134, 4.756561030584994e-05)]),
+         (0.0032568772810491623, 3.454975377481634e-05),
+         (0.00028170607676660176, 3.276291835584952e-05)]),
     "stable_exact": (
         "f659f21c7fed69c226798ae7b402df7b8b98575d24d84e0f13900eefa9516236",
         [(0.015119250153813157, 0.00020735937038590568),
@@ -663,10 +738,10 @@ PINNED = {
         "21d266bcea5e72296df67edddd2fca1581bbf0390043c5f99b1fa7553d9ce5a4",
         [(0.03932741414550902, 0.00026734460542650855),
          (0.011026917999206735, 0.00015176553179428067),
-         (0.015061533002117091, 0.00010813353667023351),
-         (0.001642712125530905, 4.791379642941183e-05),
-         (0.004236430452628403, 4.9603087564314956e-05),
-         (0.00019782063582186892, 1.1132905884714516e-05)]),
+         (0.0151187304347834, 7.751859782537434e-05),
+         (0.0016244524302293068, 4.14304257636088e-05),
+         (0.004318045165540965, 3.923580596167705e-05),
+         (0.0001850549496050466, 1.0070182265403716e-05)]),
     "three_atoms_no_diffusion": (
         "66a21d78c3a9d3af4c3856dbd8cc698f78b530b3e94b6fe8870e76820aa79661",
         [(0.02017043236158659, 0.0002625575715600069),
@@ -677,12 +752,12 @@ PINNED = {
          (0.0005638183222571433, 3.963241329292371e-05)]),
     "laplace": (
         "cbe4705e5a230e0d3a7df80b9ef2082e438a8cbb467126ab93fea7f11e21c443",
-        [(0.011794090160865425, 8.797516835998486e-05),
-         (0.0030575745119719483, 0.00017183868480787472),
-         (0.005080338042603268, 4.4259873435983984e-05),
-         (0.0008244593331147133, 8.73186875257225e-05),
-         (0.0020728352038760383, 2.0763508708043555e-05),
-         (0.0002108116872580993, 4.7578320142162215e-05)]),
+        [(0.011761043933055557, 7.878228667205478e-05),
+         (0.0031878284955619536, 7.557900032449045e-05),
+         (0.00508610472502316, 4.024445513737008e-05),
+         (0.0007997921074500216, 3.7628277208485956e-05),
+         (0.002079656227709924, 1.9350968917050592e-05),
+         (0.00017104406586256247, 1.8375840361456667e-05)]),
     "density_cdf_table": (
         "2c0e128a9d6b5c56a126a30202f00bd11d58e6cf7c6104f721724fb63faa3f4c",
         [(0.012502359869470254, 0.00037736557369174174),
@@ -697,8 +772,8 @@ PINNED = {
          (0.0078014040856104324, 0.00024362829845105425),
          (0.010321415688619133, 0.00016642444623985163),
          (0.0020825725965107063, 0.00013249803111661394),
-         (0.0032272833973718824, 6.464374395343821e-05),
-         (0.000318169116813554, 4.7788668967750414e-05)]),
+         (0.0032978993524378007, 3.432073596841226e-05),
+         (0.00036336258556545273, 3.247504174425867e-05)]),
     "mc_stable_const_c": (
         "645b85242c5c937dd49618db7be6818e406c7c7e67ff22c8328602cef1594115",
         [(0.03375532284701878, 0.0005070245191830517),
