@@ -16,12 +16,14 @@ one pass and keeps no sample. Each block reduces every (t, K) cell to a
 partial stored under its block index: the count, the mean and the M2 (sum
 of squared deviations) of the payoffs, and for a conditional cell (below)
 also the mean and M2 of its control and the co-moment of payoff and
-control. After all lanes finish the partials are merged in block order
-with the Chan-Golub-LeVeque update, the co-moment like the M2s, so the
-output is byte identical for any ``n_workers`` and memory stays at about
-n_workers blocks whatever n_paths. ``estimate_call`` is the 1 x 1 grid,
-``slope_rows`` one strike over all maturities, and strike 0 gives the
-discounted forward.
+control. The count is one per maturity: the block's paths for a plain
+one, the paths its cells stand for (below) for a conditional one. After
+all lanes finish the partials are merged in block order with the
+Chan-Golub-LeVeque update, each maturity with its own count and the
+co-moment like the M2s, so the output is byte identical for any
+``n_workers`` and memory stays at about n_workers blocks whatever
+n_paths. ``estimate_call`` is the 1 x 1 grid, ``slope_rows`` one strike
+over all maturities, and strike 0 gives the discounted forward.
 
 A block prices each maturity with one of two kernels. The rule reads only
 the model and the maturity:
@@ -35,18 +37,30 @@ the model and the maturity:
   section 4.5). The block restores its initial generator state and draws
   the jump sums from one superposed Poisson clock
   (``_SimulationPlan.jump_sums``), with no normals and no path index: with
-  Lambda the sum of the stream intensities, m ~ Binomial(n, 1 - e^-Lambda t)
-  paths jump, their counts are zero-truncated Poisson(Lambda t) draws
-  (``_ztp_counts``), and with several streams one multinomial draw splits
-  each count among them in proportion to their intensities (superposition
-  and thinning of Poisson processes). It prices only those m paths; the
-  other n - m share the price at J = 0, so the partial of the n
-  conditional payoffs costs O(m) and needs no row of length n. The partial
-  is a symmetric function of the n jump sums, whose joint law the clock
-  draws exactly, so no path needs an index: the estimator keeps n_paths
-  and the iid standard error, is unbiased, and averaging the calls given J
-  has a variance no larger than the plain one (Rao-Blackwell). Its draws
-  are not those of the plain kernel.
+  Lambda the sum of the stream intensities, m ~ Binomial(n', p) of n'
+  paths jump, p = 1 - e^-Lambda t, their counts are zero-truncated
+  Poisson(Lambda t) draws (``_ztp_counts``), and with several streams one
+  multinomial draw splits each count among them in proportion to their
+  intensities (superposition and thinning of Poisson processes). It prices
+  only those m paths; the other n' - m share the price at J = 0, so the
+  partial of the n' conditional payoffs costs O(m) and needs no row of
+  length n'. The partial is a symmetric function of the n' jump sums,
+  whose joint law the clock draws exactly, so no path needs an index: the
+  estimator is the iid average of the n' payoffs with its iid standard
+  error, is unbiased, and averaging the calls given J has a variance no
+  larger than the plain one (Rao-Blackwell). Its draws are not those of
+  the plain kernel.
+
+  A cell of a block of n paths stands for n' = max(n, ceil(n / (256 p)))
+  paths (``_SimulationPlan.conditional_paths``), so that on average at
+  least n / 256 of them jump (``_JUMPING_SHARE``); n' is at most 2**53,
+  which keeps the count an exact float and the binomial draw in range
+  when Lambda t is tiny. A path that does not jump costs nothing, and a
+  cell costs about 26 us fixed plus 75 ns per jumping path, so below
+  p = 1/256 the cell stands for more paths than the block has at about
+  the price of the overhead it already pays (the cost table below).
+  The estimate's ``n_paths`` is then the sum of n' over the blocks, at
+  least ``cfg.n_paths``, and its standard error is that of so many paths.
 
   Every strike K > 0 then subtracts a control variate (Glasserman 2003,
   section 4.1): each path's F e^J, whose mean is exactly the forward
@@ -55,7 +69,7 @@ the model and the maturity:
   beta = Cov(call, F e^J) / Var(F e^J) taken from the merged totals, never
   from one block, so its bias is O(1/n) and the output stays byte
   identical for any n_workers. Its M2 is the residual one, the M2 of the
-  calls minus beta times the co-moment, divided by n - 1 as for every
+  calls minus beta times the co-moment, divided by n' - 1 as for every
   other cell (cells where that is only rounding keep beta = 0, below).
   beta = 0 is the average of the calls and beta = 1 the average of the
   puts given J plus the exact forward minus the strike (put-call parity
@@ -91,8 +105,8 @@ conditional cells keep beta = 0, the average of the calls given J:
   given J is affine in F e^J: the fit leaves a residual of 0 and claims a
   standard error of 0 that the samples do not carry (one up atom of 0.3
   at intensity 1, sigma 0.2, t = 1e-3, K = 1.1, 2**20 paths, seed 3:
-  2.49430e-4 +- 1.6e-13 against the series value 2.49498e-4; the calls
-  alone give 2.53531e-4 +- 7.8e-6). The price of the rule: with one atom
+  2.49430e-4 +- 4.1e-14 against the series value 2.49498e-4; the calls
+  alone give 2.48409e-4 +- 3.9e-6). The price of the rule: with one atom
   at -0.4 (r = 0.05) the calls have 1.54 to 1.66 times the standard error
   of beta = 1 at K = 0.8 (0.01 to 0.49 times it at K = 0.9 and 1.0).
 
@@ -109,7 +123,14 @@ in-process) takes a median of 9 to 11 ms, against 60 to 65 ms with every
 maturity plain, and 16 ms when each stream drew its own sparse counts and
 path indices (two runs of 40 calls each, 2 shared vCPUs). Most of that
 gain is cost per path; the variance falls only about 1.2x there, because
-the paths that jump carry most of it.
+the paths that jump carry most of it. The floor on jumping paths turns
+that low cost into variance: its cells at t = 1e-3 and 3e-3 stand for
+about 256,000 and 85,000 paths per block of 2**16, which halves the
+relative standard error at t = 1e-3 at every strike (K = 0.8 to 1.2:
+0.063, 0.053, 0.0021, 0.032 and 0.038 before, 0.032, 0.027, 0.0011,
+0.016 and 0.019 with it, medians over 2,000 seeds), while the benchmark's
+median ``verify`` op took 6.76 ms before and 7.23 ms with it (10 paired
+30 s runs, 2 shared vCPUs).
 
 Each lane owns one workspace, four block-long rows allocated once per
 call, and the plain kernel writes into it in place, in this order: the
@@ -168,6 +189,20 @@ jumps, at every mu):
     + power tail, table             0.09   0.16  0.80  1.37  1.91  3.40  20.39
     conditional clock + normal sum  0.02   0.07  0.57  0.91  0.91  1.35  4.26
     ==============================  =====  ====  ====  ====  ====  ====  =====
+
+A conditional cell (the clock's jump sums and the calls given them at one
+strike) at n = 2**16 costs, in us, with 64 ... 8192 jumping paths on
+average (a later run of the same tool, same settings):
+
+    ================  =====  =====  =====  =====  ======  ======  ======  ======
+    jumping paths     64     128    256    512    1024    2048    4096    8192
+    ================  =====  =====  =====  =====  ======  ======  ======  ======
+    conditional cell  29.03  35.32  47.63  73.01  106.52  183.75  331.35  586.43
+    ================  =====  =====  =====  =====  ======  ======  ======  ======
+
+that is 26.2 us fixed plus 75.1 ns per jumping path (least relative
+squares): the fixed part costs as much as 349 jumping paths, which is why
+a cell stands for enough paths that n / 256 of them jump.
 
 The power-tail streams of stable-like models (mu of about 6.7 at t = 0.01,
 cutoff 0.01) draw the same way: all but about 0.1% of their paths jump.
@@ -257,6 +292,17 @@ _WORKSPACE_ROWS = 4
 # standard error 0.996 to 1.001 times the plain one. Every maturity keeps
 # the kernel it had when this value also chose how counts were drawn
 _CONDITIONAL_BELOW = 0.5
+# the share of a block's n paths that should jump on average in each of its
+# conditional cells: a cell draws from as many more paths as that takes
+# (``_SimulationPlan.conditional_paths``). A cell at one strike costs
+# 26.2 us plus 75.1 ns per jumping path as ``tools/sampler_costs.py --repeat
+# 25 --number 40`` fits it (29 us at 64 jumping paths, 48 at 256, 107 at
+# 1024; the module docstring's table), so some 256 to 350 jumping paths
+# cost about as much as the overhead every cell already pays
+_JUMPING_SHARE = 1.0 / 256
+# the most paths one conditional cell draws from: its count stays an exact
+# float and fits the count of ``rng.binomial`` when Lambda t is tiny
+_MAX_CELL_PATHS = 1 << 53
 # draws per pass of the CDF-table sampler (module docstring, measured table)
 _TABLE_CHUNK = 1 << 14
 # largest mean numpy's Poisson sampler accepts
@@ -292,6 +338,12 @@ class SimConfig:
 
 @dataclass
 class Estimate:
+    """A discounted price with its iid standard error over ``n_paths``
+    paths: ``cfg.n_paths`` for a maturity the plain kernel prices, and the
+    paths its cells stand for, at least ``cfg.n_paths``, for one the
+    conditional kernel prices (module docstring). ``simulate`` prints that
+    count."""
+
     value: float
     std_error: float
     n_paths: int
@@ -668,6 +720,17 @@ class _SimulationPlan:
                 x += part.draw(rng, h.t, jumps)
             yield np.exp(x, out=x)
 
+    def conditional_paths(self, t, n):
+        """The paths a conditional cell of a block of n paths at horizon t
+        draws from and stands for: n, or ceil(n / (256 p)) when that is
+        more, with p = 1 - e^(-Lambda t) the chance that a path jumps, so
+        that on average n / 256 of them jump; at most 2**53."""
+        p = -math.expm1(-self.clock_intensity * t)
+        jumping = n * _JUMPING_SHARE
+        if p * _MAX_CELL_PATHS <= jumping:
+            return _MAX_CELL_PATHS
+        return max(n, math.ceil(jumping / p))
+
     def jump_sums(self, rng, t, n):
         """The jump sums at horizon t of the paths of a block of n that jump
         (at least one jump, though the sizes may cancel), in no fixed order.
@@ -816,9 +879,11 @@ def price_grid(ec, ts, Ks, cfg, rate_fn=None):
         n = hi - lo
         start = rng.bit_generator.state
         pay = ws[_PAYOFF]
-        # per cell the means of the call and of the control F e^J, and the
-        # M2 of the call, the co-moment and the M2 of the control; a plain
-        # cell has no control, so its control entries stay 0
+        # per maturity the paths its cells stand for, and per cell the means
+        # of the call and of the control F e^J, and the M2 of the call, the
+        # co-moment and the M2 of the control; a plain cell has no control,
+        # so its control entries stay 0
+        count = np.full((len(ts), 1), float(n))
         mean = np.zeros((2, len(ts), len(Ks)))
         m2 = np.zeros((3, len(ts), len(Ks)))
         # numpy's error state is per thread, so each lane sets its own
@@ -834,12 +899,15 @@ def price_grid(ec, ts, Ks, cfg, rate_fn=None):
             for j in conditional:
                 h = plan.horizons[j]
                 rng.bit_generator.state = start
-                _call_given_jumps(n, h, plan.jump_sums(rng, h.t, n), Ks,
+                paths = plan.conditional_paths(h.t, n)
+                _call_given_jumps(paths, h, plan.jump_sums(rng, h.t, paths), Ks,
                                   mean[:, j], m2[:, j])
-        partials[i] = (n, mean, m2)
+                count[j] = paths
+        partials[i] = (count, mean, m2)
 
     _for_each_block(cfg, reduce_block)
-    # merge in block order (Chan-Golub-LeVeque), the co-moment like the M2s
+    # merge in block order (Chan-Golub-LeVeque), the co-moment like the M2s,
+    # each maturity with its own count
     n, mean, m2 = partials[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, len(partials)):
@@ -852,7 +920,7 @@ def price_grid(ec, ts, Ks, cfg, rate_fn=None):
     (call, control), (m2_call, co, m2_control) = mean, m2
 
     def estimate(j, k):
-        h = plan.horizons[j]
+        h, paths = plan.horizons[j], n[j, 0]
         value, residual = call[j, k], m2_call[j, k]
         if h.conditional and plan.controlled and Ks[k] > 0 and m2_control[j, k] > 0:
             # the control variate with its coefficient fitted on the merged
@@ -865,7 +933,8 @@ def price_grid(ec, ts, Ks, cfg, rate_fn=None):
                 value = value - beta * (control[j, k] - h.forward)
                 residual = fitted
         return Estimate(h.discount * float(value),
-                        h.discount * math.sqrt(residual / (n - 1)) / math.sqrt(n), n)
+                        h.discount * math.sqrt(residual / (paths - 1)) / math.sqrt(paths),
+                        int(paths))
 
     with np.errstate(over="ignore", invalid="ignore"):
         return [[estimate(j, k) for k in range(len(Ks))] for j in range(len(ts))]

@@ -127,8 +127,9 @@ def test_estimate_call_matches_exact_series(case, t):
 def test_conditional_estimate_matches_exact_series_at_tiny_t(case, t):
     # with a diffusion and sparse streams each path's payoff is its
     # Black-Scholes price given its jump sum, and only the paths that jump
-    # are visited, so 2^23 paths (about 80 to 250 jumping ones at t = 1e-5)
-    # take well under a second
+    # are visited. Each block of 2^16 paths stands for enough paths that
+    # about 256 of them jump, so the 128 blocks of 2^23 paths check about
+    # 32,768 jumping paths at either t and take well under a second
     ec, exact = MODELS[case]
     cfg = st.SimConfig(n_paths=2**23, master_seed=1013)
     for K in STRIKES:

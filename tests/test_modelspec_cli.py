@@ -595,6 +595,17 @@ def _fuzz_cli(tmp_path_factory, spec, argv):
          command="asymptotics", shape=dict(DEFAULT_SHAPE, std=1e-300))
 @example(S0=1.0, r=0.0, sigma=0.2, intensity=1.0, strike=1.05, t=0.01, jumps="laplace",
          command="expansion", shape=dict(DEFAULT_SHAPE, scale=5e-324))
+# a conditional maturity whose clock has Lambda t near 5e-324 stands for
+# 2**53 paths per block, the cap that keeps the binomial draw's count in
+# range (simulate exits 0, verify 0 at the money and 5 out of it)
+@example(S0=1.0, r=0.0, sigma=0.2, intensity=5e-324, strike=1.0, t=0.01, jumps="normal",
+         command="simulate", shape=DEFAULT_SHAPE)
+@example(S0=1.0, r=0.0, sigma=0.2, intensity=1.0, strike=1.0, t=5e-324, jumps="normal",
+         command="simulate", shape=DEFAULT_SHAPE)
+@example(S0=1.0, r=0.0, sigma=0.2, intensity=5e-324, strike=1.1, t=0.01, jumps="normal",
+         command="verify", shape=DEFAULT_SHAPE)
+@example(S0=1.0, r=0.0, sigma=0.2, intensity=5e-324, strike=1.0, t=0.01, jumps="normal",
+         command="verify", shape=DEFAULT_SHAPE)
 @given(S0=FINITE, r=RATE, sigma=FINITE, intensity=INTENSITY, strike=FINITE, t=FINITE,
        jumps=hst.sampled_from(["normal", "atomic", "laplace", "stable_like"]),
        command=hst.sampled_from(["asymptotics", "expansion", "simulate", "verify"]),

@@ -519,6 +519,11 @@ def test_price_grid_blocks_are_simulate_terminal_samples():
 CONDITIONAL_CASES = {
     # one stream (t = 0.03: Poisson mean 0.03)
     "merton": (MERTON, 0.03),
+    # at t = 1e-3 about 40 of the 40000 paths would jump: the cell stands
+    # for about 156,000 paths, of which about 156 jump. Its value at
+    # K = 1.15 (1.4e-4) is a difference of means of order 1, which the
+    # kernel rounds at the scale of the forward: 6.8e-13 from the reference
+    "merton_floor": (MERTON, 1e-3),
     # two streams, Poisson means 0.4 and 0.3 (a clock of total mean 0.7):
     # a path's count is split between them, and one jump of each size
     # leaves a jump sum of exactly 0
@@ -531,22 +536,26 @@ CONDITIONAL_CASES = {
 
 def _redrawn_block(ec, t, n, seed):
     """The horizon and the per-path jump sums of the one block of n paths,
-    redrawn from its key through the superposed clock: the number m of paths
-    that jump, their zero-truncated counts at the total mean, with several
-    streams a multinomial split by intensity, then each stream's sums. No
-    path index is drawn, so the paths that jump fill the first m entries of
-    a row with one entry per path; the counts come back in a second row."""
+    redrawn from its key through the superposed clock. The cell stands for
+    n' = max(n, ceil(n / (256 p))) paths, p = 1 - e^(-Lambda t), so that on
+    average n / 256 of them jump: the number m of those n' that jump, their
+    zero-truncated counts at the total mean, with several streams a
+    multinomial split by intensity, then each stream's sums. No path index
+    is drawn, so the paths that jump fill the first m entries of a row with
+    one entry per path of the n'; the counts come back in a second row."""
     plan = _SimulationPlan(ec, [t], st.SimConfig(n_paths=n, master_seed=seed), None)
     (h,) = plan.horizons
     assert h.conditional
     rng = _philox(seed, 0)
     lams = [lam for lam, _ in plan.streams]
     mu = sum(lams) * t
-    m = rng.binomial(n, -math.expm1(-mu))
+    p = -math.expm1(-mu)
+    n_cell = max(n, math.ceil(n / (256 * p)))
+    m = rng.binomial(n_cell, p)
     counts = _ztp_counts(rng, mu, m)
     split = (counts[:, None] if len(lams) == 1
              else rng.multinomial(counts, [lam / sum(lams) for lam in lams]))
-    jumps, n_jumps = np.zeros(n), np.zeros(n, dtype=np.int64)
+    jumps, n_jumps = np.zeros(n_cell), np.zeros(n_cell, dtype=np.int64)
     n_jumps[:m] = counts
     for (_, sum_sampler), stream_counts in zip(plan.streams, split.T):
         jumps[:m] += sum_sampler(rng, stream_counts)
@@ -575,7 +584,7 @@ def _fitted_control(call, control, forward):
     def residual(b):
         return m2_c - 2.0 * b * co + b * b * m2_y
 
-    return call.mean() - beta * (control.mean() - forward), m2_c - beta * co, residual
+    return call.mean() - beta * np.mean(control - forward), m2_c - beta * co, residual
 
 
 @pytest.mark.parametrize("case", CONDITIONAL_CASES)
@@ -593,6 +602,8 @@ def test_conditional_block_matches_brute_force(case):
     # the plain average of F e^J
     forward = ec.S0 * math.exp(ec.r * t)
     disc = math.exp(-ec.r * t)
+    n_cell = jumps.size
+    assert (n_cell > n) == (case == "merton_floor")
     for K, est in zip(Ks, price_grid(ec, [t], Ks, st.SimConfig(n_paths=n, master_seed=5))[0]):
         call, control = _call_and_control(ec, h, jumps, K)
         if K > 0.0:
@@ -600,8 +611,27 @@ def test_conditional_block_matches_brute_force(case):
         else:
             value, m2 = call.mean(), np.sum((call - call.mean()) ** 2)
         assert est.value == pytest.approx(disc * value, rel=1e-12, abs=0.0), K
-        assert est.std_error == pytest.approx(disc * math.sqrt(m2 / (n - 1) / n),
+        assert est.std_error == pytest.approx(disc * math.sqrt(m2 / (n_cell - 1) / n_cell),
                                               rel=1e-12, abs=0.0), K
+        assert est.n_paths == n_cell, K
+
+
+def test_conditional_count_sums_the_blocks():
+    # a block of n_b paths gives a conditional cell max(n_b, ceil(n_b / (256
+    # p))) paths, p = 1 - e^(-Lambda t), at most 2**53, and the estimate
+    # counts the sum over the blocks; a plain cell counts n_b. At Lambda = 1,
+    # t = 0.6 is plain, t = 0.03 conditional with more than n_b / 256
+    # jumping paths on average, and t = 1e-3 and 5e-324 are floored
+    blocks = [2**16, 2**16, 500]
+    p = -math.expm1(-1e-3)
+    floored = sum(math.ceil(n_b / (256 * p)) for n_b in blocks)
+    ts, counts = [0.6, 0.03, 1e-3, 5e-324], [sum(blocks)] * 2 + [floored, 3 * 2**53]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = price_grid(MERTON, ts, [1.0], st.SimConfig(n_paths=sum(blocks), master_seed=2))
+    for t, n_cell, (est,) in zip(ts, counts, grid):
+        assert est.n_paths == n_cell, t
+        assert math.isfinite(est.value) and est.std_error >= 0.0, t
 
 
 @pytest.mark.parametrize("r", [0.0, 0.05])
@@ -619,7 +649,8 @@ def test_fitted_control_dominates_both_fixed_coefficients(r):
             call, control = _call_and_control(ec, h, jumps, K)
             _, _, residual = _fitted_control(call, control, ec.S0 * math.exp(r * t))
             fixed = min(residual(0.0), residual(1.0))
-            se = math.exp(-r * t) * math.sqrt(fixed / (n - 1) / n)
+            n_cell = jumps.size
+            se = math.exp(-r * t) * math.sqrt(fixed / (n_cell - 1) / n_cell)
             assert est.std_error <= se * (1.0 + 1e-12), (t, K, est.std_error, se)
 
 
@@ -627,7 +658,8 @@ AFFINE_CASES = {
     # with one atom a sample at N <= 1 sees two jump sums
     "single_atom": (st.ExpModelCharacteristics(1.0, 0.0, 0.2, st.atomic([(0.3, 1.0)])),
                     40000, 11),
-    # seed 3 draws a block of 100 paths in which one path jumps
+    # seed 3 draws a block of 100 paths, whose cell stands for 391 at
+    # t = 1e-3, in which one path jumps
     "one_path_jumps": (MERTON, 100, 3),
 }
 
@@ -642,12 +674,16 @@ def test_affine_samples_keep_the_calls_alone(case):
     t = 1e-3
     h, jumps, n_jumps = _redrawn_block(ec, t, n, seed)
     assert n_jumps.max() <= 1
+    if case == "one_path_jumps":
+        assert np.count_nonzero(n_jumps) == 1
     Ks = [0.9, 1.0, 1.1]
     for K, est in zip(Ks, price_grid(ec, [t], Ks, st.SimConfig(n_paths=n, master_seed=seed))[0]):
         call, control = _call_and_control(ec, h, jumps, K)
         m2 = np.sum((call - call.mean()) ** 2)
+        n_cell = call.size
         assert est.value == pytest.approx(call.mean(), rel=1e-12, abs=0.0), K
-        assert est.std_error == pytest.approx(math.sqrt(m2 / (n - 1) / n), rel=1e-12, abs=0.0), K
+        assert est.std_error == pytest.approx(math.sqrt(m2 / (n_cell - 1) / n_cell),
+                                              rel=1e-12, abs=0.0), K
         assert est.std_error > 0, K
         # the fit these cells avoid
         _, fitted_m2, _ = _fitted_control(call, control, ec.S0)
@@ -708,8 +744,8 @@ PINNED = {
          (0.0032434381107672196, 8.986944740410476e-05),
          (0.006449395167010346, 5.028768362372726e-05),
          (0.0008147572183804767, 4.52573663872518e-05),
-         (0.0026506018826832228, 1.9888311569922043e-05),
-         (0.00012209899741879652, 1.6219707666820805e-05)]),
+         (0.0026902714979159894, 1.180684378222633e-05),
+         (0.0001656765373979253, 1.0476806045665363e-05)]),
     "atomic_pure_jump": (
         "06ff047ed29f88c28e02bf8d7a08659a7b7d1ccbc291868473a3b325d0cebba4",
         [(0.01346410793985574, 0.00026624032378664306),
@@ -756,8 +792,8 @@ PINNED = {
          (0.0031878284955619536, 7.557900032449045e-05),
          (0.00508610472502316, 4.024445513737008e-05),
          (0.0007997921074500216, 3.7628277208485956e-05),
-         (0.002079656227709924, 1.9350968917050592e-05),
-         (0.00017104406586256247, 1.8375840361456667e-05)]),
+         (0.002065369712235595, 1.141435271276752e-05),
+         (0.00015702716613718716, 1.0678386719850924e-05)]),
     "density_cdf_table": (
         "2c0e128a9d6b5c56a126a30202f00bd11d58e6cf7c6104f721724fb63faa3f4c",
         [(0.012502359869470254, 0.00037736557369174174),

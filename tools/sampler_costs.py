@@ -1,4 +1,4 @@
-"""Reprint the per-stream cost table of the ``montecarlo`` module docstring.
+"""Reprint the two cost tables of the ``montecarlo`` module docstring.
 
 Usage::
 
@@ -24,9 +24,19 @@ per path of the docstring's table. The rows:
 
 Every row draws the same way at every mean, although the simulator prices
 a maturity by the conditional kernel only below ``_CONDITIONAL_BELOW``.
+
+A second table, in us, costs one ``conditional cell`` of ``price_grid``:
+``_SimulationPlan.jump_sums`` plus ``_call_given_jumps`` at one strike
+(K = 1, as one ``verify`` prices), for a block of 2**16 paths of the same
+normal jumps at the horizon where 64 ... 8192 of them jump on average. A
+line fitted to it by least relative squares gives the fixed cost of a cell
+and the cost per jumping path; their ratio is the number of jumping paths
+that cost as much as the fixed part, which sets
+``montecarlo._JUMPING_SHARE``.
 """
 
 import argparse
+import math
 import timeit
 
 import numpy as np
@@ -35,6 +45,7 @@ import smalltime as st
 from smalltime import montecarlo as mc
 
 MEANS = [0.001, 0.03, 0.3, 0.5, 0.7, 1.0, 6.66]
+JUMPING = [64, 128, 256, 512, 1024, 2048, 4096, 8192]
 BLOCK = 1 << 16
 
 
@@ -85,9 +96,31 @@ def measure(repeat, number):
     return rows
 
 
-def render(rows):
-    """The rows as a reStructuredText simple table, as in the docstring."""
-    head = ["mu"] + [f"{mu:g}" for mu in MEANS]
+def measure_cell(repeat, number):
+    """Row ``("conditional cell", [us per cell at each of JUMPING])`` of the
+    second table, and the fitted fixed cost in us and cost per jumping path
+    in ns."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([0, 1], dtype=np.uint64)))
+    ec = st.ExpModelCharacteristics(1.0, 0.0, 0.2, st.normal_jumps(1.0, 0.0, 0.4))
+    mean, m2 = np.empty((2, 1)), np.empty((3, 1))
+    cells = []
+    for m in JUMPING:
+        # at intensity 1 a path jumps with probability 1 - e^-t = m / BLOCK
+        t = -math.log1p(-m / BLOCK)
+        plan = mc._SimulationPlan(ec, [t], st.SimConfig(n_paths=100), None)
+        (h,) = plan.horizons
+
+        def call(plan=plan, h=h, t=t):
+            mc._call_given_jumps(BLOCK, h, plan.jump_sums(rng, t, BLOCK), [1.0], mean, m2)
+        cells.append(1e3 * _fastest_ms(call, repeat, number))
+    # relative residuals, so the short cells weigh as much as the long ones
+    per_path, fixed = np.polyfit(JUMPING, cells, 1, w=1.0 / np.array(cells))
+    return ("conditional cell", cells), fixed, 1e3 * per_path
+
+
+def render(head, rows):
+    """The rows under the header ``head`` as a reStructuredText simple
+    table, as in the docstring."""
     body = [[label] + [f"{v:.2f}" for v in cells] for label, cells in rows]
     widths = [max(len(r[i]) for r in [head] + body) for i in range(len(head))]
     rule = "  ".join("=" * w for w in widths)
@@ -105,7 +138,13 @@ def main():
     args = ap.parse_args()
     print(f"ms per stream and block of n = 2**16, fastest of "
           f"{args.repeat} x {args.number} calls")
-    print(render(measure(args.repeat, args.number)))
+    print(render(["mu"] + [f"{mu:g}" for mu in MEANS], measure(args.repeat, args.number)))
+    row, fixed, per_path = measure_cell(args.repeat, args.number)
+    print(f"\nus per conditional cell of n = 2**16 at one strike, fastest of "
+          f"{args.repeat} x {args.number} calls")
+    print(render(["jumping paths"] + [str(m) for m in JUMPING], [row]))
+    print(f"fit: {fixed:.1f} us + {per_path:.1f} ns per jumping path; the fixed "
+          f"part costs as much as {fixed / per_path * 1e3:.0f} jumping paths")
 
 
 if __name__ == "__main__":
