@@ -65,6 +65,10 @@ class JumpCompensator:
 
     form = "abstract"
     dim = 1
+    # points where the density, or a tail, is not smooth. The public
+    # ``integrate``, the double tails and a density's tail quadratures break
+    # there; ``integrate_with_error`` breaks only at the caller's points
+    kinks = ()
 
     # -- integration ---------------------------------------------------
     def integrate_with_error(self, g, tol=DEFAULT_TOL, points=None, g_over_y2=None):
@@ -190,12 +194,15 @@ class DensityCompensator(JumpCompensator):
         shot. Without it the simulator sums per-jump draws from a tabulated
         CDF of ``fn`` (an alias table). The hook does not depend on the intensity, so
         ``scaled`` passes it through.
+    kinks : sequence of float, optional
+        Points where ``fn`` is not smooth (``JumpCompensator.kinks``);
+        ``scaled`` passes them through.
     """
 
     form = "density"
 
     def __init__(self, fn, support, singularity_order=0.0, tail_up=None,
-                 tail_dn=None, sum_sampler=None):
+                 tail_dn=None, sum_sampler=None, kinks=()):
         lo, hi = float(support[0]), float(support[1])
         if not lo < hi:
             raise InvariantViolation(f"empty support ({lo}, {hi})")
@@ -208,6 +215,7 @@ class DensityCompensator(JumpCompensator):
         self._tail_up = tail_up
         self._tail_dn = tail_dn
         self.sum_sampler = sum_sampler
+        self.kinks = tuple(kinks)
         for probe in np.linspace(max(lo, -5.0) + 1e-6, min(hi, 5.0) - 1e-6, 17).tolist():
             if probe != 0.0 and fn(probe) < 0:
                 raise InvariantViolation(f"density negative at y={probe}")
@@ -269,7 +277,7 @@ class DensityCompensator(JumpCompensator):
             return 0.0
         if x <= 0 and self.singularity_order >= 1:
             return float("inf")
-        v, _ = quad_abs(self.fn, max(x, self.lo), self.hi, tol)
+        v, _ = quad_abs(self.fn, max(x, self.lo), self.hi, tol, points=self.kinks)
         return v
 
     def lower_tail(self, x, tol=DEFAULT_TOL):
@@ -279,7 +287,7 @@ class DensityCompensator(JumpCompensator):
             return 0.0
         if x >= 0 and self.singularity_order >= 1:
             return float("inf")
-        v, _ = quad_abs(self.fn, self.lo, min(x, self.hi), tol)
+        v, _ = quad_abs(self.fn, self.lo, min(x, self.hi), tol, points=self.kinks)
         return v
 
     def support(self):
@@ -292,7 +300,7 @@ class DensityCompensator(JumpCompensator):
             lambda y: factor * fn(y), (self.lo, self.hi), self.singularity_order,
             tail_up=(lambda x: factor * tu(x)) if tu else None,
             tail_dn=(lambda x: factor * td(x)) if td else None,
-            sum_sampler=self.sum_sampler)
+            sum_sampler=self.sum_sampler, kinks=self.kinks)
 
     def total_intensity(self):
         if self.singularity_order >= 1:
@@ -548,9 +556,11 @@ def laplace_jumps(intensity, scale, mean=0.0):
         # (0 for k = 0)
         return mu * counts + b * (rng.standard_gamma(counts) - rng.standard_gamma(counts))
 
+    # the density's kink at the mean is also one of each tail's second
+    # derivative
     return DensityCompensator(
         fn, (-np.inf, np.inf), 0.0, tail_up=tail_up, tail_dn=tail_dn,
-        sum_sampler=sum_sampler)
+        sum_sampler=sum_sampler, kinks=(mu,))
 
 
 def density(fn, support, singularity_order=0.0):
@@ -580,12 +590,13 @@ def integrate(m, g, tol=DEFAULT_TOL, points=None, g_over_y2=None):
     most tol times max(1, integral of |integrand|): absolute up to 1,
     relative above (``quadrature.quad_abs``).
 
-    ``points`` marks known kinks of g; ``g_over_y2`` optionally provides
-    g(y)/y^2 in a cancellation-free form for singular measures.
+    ``points`` marks known kinks of g, to which the kinks the measure
+    declares are added; ``g_over_y2`` optionally provides g(y)/y^2 in a
+    cancellation-free form for singular measures.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
-    return m.integrate(g, tol, points, g_over_y2)
+    return m.integrate(g, tol, sorted({*(points or ()), *m.kinks}), g_over_y2)
 
 
 def exp_double_tail_up(m, z, tol=DEFAULT_TOL):
@@ -607,7 +618,8 @@ def exp_double_tail_up(m, z, tol=DEFAULT_TOL):
                                    max(z, 0.0), tol * 1e-2)
     if hi <= z:
         return 0.0
-    v, _ = quad_abs(lambda x: _exp_times(x, m.upper_tail(x, tol)), z, hi, tol)
+    v, _ = quad_abs(lambda x: _exp_times(x, m.upper_tail(x, tol)), z, hi, tol,
+                    points=m.kinks)
     return max(v, 0.0)
 
 
@@ -620,8 +632,14 @@ def exp_double_tail_down(m, z, tol=DEFAULT_TOL):
         keep = m.locations < z
         return float(np.sum(m.masses[keep] * (math.exp(z) - np.exp(m.locations[keep]))))
     lo, _ = m.support()
+    if not np.isfinite(lo):
+        # as far left as the integrand matters: on a fixed range of hundreds
+        # QUADPACK can miss a narrow tail just below z
+        lo = -expanding_upper_limit(lambda x: math.exp(-x) * m.lower_tail(-x, tol),
+                                    -z, tol * 1e-2)
     lo = max(lo, -_SUPPORT_CAP * 12)  # e^x kills the far left tail
     if lo >= z:
         return 0.0
-    v, _ = quad_abs(lambda x: math.exp(x) * m.lower_tail(x, tol), lo, z, tol)
+    v, _ = quad_abs(lambda x: math.exp(x) * m.lower_tail(x, tol), lo, z, tol,
+                    points=m.kinks)
     return max(v, 0.0)

@@ -28,9 +28,10 @@ over all maturities, and strike 0 gives the discounted forward.
 A block prices each maturity with one of two kernels. The rule reads only
 the model and the maturity:
 
-* conditional, when sigma sqrt(t) > 0, every jump part is compound Poisson
-  and every stream's Poisson mean lam t is below ``_CONDITIONAL_BELOW``
-  = 0.5 (its comment gives the reason). Given
+* conditional, when sigma sqrt(t) > 0, the jump law is compound-Poisson
+  streams alone (no stable increment, below) and every stream's Poisson
+  mean lam t is below ``_CONDITIONAL_BELOW`` = 0.5 (its comment gives the
+  reason). Given
   its jump sum J a path's log price is Gaussian, so its payoff is replaced
   by its expectation given J: the Black-Scholes price at the forward
   F e^J, with F = E S_t / E e^J (conditional Monte Carlo, Glasserman 2003,
@@ -87,7 +88,7 @@ the model and the maturity:
 * plain, for every other maturity: the block draws the standard normals
   once for all plain maturities (each scales the same vector by
   sigma sqrt(t)), snapshots the generator state, and for each maturity
-  restores that state before drawing the jump parts, so the maturity sees
+  restores that state before drawing the jumps, so the maturity sees
   exactly the samples ``simulate_terminal`` returns for it.
 
 Either way a maturity's realisation does not depend on the rest of the
@@ -136,13 +137,12 @@ Each lane owns one workspace, four block-long rows allocated once per
 call, and the plain kernel writes into it in place, in this order: the
 standard normals (``standard_normal(out=)``); per maturity, the log price
 (sigma sqrt(t) z, then plus x0 and the log drift, or a constant fill when
-sigma = 0); each jump part into the zeroed jump-sum row, added to the log
-price; ``exp`` in place; then the payoff row per strike. A fresh 512 KB
-array per step instead had glibc map and trim pages in every block:
+sigma = 0); the sums of all streams into the zeroed jump-sum row, added to
+the log price at once, then the stable increment, if any, the same way;
+``exp`` in place; then the payoff row per strike. A fresh 512 KB array per
+step instead had glibc map and trim pages in every block:
 40,960 minor page faults per 4-maturity 2**20-path Merton grid, against
-992 with the workspace (fresh processes, ``getrusage``). The operands and
-their order are those of the allocating kernel, so the samples are bit
-identical to it.
+992 with the workspace (fresh processes, ``getrusage``).
 
 A compound-Poisson stream of intensity lam draws its block's counts only
 for the paths that jump (``_poisson_counts``), at every Poisson mean per
@@ -240,16 +240,21 @@ Unchunked, its block-long index and scratch rows also raise the peak RSS
 of six callable-c ``estimate_call`` at 2**18 paths from 91.6 to 98.2 MB
 (93.9 MB with the inversion).
 
-The jump component is a list of parts of two types, each carrying the
-exponential compensation of what it draws:
+A plan holds its jump law as three plain values (``_jump_law``):
 
-* ``_CompoundPoisson``: independent streams ``(intensity, sum_sampler)``;
-  each block draws Poisson counts per stream, as above, and adds the sum of
-  that many jump sizes to each path that jumps. Atomic measures give one
-  stream per atom, finite-activity densities one stream (their
-  ``sum_sampler``, else draws from a CDF table summed per path by
-  ``_per_jump``), and the truncated stable-like tail one stream per side.
-* ``_StableIncrement``: the exact small-jump stable increment.
+* the compound-Poisson streams ``(intensity, sum_sampler)``, in draw
+  order: one per atom of an atomic measure, one for a finite-activity
+  density (its ``sum_sampler``, else draws from a CDF table summed per path
+  by ``_per_jump``), one per side of the truncated stable-like tail, then
+  those of a stable-like residual. ``sum_sampler(rng, counts)`` returns,
+  per entry i, the sum of counts[i] iid jump sizes (0 for a count of 0);
+  the plain kernel hands it the counts of the paths that jump
+  (``_SimulationPlan.stream_sums``), the conditional one that stream's
+  share of the clock's counts, zeros included;
+* their exponential compensation, the integral of e^y - 1 against the
+  simulated measure;
+* the stable-like measure whose small jumps ``exact_stable_increment``
+  draws after the streams (``_stable_increment``), else None.
 
 Schemes for stable-like jumps:
 
@@ -286,11 +291,17 @@ _GAUSSIAN, _PRICE, _JUMPS, _PAYOFF = range(4)
 _WORKSPACE_ROWS = 4
 # every stream's Poisson mean per path below which a maturity with a
 # diffusion is priced by the conditional kernel (module docstring). Above it
-# conditioning costs more than the variance it removes: at mean 0.6 (Merton,
-# intensity 20, t = 0.03, strikes 0.9 to 1.1, 2**18 paths) the conditional
-# kernel took 43 ms against 19 plain (fastest of 15, 2 shared vCPUs), for a
-# standard error 0.996 to 1.001 times the plain one. Every maturity keeps
-# the kernel it had when this value also chose how counts were drawn
+# most paths jump, so the conditional kernel prices almost every path, and
+# whether the variance it removes pays for that depends on the jump law.
+# Conditional over plain work (time x SE^2; 2**18 paths, strikes 0.8 to
+# 1.2, fastest time and median SE of 6 seeds, 2 shared vCPUs): 0.14 to 0.53
+# for Merton (sigma 0.2, N(0, 0.4) jumps at intensity 20, t = 0.03, mean
+# 0.6; 49 against 19 ms), but 0.25 to 2.56, a loss at K >= 1, for three
+# atoms (0.1 at intensity 30, -0.1 at 20, -0.3 at 5, sigma 0.15, t = 0.05,
+# means up to 1.5; 128 against 28 ms). No benchmark workload prices a
+# maturity with a diffusion on the plain side, so a new value could not be
+# measured: every maturity keeps the kernel it had when this value also
+# chose how counts were drawn
 _CONDITIONAL_BELOW = 0.5
 # the share of a block's n paths that should jump on average in each of its
 # conditional cells: a cell draws from as many more paths as that takes
@@ -515,36 +526,13 @@ def _poisson_counts(rng, mu, n):
     return rng.choice(n, m, replace=False), _ztp_counts(rng, mu, m)
 
 
-class _CompoundPoisson:
-    """Finite-activity jump part: independent streams ``(intensity,
-    sum_sampler)`` and the exact compensation, the integral of e^y - 1
-    against the simulated measure. ``sum_sampler(rng, counts)`` returns, per
-    entry i, the sum of counts[i] iid jump sizes (0 for a count of 0).
-    ``draw`` hands it only the counts of the paths that jump (see
-    ``_poisson_counts``), so its result is usually shorter than the block.
-    The conditional kernel does not call ``draw``: it hands each hook that
-    stream's share of the counts of the superposed clock, zeros included
-    (``_SimulationPlan.jump_sums``)."""
-
-    def __init__(self, streams, compensation):
-        self.streams = streams
-        self.compensation = compensation
-
-    def draw(self, rng, t, out):
-        out.fill(0.0)
-        for lam, sum_sampler in self.streams:
-            paths, counts = _poisson_counts(rng, lam * t, out.size)
-            out[paths] += sum_sampler(rng, counts)
-        return out
-
-
 def _finite_activity(m):
-    """Compound-Poisson part simulating an atomic or finite-activity density
-    compensator exactly."""
+    """Compound-Poisson streams simulating an atomic or finite-activity
+    density compensator exactly, with their exponential compensation."""
     if m.form == "atomic":
         streams = [(lam, lambda rng, counts, y=y: y * counts)
                    for y, lam in zip(m.locations, m.masses)]
-        return _CompoundPoisson(streams, float(np.sum(m.masses * np.expm1(m.locations))))
+        return streams, float(np.sum(m.masses * np.expm1(m.locations)))
     if m.form != "density":
         raise ConfigError(f"cannot simulate form {m.form!r} as compound Poisson")
     lam = m.total_intensity()
@@ -557,13 +545,14 @@ def _finite_activity(m):
         lo, hi = m.support()
         ys = np.linspace(max(lo, -60.0), min(hi, 60.0), 4097)
         sum_sampler = _per_jump(_table_sampler(ys, [m.fn(y) for y in ys]))
-    return _CompoundPoisson([(lam, sum_sampler)], m.integrate(math.expm1, tol=1e-11))
+    return [(lam, sum_sampler)], m.integrate(math.expm1, tol=1e-11)
 
 
 def _truncated_power_tail(m, eps):
-    """Compound-Poisson part for the stable-like jumps with |y| > eps, one
-    stream per side; each side's magnitudes come from the closed-form inverse
-    CDF when c is constant, else from a table."""
+    """Compound-Poisson streams for the stable-like jumps with |y| > eps, one
+    per side, with their exponential compensation; each side's magnitudes
+    come from the closed-form inverse CDF when c is constant, else from a
+    table."""
     _check_cutoff(m, eps)
     a = m.alpha
 
@@ -589,46 +578,41 @@ def _truncated_power_tail(m, eps):
         side, _ = quad_abs(lambda v: math.expm1(sign * v) * m.c(sign * v) * v ** (-1.0 - a),
                            eps, 1.0, 1e-9)
         compensation += side
-    return _CompoundPoisson(streams, compensation)
+    return streams, compensation
 
 
-class _StableIncrement:
-    """Small-jump part over [0, t] drawn as one clipped symmetric stable
-    variate; its missing exponential compensation is o(t**(1/alpha))."""
-
-    compensation = 0.0
-    streams = ()  # no Poisson stream
-
-    def __init__(self, m):
-        self.alpha = m.alpha
-        self.c0 = m.c0
-
-    def draw(self, rng, t, out):
-        u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, out.size)
-        e = rng.standard_exponential(out.size)
-        scale = (self.c0 * t) ** (1.0 / self.alpha)
-        return np.clip(scale * _stable_standard(u, e, self.alpha), -1.0, 1.0,
-                       out=out)
+def _stable_increment(rng, m, t, out):
+    """The small jumps of the stable-like m over [0, t] into ``out``, one
+    clipped symmetric stable variate per path; their missing exponential
+    compensation is o(t**(1/alpha))."""
+    u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, out.size)
+    e = rng.standard_exponential(out.size)
+    scale = (m.c0 * t) ** (1.0 / m.alpha)
+    return np.clip(scale * _stable_standard(u, e, m.alpha), -1.0, 1.0, out=out)
 
 
-def _jump_parts(m, scheme, eps):
-    """Jump parts of a simulation plan, in draw order."""
+def _jump_law(m, scheme, eps):
+    """The jump law of a simulation plan as ``(streams, compensation,
+    stable)``: the compound-Poisson streams ``(intensity, sum_sampler)`` in
+    draw order, the exponential compensation of what they draw, and the
+    stable-like measure whose small jumps ``exact_stable_increment`` draws
+    after them (``_stable_increment``), else None."""
     if m.is_empty():
-        return []
+        return [], 0.0, None
     exact = scheme == _EXACT_STABLE
     if m.form != "stable_like":
         if exact:
             raise ConfigError(
                 "exact_stable_increment applies only to stable-like jumps")
-        return [_finite_activity(m)]
+        return (*_finite_activity(m), None)
     if exact and m.constant_c is None:
         raise ConfigError("exact_stable_increment requires a constant c")
-    parts = [] if exact else [_truncated_power_tail(m, eps)]
+    streams, compensation = ([], 0.0) if exact else _truncated_power_tail(m, eps)
     if not m.residual.is_empty():
-        parts.append(_finite_activity(m.residual))
-    if exact:
-        parts.append(_StableIncrement(m))
-    return parts
+        residual_streams, residual_compensation = _finite_activity(m.residual)
+        streams += residual_streams
+        compensation += residual_compensation
+    return streams, compensation, m if exact else None
 
 
 def _check_cutoff(m, eps):
@@ -653,28 +637,28 @@ class _Horizon(NamedTuple):
 
 class _SimulationPlan:
     """Frozen per-model sampling recipe for a list of horizons, each marked
-    plain or conditional (module docstring), with a fixed intra-block draw
-    order: for the plain horizons the Gaussian (shared by all of them), then
-    each jump part (from the same generator state for each of them); for a
-    conditional horizon the superposed clock of all streams from the
-    block's initial state."""
+    plain or conditional (module docstring), holding the jump law of
+    ``_jump_law`` and both of its Poisson clocks: ``stream_sums`` draws
+    each stream's own sparse counts for the plain kernel, ``jump_sums`` the
+    superposed clock for the conditional one. The intra-block draw order is
+    fixed: for the plain horizons the Gaussian (shared by all of them), then
+    from the same generator state for each of them the streams in order and
+    the stable increment; for a conditional horizon the superposed clock
+    from the block's initial state."""
 
     def __init__(self, ec, ts, cfg, rate_fn):
         for t in ts:
             if not t > 0:
                 raise DomainError(f"horizon must be positive, got {t}")
         self.sigma = ec.sigma
-        self.parts = _jump_parts(ec.jumps, cfg.scheme, cfg.small_jump_cutoff)
-        compensation = sum(part.compensation for part in self.parts)
-        self.streams = [s for part in self.parts for s in part.streams]
+        self.streams, compensation, self.stable = _jump_law(
+            ec.jumps, cfg.scheme, cfg.small_jump_cutoff)
         intensities = [float(lam) for lam, _ in self.streams]
         max_intensity = max(intensities, default=0.0)
         # the conditional kernel's superposed Poisson clock (``jump_sums``);
         # the total is 0 only for a lone stream of intensity 0
         self.clock_intensity = sum(intensities)
         self.clock_weights = [lam / (self.clock_intensity or 1.0) for lam in intensities]
-        streams_only = bool(self.parts) and all(
-            isinstance(part, _CompoundPoisson) for part in self.parts)
         # a single atom prices its conditional cells without the control
         # (module docstring)
         jumps = ec.jumps
@@ -699,7 +683,8 @@ class _SimulationPlan:
             self.horizons.append(_Horizon(
                 t, log_drift, math.exp(-rate_integral),
                 self.x0 + rate_integral - compensation * t, forward, sd,
-                sd > 0 and streams_only and max_intensity * t < _CONDITIONAL_BELOW))
+                sd > 0 and bool(self.streams) and self.stable is None
+                and max_intensity * t < _CONDITIONAL_BELOW))
 
     def draw_block(self, rng, ws, horizons):
         """Yield one block of samples of S_t for each of the given horizons,
@@ -716,8 +701,10 @@ class _SimulationPlan:
                 x += self.x0 + h.log_drift
             else:
                 x.fill(self.x0 + h.log_drift)
-            for part in self.parts:
-                x += part.draw(rng, h.t, jumps)
+            if self.streams:
+                x += self.stream_sums(rng, h.t, jumps)
+            if self.stable is not None:
+                x += _stable_increment(rng, self.stable, h.t, jumps)
             yield np.exp(x, out=x)
 
     def conditional_paths(self, t, n):
@@ -730,6 +717,16 @@ class _SimulationPlan:
         if p * _MAX_CELL_PATHS <= jumping:
             return _MAX_CELL_PATHS
         return max(n, math.ceil(jumping / p))
+
+    def stream_sums(self, rng, t, out):
+        """The plain kernel's jump sums at horizon t of a block of out.size
+        paths, into ``out``: each stream in turn draws the counts of only
+        the paths that jump (``_poisson_counts``) and adds their sums."""
+        out.fill(0.0)
+        for lam, sum_sampler in self.streams:
+            paths, counts = _poisson_counts(rng, lam * t, out.size)
+            out[paths] += sum_sampler(rng, counts)
+        return out
 
     def jump_sums(self, rng, t, n):
         """The jump sums at horizon t of the paths of a block of n that jump

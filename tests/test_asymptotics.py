@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.special import gamma
 from scipy.stats import norm
 
@@ -19,6 +21,19 @@ def lognormal_call_integral(S0, K, lam, mu, sig):
     d2 = (mu - k) / sig
     return lam * (S0 * math.exp(mu + 0.5 * sig**2) * norm.cdf(d1)
                   - K * norm.cdf(d2))
+
+
+def laplace_call_integral(S0, K, lam, b, mu):
+    """Closed form for the integral of (S0 e^y - K)^+ against lam times the
+    Laplace(mu, b) law, split at the kink mu when it lies above ln(K/S0)."""
+    z = math.log(K / S0)
+    c = lam / (2.0 * b)
+    lo = max(z, mu)
+    total = c * b * math.exp(-(lo - mu) / b) * (S0 * math.exp(lo) / (1.0 - b) - K)
+    if z < mu:
+        w = math.exp((z - mu) / b)
+        total += c * b * (S0 * (math.exp(mu) - math.exp(z) * w) / (1.0 + b) - K * (1.0 - w))
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -111,6 +126,18 @@ def test_otm_payoff_route_splits_at_kink_under_power_substitution(K, jumps):
     ec = st.ExpModelCharacteristics(1.0, 0.0, 0.0, jumps())
     res = st.otm_slope(ec, K, TOL)
     assert res.diagnostics["route_gap"] <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [1.0, 100.0])
+def test_otm_laplace_kink_inside_the_otm_range(lam):
+    # the density's kink at its mean, 0.05, lies above ln K = 0.0488: both
+    # routes must break there (before, QUADPACK missed it by 5.9e-8
+    # relative, and at intensity 100 the routes disagreed beyond the budget)
+    ec = st.ExpModelCharacteristics(1.0, 0.0, 0.2, st.laplace_jumps(lam, 0.2, 0.05))
+    res = st.otm_slope(ec, 1.05)
+    exact = laplace_call_integral(1.0, 1.05, lam, 0.2, 0.05)
+    assert res.diagnostics["payoff_form"] == pytest.approx(exact, rel=1e-9)
+    assert res.diagnostics["tail_form"] == pytest.approx(exact, rel=1e-9)
 
 
 def test_otm_requires_otm_strike():
@@ -269,3 +296,61 @@ def test_result_invariants():
         st.AsymptoticResult("OTM", 1.0, -0.5)
     with pytest.raises(st.DomainError):
         st.AsymptoticResult("OTM", 1.5, 0.5)
+
+
+# means inside the OTM and ITM ranges of the strikes drawn below, so each
+# family's kink or peak lies between the strike and the spot
+_MEAN = hst.floats(min_value=-0.3, max_value=0.3)
+_INTENSITY = hst.floats(min_value=0.1, max_value=100.0)
+
+
+@hst.composite
+def _measure_and_sq_exp(draw):
+    """A drawn atomic, normal or Laplace measure with the closed form of the
+    integral of (e^y - 1)^2 against it."""
+    family = draw(hst.sampled_from(["atomic", "normal", "laplace"]))
+    if family == "atomic":
+        atoms = draw(hst.lists(hst.tuples(hst.floats(min_value=-0.9, max_value=0.9),
+                                          _INTENSITY), min_size=1, max_size=4))
+        return st.atomic(atoms), sum(lam * math.expm1(y) ** 2 for y, lam in atoms)
+    lam, mu = draw(_INTENSITY), draw(_MEAN)
+    if family == "normal":
+        sd = draw(hst.floats(min_value=0.05, max_value=0.5))
+
+        def mgf(u):
+            return math.exp(mu * u + 0.5 * (sd * u) ** 2)
+
+        m = st.normal_jumps(lam, mu, sd)
+    else:
+        b = draw(hst.floats(min_value=0.05, max_value=0.35))
+
+        def mgf(u):
+            return math.exp(mu * u) / (1.0 - (b * u) ** 2)
+
+        m = st.laplace_jumps(lam, b, mu)
+    return m, lam * (mgf(2.0) - 2.0 * mgf(1.0) + 1.0)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(measure=_measure_and_sq_exp(),
+       otm=hst.floats(min_value=1.01, max_value=1.4),
+       itm=hst.floats(min_value=0.7, max_value=0.99),
+       r=hst.floats(min_value=0.0, max_value=0.1),
+       sigma=hst.floats(min_value=0.0, max_value=0.5),
+       x=hst.floats(min_value=0.5, max_value=2.0))
+def test_drawn_measures_hold_route_rules_and_the_square_generator(measure, otm, itm, r,
+                                                                  sigma, x):
+    m, sq_exp = measure
+    ec = st.ExpModelCharacteristics(1.0, r, sigma, m)
+    # OTM: the payoff and double-tail routes agree within 10 tol max(1, |tail|)
+    res = st.otm_slope(ec, otm, TOL)
+    assert res.diagnostics["route_gap"] <= 10 * TOL * max(1.0, abs(res.diagnostics["tail_form"]))
+    # ITM: the lower double tail against the put payoff integral, same rule
+    res = st.itm_slope(ec, itm, TOL)
+    put = st.integrate(m, lambda y: max(itm - math.exp(y), 0.0), TOL,
+                       points=[math.log(itm)])
+    tail = res.diagnostics["tail_form"]
+    assert abs(put - tail) <= 10 * TOL * max(1.0, abs(tail))
+    # the generator on x^2 is x^2 (2r + sigma^2 + integral of (e^y - 1)^2)
+    got = st.apply_exp_generator(ec, st.polynomial([0.0, 0.0, 1.0]), x, TOL)
+    assert got == pytest.approx(x * x * (2.0 * r + sigma * sigma + sq_exp), rel=1e-8)

@@ -132,6 +132,18 @@ def test_cmd_asymptotics_zero_jump_otm(tmp_path, capsys):
     assert code == 0 and rec["coefficient"] == 0.0
 
 
+def test_cmd_asymptotics_laplace_kink_inside_the_otm_range(tmp_path, capsys):
+    # the density's kink at its mean 0.05 lies above ln 1.05: before it was
+    # a quadrature breakpoint the two OTM routes disagreed (exit 4)
+    spec = {"model": {"S0": 1.0, "r": 0.0, "sigma": 0.2,
+                      "jumps": {"type": "density", "family": "laplace", "intensity": 100.0,
+                                "mean": 0.05, "scale": 0.2}},
+            "query": {"strike": 1.05}}
+    code, out, err = run_cli(capsys, ["asymptotics", "--spec", write_spec(tmp_path, spec)])
+    assert code == 0, err
+    assert json.loads(out)["regime"] == "OTM"
+
+
 def test_cmd_expansion_examples(tmp_path, capsys):
     spec = {"model": {"S0": 2.0, "r": 0.07, "sigma": 0.0, "jumps": {"type": "none"}},
             "query": {"f": {"family": "affine", "weights": [1.0]}, "t": 0.01}}

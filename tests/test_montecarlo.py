@@ -7,8 +7,12 @@ deterministic.
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +20,9 @@ from scipy.special import gamma
 from scipy.stats import chisquare, ks_2samp, norm, poisson
 
 import smalltime as st
-from smalltime.montecarlo import (_CONDITIONAL_BELOW, _WORKSPACE_ROWS, _CompoundPoisson,
-                                  _excess_cdf, _poisson_counts, _SimulationPlan,
-                                  _stable_standard, _table_sampler, _ztp_counts, price_grid)
+from smalltime.montecarlo import (_CONDITIONAL_BELOW, _WORKSPACE_ROWS, _excess_cdf,
+                                  _poisson_counts, _SimulationPlan, _stable_standard,
+                                  _table_sampler, _ztp_counts, price_grid)
 
 
 def bs_call(S0, K, sigma, t, r=0.0):
@@ -393,12 +397,41 @@ def test_ztp_counts_large_means(mu):
     assert abs(counts.var() / mu - 1.0) <= 0.15
 
 
-def test_compound_poisson_draw_without_jumps():
-    # m = 0: every hook sees an empty count vector and the row stays zero
-    normal = st.normal_jumps(1.0, 0.0, 0.4).sum_sampler
-    part = _CompoundPoisson([(1.0, normal), (2.0, lambda rng, counts: 0.3 * counts)], 0.0)
-    out = np.full(2**16, np.nan)
-    assert not part.draw(_philox(1, 1), 1e-300, out).any()
+def test_plain_draw_without_jumps():
+    # no path jumps: every hook of the plain kernel (both power-tail sides,
+    # then the normal residual) sees an empty count vector, and every
+    # sample is exp(x0 + log drift)
+    seen = []
+
+    def recording(sum_sampler):
+        def hook(rng, counts):
+            seen.append(counts.size)
+            return sum_sampler(rng, counts)
+        return hook
+
+    ec = st.ExpModelCharacteristics(
+        2.0, 0.0, 0.0, st.stable_like(1.5, 0.1, st.normal_jumps(1.0, 0.0, 0.4)))
+    plan = _SimulationPlan(ec, [1e-300], st.SimConfig(n_paths=100), None)
+    plan.streams = [(lam, recording(hook)) for lam, hook in plan.streams]
+    ws = np.full((_WORKSPACE_ROWS, 2**16), np.nan)
+    (h,) = plan.horizons
+    (samples,) = plan.draw_block(_philox(1, 1), ws, plan.horizons)
+    assert seen == [0, 0, 0]
+    assert np.all(samples == math.exp(plan.x0 + h.log_drift))
+
+
+def test_sampler_costs_tool_runs():
+    # the cost tool reaches into the simulator's private draws; one call per
+    # cell keeps it quick
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, str(root / "tools" / "sampler_costs.py"), "--repeat", "1",
+         "--number", "1"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    heads = [line.split()[:2] for line in run.stdout.splitlines()]
+    assert ["mu", "0.001"] in heads and ["jumping", "paths"] in heads, run.stdout
 
 
 @pytest.mark.parametrize("k", [0, 1, 5, 40])

@@ -12,7 +12,8 @@ per path of the docstring's table. The rows:
   their indices and their zero-truncated counts (``_ztp_counts``);
 * ``+ normal sum``, ``+ Laplace sum``: the counts, the ``sum_sampler`` hook
   of ``normal_jumps(1, 0, 0.4)`` or ``laplace_jumps(1, 0.2)``, and the
-  scatter into the jump-sum row (one ``_CompoundPoisson.draw``);
+  scatter into the jump-sum row (``_SimulationPlan.stream_sums`` of a plan
+  with that one stream);
 * ``+ power tail, closed form`` and ``+ power tail, table``: the same with
   the positive side of the ``euler_log`` power tail at alpha 1.5 and cutoff
   0.01, for c = 1 (closed-form inverse CDF) and c(y) = 1 + y/2 (the alias
@@ -50,8 +51,14 @@ BLOCK = 1 << 16
 
 
 def _power_tail_side(c):
-    part = mc._truncated_power_tail(st.stable_like(1.5, c), 0.01)
-    return part.streams[0][1]
+    streams, _ = mc._truncated_power_tail(st.stable_like(1.5, c), 0.01)
+    return streams[0][1]
+
+
+def _plan(jumps, t):
+    """A simulation plan of sigma 0.2 and the given jumps at horizon t."""
+    ec = st.ExpModelCharacteristics(1.0, 0.0, 0.2, jumps)
+    return mc._SimulationPlan(ec, [t], st.SimConfig(n_paths=100), None)
 
 
 def _hooks():
@@ -80,16 +87,16 @@ def measure(repeat, number):
                 def call(mu=mu):
                     mc._poisson_counts(rng, mu, BLOCK)
             else:
-                part = mc._CompoundPoisson([(mu, hooks[label])], 0.0)
+                plan = _plan(st.no_jumps(), 1.0)
+                plan.streams = [(mu, hooks[label])]
 
-                def call(part=part):
-                    part.draw(rng, 1.0, out)
+                def call(plan=plan):
+                    plan.stream_sums(rng, 1.0, out)
             cells.append(_fastest_ms(call, repeat, number))
         rows.append((label if label == "counts" else "+ " + label, cells))
     cells = []
     for mu in MEANS:
-        ec = st.ExpModelCharacteristics(1.0, 0.0, 0.2, st.normal_jumps(mu, 0.0, 0.4))
-        plan = mc._SimulationPlan(ec, [1.0], st.SimConfig(n_paths=100), None)
+        plan = _plan(st.normal_jumps(mu, 0.0, 0.4), 1.0)
         cells.append(_fastest_ms(lambda plan=plan: plan.jump_sums(rng, 1.0, BLOCK),
                                  repeat, number))
     rows.append(("conditional clock + normal sum", cells))
@@ -101,13 +108,12 @@ def measure_cell(repeat, number):
     second table, and the fitted fixed cost in us and cost per jumping path
     in ns."""
     rng = np.random.Generator(np.random.Philox(key=np.array([0, 1], dtype=np.uint64)))
-    ec = st.ExpModelCharacteristics(1.0, 0.0, 0.2, st.normal_jumps(1.0, 0.0, 0.4))
     mean, m2 = np.empty((2, 1)), np.empty((3, 1))
     cells = []
     for m in JUMPING:
         # at intensity 1 a path jumps with probability 1 - e^-t = m / BLOCK
         t = -math.log1p(-m / BLOCK)
-        plan = mc._SimulationPlan(ec, [t], st.SimConfig(n_paths=100), None)
+        plan = _plan(st.normal_jumps(1.0, 0.0, 0.4), t)
         (h,) = plan.horizons
 
         def call(plan=plan, h=h, t=t):
