@@ -14,16 +14,16 @@ across workers.
 Estimates stream: ``price_grid`` prices a whole maturity x strike grid in
 one pass and keeps no sample. Each block reduces every (t, K) cell to a
 partial stored under its block index: the count, the mean and the M2 (sum
-of squared deviations) of the payoffs, and for a conditional cell (below)
-also the mean and M2 of its control and the co-moment of payoff and
-control. The count is one per maturity: the block's paths for a plain
-one, the paths its cells stand for (below) for a conditional one. After
-all lanes finish the partials are merged in block order with the
-Chan-Golub-LeVeque update, each maturity with its own count and the
-co-moment like the M2s, so the output is byte identical for any
-``n_workers`` and memory stays at about n_workers blocks whatever
-n_paths. ``estimate_call`` is the 1 x 1 grid, ``slope_rows`` one strike
-over all maturities, and strike 0 gives the discounted forward.
+of squared deviations) of the payoffs, the mean and M2 of their control
+(below) and the co-moment of payoff and control, and the paths on each
+side of the strike. The count is one per maturity: the block's paths for
+a plain one, the paths its cells stand for (below) for a conditional one.
+After all lanes finish the partials are merged in block order with the
+Chan-Golub-LeVeque update, each maturity with its own count, the
+co-moment like the M2s and the sides by sums, so the output is byte
+identical for any ``n_workers`` and memory stays at about n_workers blocks
+whatever n_paths. ``estimate_call`` is the 1 x 1 grid, ``slope_rows`` one
+strike over all maturities, and strike 0 gives the discounted forward.
 
 A block prices each maturity with one of two kernels. The rule reads only
 the model and the maturity:
@@ -63,28 +63,6 @@ the model and the maturity:
   The estimate's ``n_paths`` is then the sum of n' over the blocks, at
   least ``cfg.n_paths``, and its standard error is that of so many paths.
 
-  Every strike K > 0 then subtracts a control variate (Glasserman 2003,
-  section 4.1): each path's F e^J, whose mean is exactly the forward
-  E S_t = S0 e^(integral of r) (``_Horizon.forward``). The estimate is
-  mean(call | J) - beta (mean(F e^J) - E S_t) with
-  beta = Cov(call, F e^J) / Var(F e^J) taken from the merged totals, never
-  from one block, so its bias is O(1/n) and the output stays byte
-  identical for any n_workers. Its M2 is the residual one, the M2 of the
-  calls minus beta times the co-moment, divided by n' - 1 as for every
-  other cell (cells where that is only rounding keep beta = 0, below).
-  beta = 0 is the average of the calls and beta = 1 the average of the
-  puts given J plus the exact forward minus the strike (put-call parity
-  given J); the fitted beta leaves the least residual of all on the
-  sample, so one formula serves strikes on both sides of the forward.
-  Against the fixed rule beta = 1 below the forward and 0 above it, on
-  Merton (sigma 0.2, normal jumps N(0, 0.4) at intensity 1, 2**18 paths,
-  6 seeds, t = 1e-3 and 0.03) the standard error is 0.89 to 0.91 of that
-  rule's at K = 0.8 and 0.9, 0.43 to 0.47 at K = 1.0 with r = 0 and 0.87
-  to 0.89 with r = 0.05, and 0.45 to 0.52 at K = 1.1 and 1.2. With
-  mostly downward jumps (atoms -0.4 and -0.1 at intensity 1 each,
-  r = 0.05) it is 0.25 to 0.31 at K = 0.8 and 0.9 and 0.01 to 0.05 at
-  K = 1.0, where beta = 1 leaves the variance of the jumping paths that
-  end below the strike.
 * plain, for every other maturity: the block draws the standard normals
   once for all plain maturities (each scales the same vector by
   sigma sqrt(t)), snapshots the generator state, and for each maturity
@@ -95,8 +73,39 @@ Either way a maturity's realisation does not depend on the rest of the
 grid, so each cell equals the ``estimate_call`` of that cell alone.
 Jump-free models stay plain on purpose: their conditional estimate would
 be the exact Black-Scholes price with standard error 0, and ``verify``
-would no longer check Black-Scholes independently. For the same reason two
-conditional cells keep beta = 0, the average of the calls given J:
+would no longer check Black-Scholes independently.
+
+Every cell with a strike K > 0 then subtracts a control variate
+(Glasserman 2003, section 4.1) whose mean is exactly the forward
+E S_t = S0 e^(integral of r) (``_Horizon.forward``): each path's F e^J in
+a conditional cell, its S_t in a plain one. Both kernels accumulate the
+control minus the forward, so no sum of order 1 rounds a small value. The
+estimate is mean(call) - beta mean(control - E S_t) with
+beta = Cov(call, control) / Var(control) taken from the merged totals,
+never from one block, so its bias is O(1/n) and the output stays byte
+identical for any n_workers. Its M2 is the residual one, the M2 of the
+calls minus beta times the co-moment, divided by n - 1 as for every other
+cell (cells where that is only rounding keep beta = 0, below). The fitted
+beta leaves the least residual of all on the sample, so one formula
+serves strikes on both sides of the forward.
+
+* Conditional cells: beta = 0 is the average of the calls given J and
+  beta = 1 the average of the puts given J plus the exact forward minus
+  the strike (put-call parity given J). Against the fixed rule beta = 1
+  below the forward and 0 above it, on Merton (sigma 0.2, normal jumps
+  N(0, 0.4) at intensity 1, 2**18 paths, 6 seeds, t = 1e-3 and 0.03) the
+  standard error is 0.89 to 0.91 of that rule's at K = 0.8 and 0.9, 0.43
+  to 0.47 at K = 1.0 with r = 0 and 0.87 to 0.89 with r = 0.05, and 0.45
+  to 0.52 at K = 1.1 and 1.2. With mostly downward jumps (atoms -0.4 and
+  -0.1 at intensity 1 each, r = 0.05) it is 0.25 to 0.31 at K = 0.8 and
+  0.9 and 0.01 to 0.05 at K = 1.0, where beta = 1 leaves the variance of
+  the jumping paths that end below the strike.
+* Plain cells: on the ``euler_log`` models of the ``mc_stable`` benchmark
+  (alpha 1.5, cutoff 0.01, t = 0.01, 2**18 paths, seeds 0 to 3) the
+  variance is 0.32 to 0.33 of the calls' alone at K = 1.1 and 0.42 to 0.43
+  at K = 1.2 with c = 1, and 0.27 and 0.35 to 0.36 with c(y) = 1 + y/2.
+
+Four kinds of cell keep beta = 0, the average of the calls:
 
 * a strike <= 0, whose payoff is the control itself: beta = 1 would give
   the exact discounted forward with standard error 0 and end the
@@ -109,12 +118,29 @@ conditional cells keep beta = 0, the average of the calls given J:
   2.49430e-4 +- 4.1e-14 against the series value 2.49498e-4; the calls
   alone give 2.48409e-4 +- 3.9e-6). The price of the rule: with one atom
   at -0.4 (r = 0.05) the calls have 1.54 to 1.66 times the standard error
-  of beta = 1 at K = 0.8 (0.01 to 0.49 times it at K = 0.9 and 1.0).
+  of beta = 1 at K = 0.8 (0.01 to 0.49 times it at K = 0.9 and 1.0);
+* every strike under ``exact_stable_increment``, whose drift leaves out
+  the exponential compensation of the small jumps, so E S_t is not the
+  forward: with alpha 1.5, c = 1 and 2**20 paths, E S_t - 1 is
+  8.1e-4 +- 4e-5 at t = 1e-3 and 8.2e-3 +- 1.4e-4 at t = 1e-2, against
+  at-the-money prices of 8.6e-3 and 4.0e-2, so a fitted beta of about 0.5
+  would bias them by 5 to 10%;
+* a cell with fewer than ``_SIDE_PATHS`` = 256 paths on either side of
+  the strike (above it, and at or below it). A plain call is affine in
+  S_t on each side, so the fit's residual lives on the rarer side, and a
+  handful of paths there claim a standard error they do not carry: with
+  two down atoms (-0.1 and -0.2 at intensity 1, sigma 0, r = 0,
+  t = 0.01, K = 0.75, 2**16 paths, 300 seeds), where 2 to 14 paths end
+  below K, the z-scores against the exact series have sd 3.5 and minimum
+  -28.9 without the floor, sd 1.05 and minimum -2.66 with it. Given J a
+  conditional path's S_t lies on both sides of every strike and its call
+  is affine in F e^J on neither, so a conditional cell counts as having no
+  rare side.
 
-The same holds for any sample on which the call given J is affine in
-F e^J, for instance one in which a single path jumps, or one whose calls
-are all deep in the money: a fit whose residual is at most 1e-12 of the
-M2 of the calls, which is rounding, keeps beta = 0.
+The same holds for any sample on which the call is affine in the control,
+for instance one in which a single path jumps, or one whose calls are all
+deep in the money: a fit whose residual is at most 1e-12 of the M2 of the
+calls, which is rounding, keeps beta = 0.
 
 ``simulate_terminal`` always draws plain samples. At short horizons almost
 no path jumps (97 to 99.9% of the paths on the t <= 0.03 grid at
@@ -139,7 +165,8 @@ standard normals (``standard_normal(out=)``); per maturity, the log price
 (sigma sqrt(t) z, then plus x0 and the log drift, or a constant fill when
 sigma = 0); the sums of all streams into the zeroed jump-sum row, added to
 the log price at once, then the stable increment, if any, the same way;
-``exp`` in place; then the payoff row per strike. A fresh 512 KB array per
+``exp`` in place; the control S_t - E S_t into the jump-sum row; then the
+payoff row per strike. A fresh 512 KB array per
 step instead had glibc map and trim pages in every block:
 40,960 minor page faults per 4-maturity 2**20-path Merton grid, against
 992 with the workspace (fresh processes, ``getrusage``).
@@ -314,6 +341,14 @@ _JUMPING_SHARE = 1.0 / 256
 # the most paths one conditional cell draws from: its count stays an exact
 # float and fits the count of ``rng.binomial`` when Lambda t is tiny
 _MAX_CELL_PATHS = 1 << 53
+# the fewest paths on each side of the strike, above it and at or below
+# it, with which a cell fits its control. A plain call is affine in S_t on
+# either side, so the fit's residual lives on the rarer side: two down
+# atoms (-0.1 and -0.2 at intensity 1, sigma 0, t = 0.01, K = 0.75, 2**16
+# paths, 2 to 14 of them below K) gave z-scores against the exact series
+# with sd 3.5 and minimum -28.9 over 300 seeds without this floor, sd 1.05
+# and minimum -2.66 with it (module docstring)
+_SIDE_PATHS = 256
 # draws per pass of the CDF-table sampler (module docstring, measured table)
 _TABLE_CHUNK = 1 << 14
 # largest mean numpy's Poisson sampler accepts
@@ -630,7 +665,7 @@ class _Horizon(NamedTuple):
     log_drift: float  # of the log price, jump compensation included
     discount: float
     log_forward: float  # log E[S_t | jump sum 0]
-    forward: float  # E S_t = S0 e^(integral of r), the exact mean of the control F e^J
+    forward: float  # E S_t = S0 e^(integral of r), the exact mean of the control
     sd: float  # sigma sqrt(t)
     conditional: bool  # priced by the conditional kernel (module docstring)
 
@@ -659,10 +694,12 @@ class _SimulationPlan:
         # the total is 0 only for a lone stream of intensity 0
         self.clock_intensity = sum(intensities)
         self.clock_weights = [lam / (self.clock_intensity or 1.0) for lam in intensities]
-        # a single atom prices its conditional cells without the control
-        # (module docstring)
+        # the control's mean is the forward and the fit can measure its own
+        # error: not with the stable increment's uncompensated draw, nor with
+        # a single atom (module docstring)
         jumps = ec.jumps
-        self.controlled = not (jumps.form == "atomic" and np.unique(jumps.locations).size == 1)
+        self.controlled = self.stable is None and not (
+            jumps.form == "atomic" and np.unique(jumps.locations).size == 1)
         half_variance = 0.5 * ec.variance()
         self.x0 = math.log(ec.S0)
         self.horizons = []
@@ -819,8 +856,8 @@ def simulate_terminal(ec, t, cfg, rate_fn=None):
 def _call_given_jumps(n, h, jump_sums, Ks, mean, m2):
     """Partials of a conditional block at horizon h for every strike in Ks:
     the means of the n calls E[(S_t - K)^+ | jump sum] and of the n controls
-    F e^J into ``mean[:, k]``, and the M2 of the calls, their co-moment with
-    the controls and the M2 of the controls into ``m2[:, k]``.
+    F e^J - E S_t into ``mean[:, k]``, and the M2 of the calls, their
+    co-moment with the controls and the M2 of the controls into ``m2[:, k]``.
 
     Given its jump sum J a path's S_t is lognormal with mean F e^J,
     F = e^(h.log_forward), and log standard deviation h.sd, so its call is
@@ -836,8 +873,9 @@ def _call_given_jumps(n, h, jump_sums, Ks, mean, m2):
     # entry 0 is the value at J = 0 of the n - m paths that do not jump:
     # the sums count it once and ``rest`` adds the others
     rest = n - g.size
-    control = (g.sum() + rest * g[0]) / n
-    e = g - control
+    e = g - h.forward
+    control = (e.sum() + rest * e[0]) / n
+    e -= control
     m2_control = np.dot(e, e) + rest * e[0] ** 2
     for k, K in enumerate(Ks):
         if K > 0:
@@ -876,23 +914,35 @@ def price_grid(ec, ts, Ks, cfg, rate_fn=None):
         n = hi - lo
         start = rng.bit_generator.state
         pay = ws[_PAYOFF]
-        # per maturity the paths its cells stand for, and per cell the means
-        # of the call and of the control F e^J, and the M2 of the call, the
-        # co-moment and the M2 of the control; a plain cell has no control,
-        # so its control entries stay 0
+        # per maturity the paths its cells stand for; per cell the means of
+        # the call and of the control minus its exact mean, the M2 of the
+        # call, the co-moment and the M2 of the control, and the paths above
+        # the strike and at or below it, which a plain cell counts: given J
+        # a conditional path lies on both sides, so no side of its cell is
+        # rare (module docstring)
         count = np.full((len(ts), 1), float(n))
         mean = np.zeros((2, len(ts), len(Ks)))
         m2 = np.zeros((3, len(ts), len(Ks)))
+        sides = np.full((2, len(ts), len(Ks)), math.inf)
         # numpy's error state is per thread, so each lane sets its own
         with np.errstate(over="ignore", invalid="ignore"):
             samples = plan.draw_block(rng, ws, [plan.horizons[j] for j in plain])
+            # the control S_t - E S_t, in the jump-sum row the draw is done with
+            control = ws[_JUMPS]
             for j, s in zip(plain, samples):
+                np.subtract(s, plan.horizons[j].forward, out=control)
+                mean[1, j] = control.sum() / n
+                control -= mean[1, j, 0]
+                m2[2, j] = np.dot(control, control)
                 for k, K in enumerate(Ks):
                     np.subtract(s, K, out=pay)
                     np.maximum(pay, 0.0, out=pay)
+                    sides[0, j, k] = np.count_nonzero(pay)
                     mean[0, j, k] = pay.sum() / n
                     pay -= mean[0, j, k]
+                    m2[1, j, k] = np.dot(pay, control)
                     m2[0, j, k] = np.square(pay, out=pay).sum()
+                sides[1, j] = n - sides[0, j]
             for j in conditional:
                 h = plan.horizons[j]
                 rng.bit_generator.state = start
@@ -900,26 +950,29 @@ def price_grid(ec, ts, Ks, cfg, rate_fn=None):
                 _call_given_jumps(paths, h, plan.jump_sums(rng, h.t, paths), Ks,
                                   mean[:, j], m2[:, j])
                 count[j] = paths
-        partials[i] = (count, mean, m2)
+        partials[i] = (count, mean, m2, sides)
 
     _for_each_block(cfg, reduce_block)
     # merge in block order (Chan-Golub-LeVeque), the co-moment like the M2s,
-    # each maturity with its own count
-    n, mean, m2 = partials[0]
+    # each maturity with its own count, and the sides by sums
+    n, mean, m2, sides = partials[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, len(partials)):
-            n_b, mean_b, m2_b = partials[i]
+            n_b, mean_b, m2_b, sides_b = partials[i]
             total = n + n_b
             delta = mean_b - mean
             mean = mean + delta * (n_b / total)
             m2 = m2 + m2_b + delta[[0, 0, 1]] * delta[[0, 1, 1]] * (n * n_b / total)
             n = total
+            sides = sides + sides_b
     (call, control), (m2_call, co, m2_control) = mean, m2
+    rare_side = sides.min(axis=0)
 
     def estimate(j, k):
         h, paths = plan.horizons[j], n[j, 0]
         value, residual = call[j, k], m2_call[j, k]
-        if h.conditional and plan.controlled and Ks[k] > 0 and m2_control[j, k] > 0:
+        if (plan.controlled and Ks[k] > 0 and m2_control[j, k] > 0
+                and rare_side[j, k] >= _SIDE_PATHS):
             # the control variate with its coefficient fitted on the merged
             # totals; the residual is the M2 left after the fit. A fit that
             # leaves only rounding cannot measure its own error (module
@@ -927,7 +980,7 @@ def price_grid(ec, ts, Ks, cfg, rate_fn=None):
             beta = co[j, k] / m2_control[j, k]
             fitted = residual - beta * co[j, k]
             if fitted > 1e-12 * residual:
-                value = value - beta * (control[j, k] - h.forward)
+                value = value - beta * control[j, k]
                 residual = fitted
         return Estimate(h.discount * float(value),
                         h.discount * math.sqrt(residual / (paths - 1)) / math.sqrt(paths),
@@ -948,10 +1001,9 @@ def estimate_call(ec, t, K, cfg, rate_fn=None):
     Reduces block by block, so memory does not grow with n_paths: with the
     plain kernel the payoffs of the samples simulate_terminal draws for the
     same inputs, with the conditional kernel each path's Black-Scholes
-    price given its jump sum, less the fitted control (module docstring).
-    With the plain kernel estimates at different strikes are pathwise
-    monotone. With the conditional kernel each strike fits its own control
-    coefficient, so their order holds only up to sampling error.
+    price given its jump sum, either less its fitted control (module
+    docstring). Each strike fits its own control coefficient, so estimates
+    at different strikes are ordered only up to sampling error.
     """
     _check_strike(K)
     return price_grid(ec, [t], [K], cfg, rate_fn)[0][0]

@@ -41,7 +41,12 @@ Both trees run the same probes, each in a fresh interpreter with the tree's
   strikes 0, 0.9, 1, 1.1 with 1 and 2 workers for Merton at t in {1e-5,
   1e-3, 0.03}, atoms at +-0.1 with sigma = 0.15, Laplace jumps with
   sigma = 0.15, and a grid whose Poisson means straddle the kernel
-  crossover (plain and conditional maturities in one pass).
+  crossover (plain and conditional maturities in one pass);
+* a plain-kernel probe recording every ``price_grid`` cell at strikes 0,
+  0.9, 1, 1.1 with 1 and 2 workers for the constant-c and callable-c
+  ``euler_log`` models of the ``mc_stable`` benchmark at t = 0.01, three
+  atoms without a diffusion at t in {1e-3, 0.02}, and
+  ``exact_stable_increment`` at t in {1e-3, 0.01}.
 
 Each probe records its exit code, stdout and stderr. The script prints a
 unified diff of the two transcripts and exits 1 on any difference, 0 when
@@ -323,6 +328,29 @@ for name, ec, ts in MODELS:
                   [(e.value, e.std_error) for e in row])
 '''
 
+PLAIN = r'''
+import smalltime as st
+
+STABLE = st.ExpModelCharacteristics(1.0, 0.0, 0.0, st.stable_like(1.5, 1.0))
+MODELS = [
+    ("stable_const_c", STABLE, "euler_log", [0.01]),
+    ("stable_callable_c", st.ExpModelCharacteristics(
+        1.0, 0.0, 0.0, st.stable_like(1.5, lambda y: 1.0 + 0.5 * y)), "euler_log", [0.01]),
+    ("three_atoms", st.ExpModelCharacteristics(
+        1.0, 0.02, 0.0, st.atomic([(0.25, 3.0), (-0.15, 4.0), (0.05, 6.0)])), "euler_log",
+     [1e-3, 0.02]),
+    ("stable_exact", STABLE, "exact_stable_increment", [1e-3, 0.01]),
+]
+for name, ec, scheme, ts in MODELS:
+    for workers in (1, 2):
+        cfg = st.SimConfig(n_paths=2**17 + 1000, master_seed=7, scheme=scheme,
+                           small_jump_cutoff=0.01, n_workers=workers)
+        grid = st.price_grid(ec, ts, [0.0, 0.9, 1.0, 1.1], cfg)
+        for t, row in zip(ts, grid):
+            print(f"plain {name} t={t} workers={workers}:",
+                  [(e.value, e.std_error) for e in row])
+'''
+
 
 def _run(tree, args, cwd):
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -350,6 +378,8 @@ def transcript(tree, spec_dir):
     lines += _run(tree, ["-c", FUNCTIONS], spec_dir)
     lines.append("## conditional")
     lines += _run(tree, ["-c", CONDITIONAL], spec_dir)
+    lines.append("## plain")
+    lines += _run(tree, ["-c", PLAIN], spec_dir)
     return lines
 
 
@@ -382,12 +412,14 @@ def main(argv):
     sweep = new[new.index("## sweep"):new.index("## analytic")]
     analytic = new[new.index("## analytic"):new.index("## functions")]
     functions = new[new.index("## functions"):new.index("## conditional")]
-    conditional = new[new.index("## conditional"):]
+    conditional = new[new.index("## conditional"):new.index("## plain")]
+    plain = new[new.index("## plain"):]
     print(f"identical: {len(DEMOS)} demos, {len(CLI_RUNS)} CLI runs, "
           f"{sum('workers=' in x for x in sweep)} sweep rows, "
           f"{sum(':' in x for x in analytic)} analytic rows, "
           f"{sum(':' in x for x in functions)} function rows, "
-          f"{sum('workers=' in x for x in conditional)} conditional rows")
+          f"{sum('workers=' in x for x in conditional)} conditional rows, "
+          f"{sum('workers=' in x for x in plain)} plain rows")
     return 0
 
 
