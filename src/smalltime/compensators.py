@@ -24,8 +24,9 @@ All forms implement
 * ``upper_tail`` / ``lower_tail``,
 * the exponential double tails used by short-maturity option slopes.
 
-Construction validates the usual integrability requirements numerically:
-integral of min(1, y^2) and of (e^y - 1)^2 must both be finite.
+Construction validates the usual integrability requirements: integral of
+min(1, y^2) and of (e^y - 1)^2 must both be finite, by quadrature, or for
+normal and Laplace jumps from their closed-form exponential moments.
 """
 
 import math
@@ -197,12 +198,17 @@ class DensityCompensator(JumpCompensator):
     kinks : sequence of float, optional
         Points where ``fn`` is not smooth (``JumpCompensator.kinks``);
         ``scaled`` passes them through.
+    exp_moments : (float, float), optional
+        The integrals of e^y - 1 and of (e^y - 1)^2 against the measure in
+        closed form. Construction then checks that they are finite instead
+        of probing integrability by quadrature, the simulator takes its
+        exponential compensation from the first, and ``scaled`` scales both.
     """
 
     form = "density"
 
     def __init__(self, fn, support, singularity_order=0.0, tail_up=None,
-                 tail_dn=None, sum_sampler=None, kinks=()):
+                 tail_dn=None, sum_sampler=None, kinks=(), exp_moments=None):
         lo, hi = float(support[0]), float(support[1])
         if not lo < hi:
             raise InvariantViolation(f"empty support ({lo}, {hi})")
@@ -216,10 +222,17 @@ class DensityCompensator(JumpCompensator):
         self._tail_dn = tail_dn
         self.sum_sampler = sum_sampler
         self.kinks = tuple(kinks)
+        self.exp_moments = exp_moments
         for probe in np.linspace(max(lo, -5.0) + 1e-6, min(hi, 5.0) - 1e-6, 17).tolist():
             if probe != 0.0 and fn(probe) < 0:
                 raise InvariantViolation(f"density negative at y={probe}")
-        self._validate_integrability()
+        if exp_moments is None:
+            self._validate_integrability()
+        elif not all(map(math.isfinite, exp_moments)):
+            # a finite intensity makes the integral of min(1, y^2) finite
+            raise InvariantViolation(
+                "compensator fails integrability: the integral of (e^y - 1)^2 "
+                "overflows")
 
     def integrate_with_error(self, g, tol=DEFAULT_TOL, points=None, g_over_y2=None):
         s = self.singularity_order
@@ -300,7 +313,9 @@ class DensityCompensator(JumpCompensator):
             lambda y: factor * fn(y), (self.lo, self.hi), self.singularity_order,
             tail_up=(lambda x: factor * tu(x)) if tu else None,
             tail_dn=(lambda x: factor * td(x)) if td else None,
-            sum_sampler=self.sum_sampler, kinks=self.kinks)
+            sum_sampler=self.sum_sampler, kinks=self.kinks,
+            exp_moments=(None if self.exp_moments is None
+                         else tuple(factor * v for v in self.exp_moments)))
 
     def total_intensity(self):
         if self.singularity_order >= 1:
@@ -523,7 +538,8 @@ def normal_jumps(intensity, mean, std):
 
     return DensityCompensator(
         fn, (-np.inf, np.inf), 0.0, tail_up=tail_up, tail_dn=tail_dn,
-        sum_sampler=sum_sampler)
+        sum_sampler=sum_sampler,
+        exp_moments=_exp_moments(intensity, lambda s: s * mu + 0.5 * (s * sd) ** 2))
 
 
 def laplace_jumps(intensity, scale, mean=0.0):
@@ -557,10 +573,12 @@ def laplace_jumps(intensity, scale, mean=0.0):
         return mu * counts + b * (rng.standard_gamma(counts) - rng.standard_gamma(counts))
 
     # the density's kink at the mean is also one of each tail's second
-    # derivative
+    # derivative; E e^(sY) = e^(s mu) / (1 - (s b)^2) for |s| < 1/b, and
+    # b < 1/2 keeps s = 2 inside
     return DensityCompensator(
         fn, (-np.inf, np.inf), 0.0, tail_up=tail_up, tail_dn=tail_dn,
-        sum_sampler=sum_sampler, kinks=(mu,))
+        sum_sampler=sum_sampler, kinks=(mu,),
+        exp_moments=_exp_moments(intensity, lambda s: s * mu - math.log1p(-(s * b) ** 2)))
 
 
 def density(fn, support, singularity_order=0.0):
@@ -569,6 +587,17 @@ def density(fn, support, singularity_order=0.0):
 
 def stable_like(alpha, c, residual=None):
     return StableLikeCompensator(alpha, c, residual)
+
+
+def _exp_moments(intensity, cumulant):
+    """The integrals of e^y - 1 and (e^y - 1)^2 against intensity times a
+    law whose cumulant generating function log E e^(sY) is ``cumulant(s)``,
+    inf where they overflow."""
+    try:
+        first = math.expm1(cumulant(1.0))
+        return intensity * first, intensity * (math.expm1(cumulant(2.0)) - 2.0 * first)
+    except OverflowError:
+        return math.inf, math.inf
 
 
 def _norm_sf(x):

@@ -52,16 +52,42 @@ the model and the maturity:
   larger than the plain one (Rao-Blackwell). Its draws are not those of
   the plain kernel.
 
-  A cell of a block of n paths stands for n' = max(n, ceil(n / (256 p)))
-  paths (``_SimulationPlan.conditional_paths``), so that on average at
-  least n / 256 of them jump (``_JUMPING_SHARE``); n' is at most 2**53,
-  which keeps the count an exact float and the binomial draw in range
-  when Lambda t is tiny. A path that does not jump costs nothing, and a
-  cell costs about 26 us fixed plus 75 ns per jumping path, so below
-  p = 1/256 the cell stands for more paths than the block has at about
-  the price of the overhead it already pays (the cost table below).
-  The estimate's ``n_paths`` is then the sum of n' over the blocks, at
-  least ``cfg.n_paths``, and its standard error is that of so many paths.
+  A cell of a block of n of the N = ``cfg.n_paths`` paths stands for
+  n' = max(n, ceil(n s / p)) paths, with s = max(``_JUMPING_SHARE``,
+  ``_JUMPING_PATHS`` / N) and p = 1 - e^-Lambda t
+  (``_SimulationPlan.conditional_paths``), so that on average n s of them
+  jump: 1/128 of the block's paths, and 1024 over the blocks of the cell
+  at least. n' reads only n and N, so the output does not depend on
+  n_workers, and it is at most 2**53, which keeps the count an exact float
+  and the binomial draw in range when Lambda t is tiny. A path that does
+  not jump costs nothing, so the cell prices its jumping paths only. The
+  estimate's ``n_paths`` is then the sum of n' over the blocks, at least
+  ``cfg.n_paths``, and its standard error is that of so many paths.
+
+  The share is the largest whose ``verify`` op on the ``mc_merton_ladder``
+  grid stays within about 10% of its time at s = 1/256: the op's cost per
+  unit variance keeps falling to 1/32, but the op takes 8% longer at 1/128
+  and 43% at 1/64 (the share table below). The floor keeps the standard
+  error honest at small n_paths: with the share alone a cell of 100 paths
+  rests on a handful of jump sums (Merton at t = 0.05, K = 1.1: z-scores
+  against the exact series with sd 2427 over 300 seeds, two of them at
+  standard error 0), with 1024 jumping paths their sd is 1.01 (CHANGES.md).
+
+  The share table, as ``tools/sampler_costs.py --repeat 25 --number 40
+  --seeds 64`` prints it (2 shared vCPUs): in ms the ladder grid's
+  ``price_grid`` at K = 1.1 and one in-process ``verify`` at K = 1.1, the
+  relative standard error at t = 1e-3 at each strike (median of 64 seeds),
+  and the op's time times the squared relative SE averaged over the
+  strikes, relative to s = 1/256:
+
+      =====  =======  =========  ======  ======  ======  ======  ======  ==============
+      share  grid ms  verify ms  K=0.8   K=0.9   K=1     K=1.1   K=1.2   op time x SE^2
+      =====  =======  =========  ======  ======  ======  ======  ======  ==============
+      1/256  6.85     8.21       0.0321  0.0265  0.0011  0.0161  0.0193  1.00
+      1/128  7.17     8.85       0.0228  0.0188  0.0008  0.0114  0.0136  0.54
+      1/64   9.21     11.76      0.0160  0.0133  0.0005  0.0080  0.0096  0.36
+      1/32   13.14    16.09      0.0113  0.0094  0.0004  0.0057  0.0068  0.25
+      =====  =======  =========  ======  ======  ======  ======  ======  ==============
 
 * plain, for every other maturity: the block draws the standard normals
   once for all plain maturities (each scales the same vector by
@@ -150,14 +176,8 @@ in-process) takes a median of 9 to 11 ms, against 60 to 65 ms with every
 maturity plain, and 16 ms when each stream drew its own sparse counts and
 path indices (two runs of 40 calls each, 2 shared vCPUs). Most of that
 gain is cost per path; the variance falls only about 1.2x there, because
-the paths that jump carry most of it. The floor on jumping paths turns
-that low cost into variance: its cells at t = 1e-3 and 3e-3 stand for
-about 256,000 and 85,000 paths per block of 2**16, which halves the
-relative standard error at t = 1e-3 at every strike (K = 0.8 to 1.2:
-0.063, 0.053, 0.0021, 0.032 and 0.038 before, 0.032, 0.027, 0.0011,
-0.016 and 0.019 with it, medians over 2,000 seeds), while the benchmark's
-median ``verify`` op took 6.76 ms before and 7.23 ms with it (10 paired
-30 s runs, 2 shared vCPUs).
+the paths that jump carry most of it. The share of jumping paths turns
+that low cost into variance.
 
 Each lane owns one workspace, four block-long rows allocated once per
 call, and the plain kernel writes into it in place, in this order: the
@@ -180,8 +200,8 @@ horizons mu is small (at most 0.03 on a t <= 0.03 grid at intensity 1), so
 the block costs O(n mu) instead of O(n). At large mu almost every path
 jumps, and this way still costs less than one ``rng.poisson(mu)`` draw per
 path: at mu = 6.66 that took 6.54 ms for the counts against 4.20 this way,
-and 17.49 against 12.23 ms with the closed-form power tail (an earlier run
-of the tool that prints the table below, on the same machine).
+and 17.49 against 12.23 ms with the closed-form power tail (runs of
+``tools/sampler_costs.py``, whose per-stream table CHANGES.md keeps).
 
 The zero-truncated counts (``_ztp_counts``, shared with the conditional
 clock) cost O(k) draws for the k of them that are 2 or more: k ~
@@ -199,38 +219,6 @@ an array-mean ``rng.poisson`` per jumping path it took 27, 34, 62, 114 and
 696 us (fastest of 15 x 200 calls, best of four runs, 2 shared vCPUs). The
 rest is ``rng.choice``, which the conditional clock does not call.
 
-Cost per stream and block in ms at n = 2**16, as
-``tools/sampler_costs.py --repeat 25 --number 40`` prints it (fastest of
-25 x 40 calls, 2 shared vCPUs; the power tail is one side at alpha 1.5,
-cutoff 0.01, c = 1 for the closed form and c(y) = 1 + y/2 for the table;
-the clock row is the conditional kernel's draw for one stream of normal
-jumps, at every mu):
-
-    ==============================  =====  ====  ====  ====  ====  ====  =====
-    mu                              0.001  0.03  0.3   0.5   0.7   1     6.66
-    ==============================  =====  ====  ====  ====  ====  ====  =====
-    counts                          0.02   0.10  0.33  0.37  0.95  0.74  4.20
-    + normal sum                    0.04   0.15  0.72  1.68  2.20  2.52  6.34
-    + Laplace sum                   0.05   0.16  1.02  2.24  4.07  4.88  11.14
-    + power tail, closed form       0.05   0.13  0.74  1.81  2.34  3.47  16.30
-    + power tail, table             0.09   0.16  0.80  1.37  1.91  3.40  20.39
-    conditional clock + normal sum  0.02   0.07  0.57  0.91  0.91  1.35  4.26
-    ==============================  =====  ====  ====  ====  ====  ====  =====
-
-A conditional cell (the clock's jump sums and the calls given them at one
-strike) at n = 2**16 costs, in us, with 64 ... 8192 jumping paths on
-average (a later run of the same tool, same settings):
-
-    ================  =====  =====  =====  =====  ======  ======  ======  ======
-    jumping paths     64     128    256    512    1024    2048    4096    8192
-    ================  =====  =====  =====  =====  ======  ======  ======  ======
-    conditional cell  29.03  35.32  47.63  73.01  106.52  183.75  331.35  586.43
-    ================  =====  =====  =====  =====  ======  ======  ======  ======
-
-that is 26.2 us fixed plus 75.1 ns per jumping path (least relative
-squares): the fixed part costs as much as 349 jumping paths, which is why
-a cell stands for enough paths that n / 256 of them jump.
-
 The power-tail streams of stable-like models (mu of about 6.7 at t = 0.01,
 cutoff 0.01) draw the same way: all but about 0.1% of their paths jump.
 Still allocated per block: the path indices and the counts, what the hooks
@@ -241,7 +229,8 @@ CDF table's in chunks, below).
 The Laplace row draws each path's sum as the difference of two Gamma draws
 (``laplace_jumps``). In an earlier run, summing one Laplace draw per jump
 of the paths that jump instead took 0.03, 0.25, 1.57, 2.83, 3.49, 4.56 and
-22.40 ms: the Gamma pair is about as fast up to mu = 0.5, up to 17% slower
+22.40 ms, against the Laplace row of the per-stream table (CHANGES.md):
+the Gamma pair is about as fast up to mu = 0.5, up to 17% slower
 at 0.7 and 1, twice as fast at 6.66, and it allocates per path, not per
 jump.
 
@@ -252,8 +241,8 @@ per draw, in the law of the former ``np.interp`` inversion of the table.
 That inversion's binary search over 4097 nodes in random order cost 33.0
 ms per side of a 2**16-path block at t = 0.01 (about 436,000 jumps,
 callable c), against 6.7 ms now, the 4.1 ms of the Philox uniforms
-included in both; in the table above the two power-tail rows now cost
-alike. The draw runs in place over chunks of ``_TABLE_CHUNK`` draws with
+included in both; in the per-stream table the two power-tail rows now
+cost alike. The draw runs in place over chunks of ``_TABLE_CHUNK`` draws with
 reused index and scratch rows; per side of that block, in ms (fastest of
 15, 2 shared vCPUs):
 
@@ -331,13 +320,15 @@ _WORKSPACE_ROWS = 4
 # chose how counts were drawn
 _CONDITIONAL_BELOW = 0.5
 # the share of a block's n paths that should jump on average in each of its
-# conditional cells: a cell draws from as many more paths as that takes
-# (``_SimulationPlan.conditional_paths``). A cell at one strike costs
-# 26.2 us plus 75.1 ns per jumping path as ``tools/sampler_costs.py --repeat
-# 25 --number 40`` fits it (29 us at 64 jumping paths, 48 at 256, 107 at
-# 1024; the module docstring's table), so some 256 to 350 jumping paths
-# cost about as much as the overhead every cell already pays
-_JUMPING_SHARE = 1.0 / 256
+# conditional cells (``_SimulationPlan.conditional_paths``): the cost per
+# unit variance of the ladder grid falls all the way to 1/32, so the share
+# is the largest one whose extra time per ``verify`` op stays small (the
+# module docstring's share table)
+_JUMPING_SHARE = 1.0 / 128
+# the fewest paths that should jump on average in a conditional cell,
+# summed over its blocks, so that its standard error rests on enough jump
+# sums to be honest whatever n_paths (module docstring)
+_JUMPING_PATHS = 1024
 # the most paths one conditional cell draws from: its count stays an exact
 # float and fits the count of ``rng.binomial`` when Lambda t is tiny
 _MAX_CELL_PATHS = 1 << 53
@@ -580,7 +571,9 @@ def _finite_activity(m):
         lo, hi = m.support()
         ys = np.linspace(max(lo, -60.0), min(hi, 60.0), 4097)
         sum_sampler = _per_jump(_table_sampler(ys, [m.fn(y) for y in ys]))
-    return [(lam, sum_sampler)], m.integrate(math.expm1, tol=1e-11)
+    compensation = (m.integrate(math.expm1, tol=1e-11) if m.exp_moments is None
+                    else m.exp_moments[0])
+    return [(lam, sum_sampler)], compensation
 
 
 def _truncated_power_tail(m, eps):
@@ -744,13 +737,16 @@ class _SimulationPlan:
                 x += _stable_increment(rng, self.stable, h.t, jumps)
             yield np.exp(x, out=x)
 
-    def conditional_paths(self, t, n):
-        """The paths a conditional cell of a block of n paths at horizon t
-        draws from and stands for: n, or ceil(n / (256 p)) when that is
-        more, with p = 1 - e^(-Lambda t) the chance that a path jumps, so
-        that on average n / 256 of them jump; at most 2**53."""
+    def conditional_paths(self, t, n, n_total):
+        """The paths a conditional cell of a block of n of the n_total paths
+        at horizon t draws from and stands for: n, or ceil(n s / p) when
+        that is more, with s = max(``_JUMPING_SHARE``, ``_JUMPING_PATHS`` /
+        n_total) and p = 1 - e^(-Lambda t) the chance that a path jumps, so
+        that on average n s of them jump and the blocks together at least
+        ``_JUMPING_PATHS``; at most 2**53. It reads only n and n_total, so
+        the cells do not depend on n_workers."""
         p = -math.expm1(-self.clock_intensity * t)
-        jumping = n * _JUMPING_SHARE
+        jumping = n * max(_JUMPING_SHARE, _JUMPING_PATHS / n_total)
         if p * _MAX_CELL_PATHS <= jumping:
             return _MAX_CELL_PATHS
         return max(n, math.ceil(jumping / p))
@@ -946,7 +942,7 @@ def price_grid(ec, ts, Ks, cfg, rate_fn=None):
             for j in conditional:
                 h = plan.horizons[j]
                 rng.bit_generator.state = start
-                paths = plan.conditional_paths(h.t, n)
+                paths = plan.conditional_paths(h.t, n, cfg.n_paths)
                 _call_given_jumps(paths, h, plan.jump_sums(rng, h.t, paths), Ks,
                                   mean[:, j], m2[:, j])
                 count[j] = paths

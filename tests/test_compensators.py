@@ -203,6 +203,28 @@ def test_exponential_integrability_enforced():
         st.density(lambda y: math.exp(-abs(y)), (-np.inf, np.inf))
 
 
+@pytest.mark.parametrize("m", [
+    st.normal_jumps(1.0, 0.1, 0.4), st.normal_jumps(1.0, 0.1, 0.4).scaled(2.5),
+    st.laplace_jumps(1.2, 0.25, 0.05), st.laplace_jumps(1.2, 0.25, 0.05).scaled(0.5)],
+    ids=["normal", "normal_scaled", "laplace", "laplace_scaled"])
+def test_closed_form_exp_moments_match_quadrature(m):
+    first, second = m.exp_moments
+    assert first == pytest.approx(m.integrate(math.expm1, tol=1e-12), rel=1e-10)
+    assert second == pytest.approx(m.integrate(lambda y: math.expm1(y) ** 2, tol=1e-12),
+                                   rel=1e-10)
+
+
+@pytest.mark.parametrize("make", [lambda: st.normal_jumps(1.0, 0.0, 40.0),
+                                  lambda: st.normal_jumps(1.0, 800.0, 0.1),
+                                  lambda: st.laplace_jumps(1.0, 0.2, 800.0)],
+                         ids=["normal_std", "normal_mean", "laplace_mean"])
+def test_overflowing_exp_moments_are_rejected(make):
+    # a far jump law whose (e^y - 1)^2 overflows: quadrature misses the
+    # narrow bump at a mean of 800 and accepted it
+    with pytest.raises(st.InvariantViolation):
+        make()
+
+
 def test_laplace_scale_bound():
     with pytest.raises(st.InvariantViolation):
         st.laplace_jumps(1.0, 0.6)

@@ -129,8 +129,8 @@ def test_conditional_estimate_matches_exact_series_at_tiny_t(case, t):
     # with a diffusion and sparse streams each path's payoff is its
     # Black-Scholes price given its jump sum, and only the paths that jump
     # are visited. Each block of 2^16 paths stands for enough paths that
-    # about 256 of them jump, so the 128 blocks of 2^23 paths check about
-    # 32,768 jumping paths at either t and take well under a second
+    # about 512 of them jump, so the 128 blocks of 2^23 paths check about
+    # 65,536 jumping paths at either t and take well under a second
     ec, exact = MODELS[case]
     cfg = st.SimConfig(n_paths=2**23, master_seed=1013)
     for K in STRIKES:

@@ -20,10 +20,11 @@ from scipy.special import gamma
 from scipy.stats import chisquare, ks_2samp, norm, poisson
 
 import smalltime as st
-from smalltime.montecarlo import (_CONDITIONAL_BELOW, _WORKSPACE_ROWS, _excess_cdf,
-                                  _poisson_counts, _SimulationPlan, _stable_standard,
-                                  _table_sampler, _ztp_counts, price_grid)
-from test_exact_prices import atomic_call
+from smalltime.montecarlo import (_CONDITIONAL_BELOW, _JUMPING_PATHS, _JUMPING_SHARE,
+                                  _WORKSPACE_ROWS, _excess_cdf, _poisson_counts,
+                                  _SimulationPlan, _stable_standard, _table_sampler,
+                                  _ztp_counts, price_grid)
+from test_exact_prices import atomic_call, merton_call
 
 
 def bs_call(S0, K, sigma, t, r=0.0):
@@ -687,9 +688,9 @@ CONDITIONAL_CASES = {
     # one stream (t = 0.03: Poisson mean 0.03)
     "merton": (MERTON, 0.03),
     # at t = 1e-3 about 40 of the 40000 paths would jump: the cell stands
-    # for about 156,000 paths, of which about 156 jump. Its value at
-    # K = 1.15 (1.4e-4) is the mean of the calls less beta times that of
-    # the control minus the forward, 1.5e-14 from the reference
+    # for enough paths that ``_JUMPING_PATHS`` of them jump on average. Its
+    # value at K = 1.15 (1.4e-4) is the mean of the calls less beta times
+    # that of the control minus the forward
     "merton_floor": (MERTON, 1e-3),
     # two streams, Poisson means 0.4 and 0.3 (a clock of total mean 0.7):
     # a path's count is split between them, and one jump of each size
@@ -701,11 +702,18 @@ CONDITIONAL_CASES = {
 }
 
 
+def _cell_paths(n, n_total, p):
+    """The paths a conditional cell of a block of n of n_total paths stands
+    for when a path jumps with probability p: enough that on average
+    ``_JUMPING_SHARE`` of the block's paths jump, and ``_JUMPING_PATHS``
+    over all the blocks."""
+    return max(n, math.ceil(n * max(_JUMPING_SHARE, _JUMPING_PATHS / n_total) / p))
+
+
 def _redrawn_block(ec, t, n, seed):
     """The horizon and the per-path jump sums of the one block of n paths,
     redrawn from its key through the superposed clock. The cell stands for
-    n' = max(n, ceil(n / (256 p))) paths, p = 1 - e^(-Lambda t), so that on
-    average n / 256 of them jump: the number m of those n' that jump, their
+    n' paths (``_cell_paths``): the number m of those n' that jump, their
     zero-truncated counts at the total mean, with several streams a
     multinomial split by intensity, then each stream's sums. No path index
     is drawn, so the paths that jump fill the first m entries of a row with
@@ -717,7 +725,7 @@ def _redrawn_block(ec, t, n, seed):
     lams = [lam for lam, _ in plan.streams]
     mu = sum(lams) * t
     p = -math.expm1(-mu)
-    n_cell = max(n, math.ceil(n / (256 * p)))
+    n_cell = _cell_paths(n, n, p)
     m = rng.binomial(n_cell, p)
     counts = _ztp_counts(rng, mu, m)
     split = (counts[:, None] if len(lams) == 1
@@ -743,15 +751,21 @@ def _call_and_control(ec, h, jumps, K):
 
 def _fitted_control(call, control, forward):
     """The value and the residual M2 of the control variate with the least
-    squares coefficient, and the residual M2 as a function of any beta."""
-    dc, dy = call - call.mean(), control - control.mean()
-    m2_c, co, m2_y = np.dot(dc, dc), np.dot(dc, dy), np.dot(dy, dy)
+    squares coefficient, and the residual M2 as a function of any beta.
+
+    The sums are exact (``math.fsum``): a floored cell stands for about a
+    million paths, and the rounding of ``np.dot`` over them, which the
+    fit's cancellation amplifies, reached 3e-12 of the standard error."""
+    n = call.size
+    call_mean = math.fsum(call) / n
+    dc, dy = call - call_mean, control - math.fsum(control) / n
+    m2_c, co, m2_y = math.fsum(dc * dc), math.fsum(dc * dy), math.fsum(dy * dy)
     beta = co / m2_y
 
     def residual(b):
         return m2_c - 2.0 * b * co + b * b * m2_y
 
-    return call.mean() - beta * np.mean(control - forward), m2_c - beta * co, residual
+    return call_mean - beta * math.fsum(control - forward) / n, m2_c - beta * co, residual
 
 
 @pytest.mark.parametrize("case", CONDITIONAL_CASES)
@@ -785,37 +799,60 @@ def test_conditional_block_matches_brute_force(case):
 
 def test_conditional_cell_of_few_paths_fits_its_control():
     # given J a conditional path lies on both sides of every strike, so the
-    # floor of 256 paths a side does not apply: a cell of 100 paths (Poisson
-    # mean 0.3, about 26 of them jump) still fits beta
+    # floor of paths a side does not apply: the cell of a run of 100 paths
+    # (Poisson mean 0.3, about 26 of them would jump) stands for the paths
+    # of the absolute floor on jumping paths and fits beta
     ec, t, n = MERTON, 0.3, 100
     h, jumps, _ = _redrawn_block(ec, t, n, seed=5)
-    assert jumps.size == n
+    n_cell = jumps.size
+    assert n_cell == _cell_paths(n, n, -math.expm1(-t)) > n
     Ks = [0.9, 1.1]
     for K, est in zip(Ks, price_grid(ec, [t], Ks, st.SimConfig(n_paths=n, master_seed=5))[0]):
         call, control = _call_and_control(ec, h, jumps, K)
         value, m2, _ = _fitted_control(call, control, ec.S0)
         assert est.value == pytest.approx(value, rel=1e-12, abs=0.0), K
-        assert est.std_error == pytest.approx(math.sqrt(m2 / (n - 1) / n),
+        assert est.std_error == pytest.approx(math.sqrt(m2 / (n_cell - 1) / n_cell),
                                               rel=1e-12, abs=0.0), K
-        assert est.std_error < call.std(ddof=1) / math.sqrt(n), K
+        assert est.std_error < call.std(ddof=1) / math.sqrt(n_cell), K
 
 
 def test_conditional_count_sums_the_blocks():
-    # a block of n_b paths gives a conditional cell max(n_b, ceil(n_b / (256
-    # p))) paths, p = 1 - e^(-Lambda t), at most 2**53, and the estimate
-    # counts the sum over the blocks; a plain cell counts n_b. At Lambda = 1,
-    # t = 0.6 is plain, t = 0.03 conditional with more than n_b / 256
-    # jumping paths on average, and t = 1e-3 and 5e-324 are floored
+    # a block of n_b of the n paths gives a conditional cell of
+    # ``_cell_paths(n_b, n, p)`` paths, p = 1 - e^(-Lambda t), at most
+    # 2**53, and the estimate counts the sum over the blocks; a plain cell
+    # counts n_b. At Lambda = 1, t = 0.6 is plain, t = 0.03 conditional
+    # with more than the share of jumping paths on average, and t = 1e-3
+    # and 5e-324 are floored
     blocks = [2**16, 2**16, 500]
+    n = sum(blocks)
     p = -math.expm1(-1e-3)
-    floored = sum(math.ceil(n_b / (256 * p)) for n_b in blocks)
-    ts, counts = [0.6, 0.03, 1e-3, 5e-324], [sum(blocks)] * 2 + [floored, 3 * 2**53]
+    floored = sum(_cell_paths(n_b, n, p) for n_b in blocks)
+    assert floored > n
+    ts, counts = [0.6, 0.03, 1e-3, 5e-324], [n] * 2 + [floored, 3 * 2**53]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        grid = price_grid(MERTON, ts, [1.0], st.SimConfig(n_paths=sum(blocks), master_seed=2))
+        grid = price_grid(MERTON, ts, [1.0], st.SimConfig(n_paths=n, master_seed=2))
     for t, n_cell, (est,) in zip(ts, counts, grid):
         assert est.n_paths == n_cell, t
         assert math.isfinite(est.value) and est.std_error >= 0.0, t
+
+
+@pytest.mark.parametrize("t", [0.05, 0.3])
+def test_few_paths_report_an_honest_standard_error(t):
+    # at 100 paths a cell would rest on about 5 (t = 0.05) or 26 (t = 0.3)
+    # jump sums, whose fit claims far less error than it has (sd(z) 2427 at
+    # t = 0.05 over 300 seeds), and some seeds draw no jump at all, leaving
+    # the price at J = 0 with standard error 0. The floor of
+    # ``_JUMPING_PATHS`` jumping paths per cell makes the z-scores against
+    # the exact series standard
+    K = 1.1
+    exact = merton_call(1.0, K, t, 0.0, 0.2, 1.0, 0.0, 0.4)
+    z = []
+    for seed in range(300):
+        est = st.estimate_call(MERTON, t, K, st.SimConfig(n_paths=100, master_seed=seed))
+        assert est.std_error > 0, seed
+        z.append((est.value - exact) / est.std_error)
+    assert np.std(z) < 1.2 and np.max(np.abs(z)) < 5, (np.std(z), np.min(z), np.max(z))
 
 
 @pytest.mark.parametrize("r", [0.0, 0.05])
@@ -839,12 +876,16 @@ def test_fitted_control_dominates_both_fixed_coefficients(r):
 
 
 AFFINE_CASES = {
-    # with one atom a sample at N <= 1 sees two jump sums
+    # with one atom a sample at N <= 1 sees two jump sums; some 1024 paths
+    # jump, and with seed 11 one of them twice
     "single_atom": (st.ExpModelCharacteristics(1.0, 0.0, 0.2, st.atomic([(0.3, 1.0)])),
-                    40000, 11),
-    # seed 3 draws a block of 100 paths, whose cell stands for 391 at
-    # t = 1e-3, in which one path jumps
-    "one_path_jumps": (MERTON, 100, 3),
+                    40000, 12),
+    # two atoms, the second so rare (intensity 1e-6) that none of the
+    # cell's some 1024 jumping paths draws it: with seed 3 each jumps once,
+    # so the sample holds two jump sums and only the fit's rounding rule
+    # keeps beta = 0
+    "second_atom_not_drawn": (st.ExpModelCharacteristics(
+        1.0, 0.0, 0.2, st.atomic([(0.3, 1.0), (-0.2, 1e-6)])), 100, 3),
 }
 
 
@@ -857,9 +898,7 @@ def test_affine_samples_keep_the_calls_alone(case):
     ec, n, seed = AFFINE_CASES[case]
     t = 1e-3
     h, jumps, n_jumps = _redrawn_block(ec, t, n, seed)
-    assert n_jumps.max() <= 1
-    if case == "one_path_jumps":
-        assert np.count_nonzero(n_jumps) == 1
+    assert n_jumps.max() <= 1 and np.unique(jumps).size == 2
     Ks = [0.9, 1.0, 1.1]
     for K, est in zip(Ks, price_grid(ec, [t], Ks, st.SimConfig(n_paths=n, master_seed=seed))[0]):
         call, control = _call_and_control(ec, h, jumps, K)
@@ -926,10 +965,10 @@ PINNED = {
         "3af812474ed4403a8b70bea2de1b9010f53157348777bfa181fe7e96f36b29bb",
         [(0.014391818954109372, 9.596271372945604e-05),
          (0.0032434381107671866, 8.986944740410471e-05),
-         (0.006449395167010336, 5.028768362372726e-05),
-         (0.0008147572183804692, 4.525736638725179e-05),
-         (0.0026902714979159426, 1.180684378222633e-05),
-         (0.00016567653739788503, 1.0476806045665363e-05)]),
+         (0.0064400139918519795, 2.7752542193516363e-05),
+         (0.0008029732492549505, 2.5142788768414215e-05),
+         (0.0026858643163070596, 5.639775315927853e-06),
+         (0.00016069592748647042, 5.038760967027129e-06)]),
     "atomic_pure_jump": (
         "06ff047ed29f88c28e02bf8d7a08659a7b7d1ccbc291868473a3b325d0cebba4",
         [(0.013451884777894142, 0.00014303214084495638),
@@ -971,13 +1010,13 @@ PINNED = {
          (0.0011206383978149095, 2.886205949978552e-05),
          (0.0005638183222571433, 3.963241329292371e-05)]),
     "laplace": (
-        "cbe4705e5a230e0d3a7df80b9ef2082e438a8cbb467126ab93fea7f11e21c443",
-        [(0.01176104393305548, 7.878228667205478e-05),
-         (0.003187828495561889, 7.557900032449045e-05),
-         (0.005086104725023051, 4.024445513737008e-05),
-         (0.0007997921074499309, 3.7628277208485956e-05),
-         (0.002065369712235582, 1.141435271276753e-05),
-         (0.00015702716613717616, 1.0678386719850924e-05)]),
+        "16ebbcb668fb1e7eee4db8a2b7d37da932b1777a0a75dee74f8739c75006cc39",
+        [(0.011761043933055446, 7.878228667205482e-05),
+         (0.003187828495561814, 7.55790003244905e-05),
+         (0.005091182108379854, 2.8677423300002814e-05),
+         (0.0008122614821899467, 2.6673490886545043e-05),
+         (0.002066746068860744, 5.706328493138378e-06),
+         (0.000160468772944287, 5.194009485763571e-06)]),
     "density_cdf_table": (
         "2c0e128a9d6b5c56a126a30202f00bd11d58e6cf7c6104f721724fb63faa3f4c",
         [(0.012690855265841681, 0.00017731752977441243),
@@ -1148,11 +1187,12 @@ def test_slope_study_insufficient_signal():
 
 @pytest.mark.parametrize("sigma", [0.0, 0.2])
 def test_slope_study_exact_rows_raise_insufficient_signal(sigma):
-    # a jump too rare to occur in 1000 paths: with sigma = 0 every row is
-    # the deterministic price, with sigma > 0 the conditional kernel's
+    # a jump too rare to occur in 1000 paths, nor in the 2**53 a
+    # conditional cell stands for at most: with sigma = 0 every row is the
+    # deterministic price, with sigma > 0 the conditional kernel's
     # Black-Scholes price; either way the standard errors are 0, the
     # regression has no weight, and it ended in a ZeroDivisionError
-    ec = st.ExpModelCharacteristics(1.0, 0.05, sigma, st.atomic([(0.1, 1e-9)]))
+    ec = st.ExpModelCharacteristics(1.0, 0.05, sigma, st.atomic([(0.1, 1e-20)]))
     cfg = st.SimConfig(n_paths=1000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

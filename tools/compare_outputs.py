@@ -19,7 +19,8 @@ Both trees run the same probes, each in a fresh interpreter with the tree's
   the last two also with the martingale mean -std^2/2 at 1e7 (whose
   compensation integral cancels to about 0), and ``asymptotics`` and
   ``expansion`` on a stable-like model whose residual is normal jumps at
-  intensity 1e7;
+  intensity 1e7, and ``asymptotics`` on normal jumps of std 40, whose
+  (e^y - 1)^2 overflows;
 * a sweep over every jump form x scheme x ``n_paths`` in {100, 2**16,
   2**17 + 1000} x ``n_workers`` in {1, 2} x t in {1e-3, 0.05} recording
   the SHA-256 of the ``simulate_terminal`` samples and then the
@@ -121,6 +122,10 @@ SPECS = {
         "residual": {"type": "density", "family": "normal", "intensity": 1e7,
                      "mean": 0.0, "std": 0.4}}),
         "query": {"strike": 1.05, "f": BUMP}},
+    # (e^y - 1)^2 overflows against it: InvariantViolation, exit 1
+    "huge_std": {"model": _model(0.0, 0.2, {"type": "density", "family": "normal",
+                                            "intensity": 1.0, "mean": 0.0, "std": 40.0}),
+                 "query": {"strike": 1.1}},
     "sharp_bump": {"model": _model(0.01, 0.2, {"type": "density", "family": "normal",
                                                "intensity": 1.0, "mean": 0.0, "std": 0.4}),
                    "query": {"f": {"family": "gaussian_bump", "center": 1.0,
@@ -155,7 +160,8 @@ CLI_RUNS = ([("merton", cmd) for cmd in README_COMMANDS]
                for cmd in (["expansion", "--t", "0.001"],
                            ["simulate", "--t", "1e-8", "--strike", "1.0"])]
             + [("stable_residual", cmd)
-               for cmd in (["asymptotics"], ["expansion", "--t", "0.001"])])
+               for cmd in (["asymptotics"], ["expansion", "--t", "0.001"])]
+            + [("huge_std", ["asymptotics"])])
 
 MODELS = r'''
 import hashlib, math

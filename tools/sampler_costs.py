@@ -1,12 +1,14 @@
-"""Reprint the two cost tables of the ``montecarlo`` module docstring.
+"""Reprint the cost tables of the Monte Carlo kernels: the share table of
+the ``montecarlo`` module docstring, and the stream and cell tables that
+CHANGES.md keeps.
 
 Usage::
 
-    PYTHONPATH=src python tools/sampler_costs.py [--repeat R] [--number N]
+    PYTHONPATH=src python tools/sampler_costs.py [--repeat R] [--number N] [--seeds S]
 
 Each cell is the fastest of R x N calls (``timeit.repeat``), in ms per
 compound-Poisson stream and block of n = 2**16 paths, at the Poisson means
-per path of the docstring's table. The rows:
+per path of the stream table. The rows:
 
 * ``counts``: ``_poisson_counts`` alone: the number of paths that jump,
   their indices and their zero-truncated counts (``_ztp_counts``);
@@ -32,22 +34,46 @@ A second table, in us, costs one ``conditional cell`` of ``price_grid``:
 normal jumps at the horizon where 64 ... 8192 of them jump on average. A
 line fitted to it by least relative squares gives the fixed cost of a cell
 and the cost per jumping path; their ratio is the number of jumping paths
-that cost as much as the fixed part, which sets
-``montecarlo._JUMPING_SHARE``.
+that cost as much as the fixed part.
+
+A third table, the share table, prices the grid of the ``mc_merton_ladder``
+benchmark (the README Merton spec, 2**20 paths, maturities 1e-3, 3e-3, 1e-2
+and 3e-2, one worker) at each share ``montecarlo._JUMPING_SHARE`` of 1/256
+... 1/32. Per share it gives, in ms, ``price_grid`` at K = 1.1 and a whole
+in-process ``smalltime verify`` at K = 1.1 (the benchmark's op: the CLI,
+the spec, the coefficient and the grid), both the fastest of R x N calls;
+the relative standard error (SE over the estimate less the intrinsic
+value) at t = 1e-3 at each strike 0.8 ... 1.2, the median of S seeds; and
+the op's cost per unit variance, the op time times the squared relative SE
+averaged over the strikes, relative to the first row. That cost is what the
+benchmark's ``time_to_1pct_s`` measures.
 """
 
 import argparse
+import contextlib
+import io
+import json
 import math
+import os
+import tempfile
 import timeit
 
 import numpy as np
 
 import smalltime as st
+from smalltime import cli
 from smalltime import montecarlo as mc
 
 MEANS = [0.001, 0.03, 0.3, 0.5, 0.7, 1.0, 6.66]
 JUMPING = [64, 128, 256, 512, 1024, 2048, 4096, 8192]
 BLOCK = 1 << 16
+SHARES = [256, 128, 64, 32]  # 1 / share
+LADDER_T = [1e-3, 3e-3, 1e-2, 3e-2]
+LADDER_K = [0.8, 0.9, 1.0, 1.1, 1.2]
+LADDER_PATHS = 1 << 20
+MERTON = {"S0": 1.0, "r": 0.0, "sigma": 0.2,
+          "jumps": {"type": "density", "family": "normal", "intensity": 1.0,
+                    "mean": 0.0, "std": 0.4}}
 
 
 def _power_tail_side(c):
@@ -124,10 +150,54 @@ def measure_cell(repeat, number):
     return ("conditional cell", cells), fixed, 1e3 * per_path
 
 
-def render(head, rows):
+def measure_share(repeat, number, seeds):
+    """Rows ``(1/share, [grid ms, verify ms, relative SE per strike, cost
+    per unit variance])`` of the share table."""
+    ec = st.ExpModelCharacteristics(1.0, 0.0, 0.2, st.normal_jumps(1.0, 0.0, 0.4))
+    rows = []
+    saved = mc._JUMPING_SHARE
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "merton.json")
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump({"model": MERTON, "query": {"t_grid": LADDER_T},
+                       "sim": {"n_paths": LADDER_PATHS, "master_seed": 0,
+                               "n_workers": 1}}, fh)
+        argv = ["verify", "--spec", spec, "--strike", "1.1",
+                "--out", os.path.join(tmp, "verify.json")]
+
+        def verify():
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                cli.main(argv)
+
+        try:
+            for share in SHARES:
+                mc._JUMPING_SHARE = 1.0 / share
+                grid_ms = _fastest_ms(lambda: mc.price_grid(
+                    ec, LADDER_T, [1.1], st.SimConfig(n_paths=LADDER_PATHS)), repeat, number)
+                op_ms = _fastest_ms(verify, repeat, number)
+                rel = np.median([[e.std_error / (e.value - max(1.0 - K, 0.0))
+                                  for K, e in zip(LADDER_K, mc.price_grid(
+                                      ec, LADDER_T[:1], LADDER_K,
+                                      st.SimConfig(n_paths=LADDER_PATHS,
+                                                   master_seed=seed))[0])]
+                                 for seed in range(seeds)], axis=0)
+                rows.append((f"1/{share}", [grid_ms, op_ms, *rel,
+                                            op_ms * float(np.mean(rel ** 2))]))
+        finally:
+            mc._JUMPING_SHARE = saved
+    base = rows[0][1][-1]
+    for _, cells in rows:
+        cells[-1] /= base
+    return rows
+
+
+def render(head, rows, fmt="{:.2f}"):
     """The rows under the header ``head`` as a reStructuredText simple
-    table, as in the docstring."""
-    body = [[label] + [f"{v:.2f}" for v in cells] for label, cells in rows]
+    table, as in the docstring; ``fmt`` formats each cell, or ``fmt[i]``
+    column i + 1 when it is a list."""
+    fmts = fmt if isinstance(fmt, list) else [fmt] * len(head)
+    body = [[label] + [f.format(v) for f, v in zip(fmts, cells)] for label, cells in rows]
     widths = [max(len(r[i]) for r in [head] + body) for i in range(len(head))]
     rule = "  ".join("=" * w for w in widths)
 
@@ -141,6 +211,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeat", type=int, default=5)
     ap.add_argument("--number", type=int, default=8)
+    ap.add_argument("--seeds", type=int, default=16)
     args = ap.parse_args()
     print(f"ms per stream and block of n = 2**16, fastest of "
           f"{args.repeat} x {args.number} calls")
@@ -151,6 +222,12 @@ def main():
     print(render(["jumping paths"] + [str(m) for m in JUMPING], [row]))
     print(f"fit: {fixed:.1f} us + {per_path:.1f} ns per jumping path; the fixed "
           f"part costs as much as {fixed / per_path * 1e3:.0f} jumping paths")
+    print(f"\nthe ladder grid per share, ms fastest of {args.repeat} x {args.number} "
+          f"calls, relative SE at t = 1e-3 the median of {args.seeds} seeds")
+    print(render(["share", "grid ms", "verify ms", *(f"K={K:g}" for K in LADDER_K),
+                  "op time x SE^2"],
+                 measure_share(args.repeat, args.number, args.seeds),
+                 ["{:.2f}"] * 2 + ["{:.4f}"] * len(LADDER_K) + ["{:.2f}"]))
 
 
 if __name__ == "__main__":
