@@ -6,271 +6,61 @@ With frozen characteristics the terminal log increment is a Levy increment
 and is drawn in a single shot; ``n_steps`` only controls the midpoint rule
 used to integrate a stepwise deterministic rate.
 
-Randomness is counter based: paths are partitioned into fixed blocks of
-2**16 and block i draws from ``Philox(key=(master_seed, i))`` in a fixed
-order, so results are bit identical no matter how blocks are scheduled
-across workers.
+Paths are partitioned into fixed blocks of 2**16 and block i draws from
+``Philox(key=(master_seed, i))`` in a fixed order. ``price_grid`` reduces
+each block to one partial of the whole maturity x strike grid
+(``_Partial``), keeps no sample, and merges the partials in block order,
+so every output is bit identical for any ``n_workers`` and memory stays at
+about n_workers blocks whatever n_paths. ``estimate_call`` is its 1 x 1
+grid, ``slope_rows`` one strike over all maturities, and strike 0 gives
+the discounted forward.
 
-Estimates stream: ``price_grid`` prices a whole maturity x strike grid in
-one pass and keeps no sample. Each block reduces every (t, K) cell to a
-partial stored under its block index: the count, the mean and the M2 (sum
-of squared deviations) of the payoffs, the mean and M2 of their control
-(below) and the co-moment of payoff and control, and the paths on each
-side of the strike. The count is one per maturity: the block's paths for
-a plain one, the paths its cells stand for (below) for a conditional one.
-After all lanes finish the partials are merged in block order with the
-Chan-Golub-LeVeque update, each maturity with its own count, the
-co-moment like the M2s and the sides by sums, so the output is byte
-identical for any ``n_workers`` and memory stays at about n_workers blocks
-whatever n_paths. ``estimate_call`` is the 1 x 1 grid, ``slope_rows`` one
-strike over all maturities, and strike 0 gives the discounted forward.
+A block prices each maturity with one of two kernels, chosen from the
+model and the maturity alone, so each cell equals the ``estimate_call`` of
+that cell alone:
 
-A block prices each maturity with one of two kernels. The rule reads only
-the model and the maturity:
-
-* conditional, when sigma sqrt(t) > 0, the jump law is compound-Poisson
-  streams alone (no stable increment, below) and every stream's Poisson
-  mean lam t is below ``_CONDITIONAL_BELOW`` = 0.5 (its comment gives the
-  reason). Given
+* conditional, when sigma sqrt(t) > 0, the jumps are compound-Poisson
+  streams alone (no stable increment) of positive total intensity and
+  every stream's Poisson mean lam t is below ``_CONDITIONAL_BELOW``. Given
   its jump sum J a path's log price is Gaussian, so its payoff is replaced
-  by its expectation given J: the Black-Scholes price at the forward
-  F e^J, with F = E S_t / E e^J (conditional Monte Carlo, Glasserman 2003,
-  section 4.5). The block restores its initial generator state and draws
-  the jump sums from one superposed Poisson clock
-  (``_SimulationPlan.jump_sums``), with no normals and no path index: with
-  Lambda the sum of the stream intensities, m ~ Binomial(n', p) of n'
-  paths jump, p = 1 - e^-Lambda t, their counts are zero-truncated
-  Poisson(Lambda t) draws (``_ztp_counts``), and with several streams one
-  multinomial draw splits each count among them in proportion to their
-  intensities (superposition and thinning of Poisson processes). It prices
-  only those m paths; the other n' - m share the price at J = 0, so the
-  partial of the n' conditional payoffs costs O(m) and needs no row of
-  length n'. The partial is a symmetric function of the n' jump sums,
-  whose joint law the clock draws exactly, so no path needs an index: the
-  estimator is the iid average of the n' payoffs with its iid standard
-  error, is unbiased, and averaging the calls given J has a variance no
-  larger than the plain one (Rao-Blackwell). Its draws are not those of
-  the plain kernel.
+  by the Black-Scholes price at the forward F e^J (conditional Monte
+  Carlo, Glasserman 2003, section 4.5), whose variance is no larger
+  (Rao-Blackwell). Only the paths that jump are priced
+  (``_SimulationPlan.jump_sums``), so the cell of a block of n of the N
+  paths stands for n' = max(n, ceil(n s / p)) paths, with
+  s = max(``_JUMPING_SHARE``, ``_JUMPING_PATHS`` / N), p = 1 - e^-Lambda t
+  and n' at most 2**53 (``_SimulationPlan.conditional_paths``). The
+  estimate's ``n_paths`` is the sum of n' over the blocks, and its standard
+  error that of so many paths. A maturity at which no jump moved a path
+  raises ``InsufficientSignal``: its price at J = 0 has no error to report.
+* plain, for every other maturity: the block prices exactly the samples
+  ``simulate_terminal`` returns for it. Jump-free models stay plain on
+  purpose, so that ``verify`` checks Black-Scholes independently.
 
-  A cell of a block of n of the N = ``cfg.n_paths`` paths stands for
-  n' = max(n, ceil(n s / p)) paths, with s = max(``_JUMPING_SHARE``,
-  ``_JUMPING_PATHS`` / N) and p = 1 - e^-Lambda t
-  (``_SimulationPlan.conditional_paths``), so that on average n s of them
-  jump: 1/128 of the block's paths, and 1024 over the blocks of the cell
-  at least. n' reads only n and N, so the output does not depend on
-  n_workers, and it is at most 2**53, which keeps the count an exact float
-  and the binomial draw in range when Lambda t is tiny. A path that does
-  not jump costs nothing, so the cell prices its jumping paths only. The
-  estimate's ``n_paths`` is then the sum of n' over the blocks, at least
-  ``cfg.n_paths``, and its standard error is that of so many paths.
-
-  The share is the largest whose ``verify`` op on the ``mc_merton_ladder``
-  grid stays within about 10% of its time at s = 1/256: the op's cost per
-  unit variance keeps falling to 1/32, but the op takes 8% longer at 1/128
-  and 43% at 1/64 (the share table below). The floor keeps the standard
-  error honest at small n_paths: with the share alone a cell of 100 paths
-  rests on a handful of jump sums (Merton at t = 0.05, K = 1.1: z-scores
-  against the exact series with sd 2427 over 300 seeds, two of them at
-  standard error 0), with 1024 jumping paths their sd is 1.01 (CHANGES.md).
-
-  The share table, as ``tools/sampler_costs.py --repeat 25 --number 40
-  --seeds 64`` prints it (2 shared vCPUs): in ms the ladder grid's
-  ``price_grid`` at K = 1.1 and one in-process ``verify`` at K = 1.1, the
-  relative standard error at t = 1e-3 at each strike (median of 64 seeds),
-  and the op's time times the squared relative SE averaged over the
-  strikes, relative to s = 1/256:
-
-      =====  =======  =========  ======  ======  ======  ======  ======  ==============
-      share  grid ms  verify ms  K=0.8   K=0.9   K=1     K=1.1   K=1.2   op time x SE^2
-      =====  =======  =========  ======  ======  ======  ======  ======  ==============
-      1/256  6.85     8.21       0.0321  0.0265  0.0011  0.0161  0.0193  1.00
-      1/128  7.17     8.85       0.0228  0.0188  0.0008  0.0114  0.0136  0.54
-      1/64   9.21     11.76      0.0160  0.0133  0.0005  0.0080  0.0096  0.36
-      1/32   13.14    16.09      0.0113  0.0094  0.0004  0.0057  0.0068  0.25
-      =====  =======  =========  ======  ======  ======  ======  ======  ==============
-
-* plain, for every other maturity: the block draws the standard normals
-  once for all plain maturities (each scales the same vector by
-  sigma sqrt(t)), snapshots the generator state, and for each maturity
-  restores that state before drawing the jumps, so the maturity sees
-  exactly the samples ``simulate_terminal`` returns for it.
-
-Either way a maturity's realisation does not depend on the rest of the
-grid, so each cell equals the ``estimate_call`` of that cell alone.
-Jump-free models stay plain on purpose: their conditional estimate would
-be the exact Black-Scholes price with standard error 0, and ``verify``
-would no longer check Black-Scholes independently.
-
-Every cell with a strike K > 0 then subtracts a control variate
-(Glasserman 2003, section 4.1) whose mean is exactly the forward
-E S_t = S0 e^(integral of r) (``_Horizon.forward``): each path's F e^J in
-a conditional cell, its S_t in a plain one. Both kernels accumulate the
-control minus the forward, so no sum of order 1 rounds a small value. The
+Every cell with K > 0 subtracts a control variate (Glasserman 2003,
+section 4.1) whose mean is exactly the forward E S_t = S0 e^(integral of
+r): each path's F e^J in a conditional cell, its S_t in a plain one. The
 estimate is mean(call) - beta mean(control - E S_t) with
-beta = Cov(call, control) / Var(control) taken from the merged totals,
-never from one block, so its bias is O(1/n) and the output stays byte
-identical for any n_workers. Its M2 is the residual one, the M2 of the
-calls minus beta times the co-moment, divided by n - 1 as for every other
-cell (cells where that is only rounding keep beta = 0, below). The fitted
-beta leaves the least residual of all on the sample, so one formula
-serves strikes on both sides of the forward.
+beta = Cov(call, control) / Var(control) fitted on the merged totals,
+never on one block, so its bias is O(1/n) and it does not depend on
+n_workers; its standard error is that of the residual. The fitted beta
+leaves the least residual on the sample, so one formula serves strikes on
+both sides of the forward. Four kinds of cell keep beta = 0, the average
+of the calls (``_Partial.fit``):
 
-* Conditional cells: beta = 0 is the average of the calls given J and
-  beta = 1 the average of the puts given J plus the exact forward minus
-  the strike (put-call parity given J). Against the fixed rule beta = 1
-  below the forward and 0 above it, on Merton (sigma 0.2, normal jumps
-  N(0, 0.4) at intensity 1, 2**18 paths, 6 seeds, t = 1e-3 and 0.03) the
-  standard error is 0.89 to 0.91 of that rule's at K = 0.8 and 0.9, 0.43
-  to 0.47 at K = 1.0 with r = 0 and 0.87 to 0.89 with r = 0.05, and 0.45
-  to 0.52 at K = 1.1 and 1.2. With mostly downward jumps (atoms -0.4 and
-  -0.1 at intensity 1 each, r = 0.05) it is 0.25 to 0.31 at K = 0.8 and
-  0.9 and 0.01 to 0.05 at K = 1.0, where beta = 1 leaves the variance of
-  the jumping paths that end below the strike.
-* Plain cells: on the ``euler_log`` models of the ``mc_stable`` benchmark
-  (alpha 1.5, cutoff 0.01, t = 0.01, 2**18 paths, seeds 0 to 3) the
-  variance is 0.32 to 0.33 of the calls' alone at K = 1.1 and 0.42 to 0.43
-  at K = 1.2 with c = 1, and 0.27 and 0.35 to 0.36 with c(y) = 1 + y/2.
-
-Four kinds of cell keep beta = 0, the average of the calls:
-
-* a strike <= 0, whose payoff is the control itself: beta = 1 would give
-  the exact discounted forward with standard error 0 and end the
-  martingale check of ``simulate`` without a strike;
-* every strike when the jump law is one atom. At short horizons almost no
-  path jumps twice, so the sample holds two jump sums, on which the call
-  given J is affine in F e^J: the fit leaves a residual of 0 and claims a
-  standard error of 0 that the samples do not carry (one up atom of 0.3
-  at intensity 1, sigma 0.2, t = 1e-3, K = 1.1, 2**20 paths, seed 3:
-  2.49430e-4 +- 4.1e-14 against the series value 2.49498e-4; the calls
-  alone give 2.48409e-4 +- 3.9e-6). The price of the rule: with one atom
-  at -0.4 (r = 0.05) the calls have 1.54 to 1.66 times the standard error
-  of beta = 1 at K = 0.8 (0.01 to 0.49 times it at K = 0.9 and 1.0);
-* every strike under ``exact_stable_increment``, whose drift leaves out
-  the exponential compensation of the small jumps, so E S_t is not the
-  forward: with alpha 1.5, c = 1 and 2**20 paths, E S_t - 1 is
-  8.1e-4 +- 4e-5 at t = 1e-3 and 8.2e-3 +- 1.4e-4 at t = 1e-2, against
-  at-the-money prices of 8.6e-3 and 4.0e-2, so a fitted beta of about 0.5
-  would bias them by 5 to 10%;
-* a cell with fewer than ``_SIDE_PATHS`` = 256 paths on either side of
-  the strike (above it, and at or below it). A plain call is affine in
-  S_t on each side, so the fit's residual lives on the rarer side, and a
-  handful of paths there claim a standard error they do not carry: with
-  two down atoms (-0.1 and -0.2 at intensity 1, sigma 0, r = 0,
-  t = 0.01, K = 0.75, 2**16 paths, 300 seeds), where 2 to 14 paths end
-  below K, the z-scores against the exact series have sd 3.5 and minimum
-  -28.9 without the floor, sd 1.05 and minimum -2.66 with it. Given J a
-  conditional path's S_t lies on both sides of every strike and its call
-  is affine in F e^J on neither, so a conditional cell counts as having no
-  rare side.
-
-The same holds for any sample on which the call is affine in the control,
-for instance one in which a single path jumps, or one whose calls are all
-deep in the money: a fit whose residual is at most 1e-12 of the M2 of the
-calls, which is rounding, keeps beta = 0.
-
-``simulate_terminal`` always draws plain samples. At short horizons almost
-no path jumps (97 to 99.9% of the paths on the t <= 0.03 grid at
-intensity 1), so a conditional maturity costs little: one ``verify`` of
-the README Merton spec (2**20 paths, four maturities, one strike,
-in-process) takes a median of 9 to 11 ms, against 60 to 65 ms with every
-maturity plain, and 16 ms when each stream drew its own sparse counts and
-path indices (two runs of 40 calls each, 2 shared vCPUs). Most of that
-gain is cost per path; the variance falls only about 1.2x there, because
-the paths that jump carry most of it. The share of jumping paths turns
-that low cost into variance.
-
-Each lane owns one workspace, four block-long rows allocated once per
-call, and the plain kernel writes into it in place, in this order: the
-standard normals (``standard_normal(out=)``); per maturity, the log price
-(sigma sqrt(t) z, then plus x0 and the log drift, or a constant fill when
-sigma = 0); the sums of all streams into the zeroed jump-sum row, added to
-the log price at once, then the stable increment, if any, the same way;
-``exp`` in place; the control S_t - E S_t into the jump-sum row; then the
-payoff row per strike. A fresh 512 KB array per
-step instead had glibc map and trim pages in every block:
-40,960 minor page faults per 4-maturity 2**20-path Merton grid, against
-992 with the workspace (fresh processes, ``getrusage``).
-
-A compound-Poisson stream of intensity lam draws its block's counts only
-for the paths that jump (``_poisson_counts``), at every Poisson mean per
-path mu = lam t: their number is Binomial(n, 1 - e^-mu), the paths a
-uniform subset (``rng.choice``), their counts zero-truncated Poisson
-draws, and the ``sum_sampler`` hook gets only those counts. At short
-horizons mu is small (at most 0.03 on a t <= 0.03 grid at intensity 1), so
-the block costs O(n mu) instead of O(n). At large mu almost every path
-jumps, and this way still costs less than one ``rng.poisson(mu)`` draw per
-path: at mu = 6.66 that took 6.54 ms for the counts against 4.20 this way,
-and 17.49 against 12.23 ms with the closed-form power tail (runs of
-``tools/sampler_costs.py``, whose per-stream table CHANGES.md keeps).
-
-The zero-truncated counts (``_ztp_counts``, shared with the conditional
-clock) cost O(k) draws for the k of them that are 2 or more: k ~
-Binomial(m, q) with q = P(N >= 2 | N >= 1) = 1 - mu / (e^mu - 1), each of
-those is 2 plus an inversion of a short table of N - 2 given N >= 2,
-built once per mu, and every other count is 1. Those k come first; the
-random order of ``rng.choice`` puts them on a uniform subset of the paths.
-Above mu = 50, where q is 1 to double precision and the table would grow
-like mu, the counts are ``rng.poisson(mu)`` draws with every 0 drawn
-again, so the table never has more than 129 entries. Per block of 2**16
-paths at mu = 0.001, 0.003, 0.01, 0.03 and 0.3, ``_poisson_counts`` takes
-13, 18, 35, 60 and 210 us, of which the counts (the binomial draw for m
-included) take 3, 5, 9, 10 and 53 us; with one first-arrival uniform and
-an array-mean ``rng.poisson`` per jumping path it took 27, 34, 62, 114 and
-696 us (fastest of 15 x 200 calls, best of four runs, 2 shared vCPUs). The
-rest is ``rng.choice``, which the conditional clock does not call.
-
-The power-tail streams of stable-like models (mu of about 6.7 at t = 0.01,
-cutoff 0.01) draw the same way: all but about 0.1% of their paths jump.
-Still allocated per block: the path indices and the counts, what the hooks
-return, the per-jump owner index of ``_per_jump``, and one row of per-jump
-draws per power-tail side or CDF table, each transformed in place (the
-CDF table's in chunks, below).
-
-The Laplace row draws each path's sum as the difference of two Gamma draws
-(``laplace_jumps``). In an earlier run, summing one Laplace draw per jump
-of the paths that jump instead took 0.03, 0.25, 1.57, 2.83, 3.49, 4.56 and
-22.40 ms, against the Laplace row of the per-stream table (CHANGES.md):
-the Gamma pair is about as fast up to mu = 0.5, up to 17% slower
-at 0.7 and 1, twice as fast at 6.66, and it allocates per path, not per
-jump.
-
-Jump sizes without a closed-form sampler come from a CDF table: a
-density's without ``sum_sampler``, and each side of the power tail when c
-is a callable. ``_table_sampler`` draws them by Walker's alias method, O(1)
-per draw, in the law of the former ``np.interp`` inversion of the table.
-That inversion's binary search over 4097 nodes in random order cost 33.0
-ms per side of a 2**16-path block at t = 0.01 (about 436,000 jumps,
-callable c), against 6.7 ms now, the 4.1 ms of the Philox uniforms
-included in both; in the per-stream table the two power-tail rows now
-cost alike. The draw runs in place over chunks of ``_TABLE_CHUNK`` draws with
-reused index and scratch rows; per side of that block, in ms (fastest of
-15, 2 shared vCPUs):
-
-    ===========  ====  ====  ====  ====  =====  =====  =====  ===============
-    chunk        1024  2048  4096  8192  16384  32768  65536  whole (436,000)
-    ===========  ====  ====  ====  ====  =====  =====  =====  ===============
-    alias draw   13.4  9.2   8.1   6.7   6.7    6.7    7.3    15.7
-    ===========  ====  ====  ====  ====  =====  =====  =====  ===============
-
-Unchunked, its block-long index and scratch rows also raise the peak RSS
-of six callable-c ``estimate_call`` at 2**18 paths from 91.6 to 98.2 MB
-(93.9 MB with the inversion).
-
-A plan holds its jump law as three plain values (``_jump_law``):
-
-* the compound-Poisson streams ``(intensity, sum_sampler)``, in draw
-  order: one per atom of an atomic measure, one for a finite-activity
-  density (its ``sum_sampler``, else draws from a CDF table summed per path
-  by ``_per_jump``), one per side of the truncated stable-like tail, then
-  those of a stable-like residual. ``sum_sampler(rng, counts)`` returns,
-  per entry i, the sum of counts[i] iid jump sizes (0 for a count of 0);
-  the plain kernel hands it the counts of the paths that jump
-  (``_SimulationPlan.stream_sums``), the conditional one that stream's
-  share of the clock's counts, zeros included;
-* their exponential compensation, the integral of e^y - 1 against the
-  simulated measure;
-* the stable-like measure whose small jumps ``exact_stable_increment``
-  draws after the streams (``_stable_increment``), else None.
+* a strike <= 0, whose payoff is the control itself: a fit would give the
+  discounted forward with standard error 0 and end the martingale check of
+  ``simulate`` without a strike;
+* every cell under ``exact_stable_increment``, whose drift leaves out the
+  compensation of the small jumps, so E S_t is not the forward; and every
+  cell when the jump law is one atom, whose sample holds two jump sums, on
+  which the call given J is affine in F e^J;
+* a plain cell with fewer than ``_SIDE_PATHS`` paths on either side of the
+  strike: a plain call is affine in S_t on each side, so the fit's residual
+  lives on the rarer side (given J a conditional path lies on both sides);
+* a fit that leaves at most 1e-12 of the M2 of the calls: the call is
+  affine in the control on that sample, and a residual of rounding claims
+  an error the samples do not carry.
 
 Schemes for stable-like jumps:
 
@@ -284,6 +74,9 @@ Schemes for stable-like jumps:
   exp(-c(0) t |z|^alpha) (Chambers-Mallows-Stuck transform), clipped to
   [-1, 1] to respect the declared jump-size bound; the clip and the missing
   exponential compensation are both o(t**(1/alpha)).
+
+docs/montecarlo.md holds how each kernel draws and the measurements that
+chose its constants.
 """
 
 import functools
@@ -306,41 +99,30 @@ _BLOCK = 1 << 16
 _GAUSSIAN, _PRICE, _JUMPS, _PAYOFF = range(4)
 _WORKSPACE_ROWS = 4
 # every stream's Poisson mean per path below which a maturity with a
-# diffusion is priced by the conditional kernel (module docstring). Above it
-# most paths jump, so the conditional kernel prices almost every path, and
-# whether the variance it removes pays for that depends on the jump law.
-# Conditional over plain work (time x SE^2; 2**18 paths, strikes 0.8 to
-# 1.2, fastest time and median SE of 6 seeds, 2 shared vCPUs): 0.14 to 0.53
-# for Merton (sigma 0.2, N(0, 0.4) jumps at intensity 20, t = 0.03, mean
-# 0.6; 49 against 19 ms), but 0.25 to 2.56, a loss at K >= 1, for three
-# atoms (0.1 at intensity 30, -0.1 at 20, -0.3 at 5, sigma 0.15, t = 0.05,
-# means up to 1.5; 128 against 28 ms). No benchmark workload prices a
-# maturity with a diffusion on the plain side, so a new value could not be
-# measured: every maturity keeps the kernel it had when this value also
-# chose how counts were drawn
+# diffusion is priced by the conditional kernel. Above it most paths jump,
+# so the conditional kernel prices almost every path, and whether the
+# variance it removes pays for that depends on the jump law
+# (docs/montecarlo.md)
 _CONDITIONAL_BELOW = 0.5
 # the share of a block's n paths that should jump on average in each of its
 # conditional cells (``_SimulationPlan.conditional_paths``): the cost per
-# unit variance of the ladder grid falls all the way to 1/32, so the share
-# is the largest one whose extra time per ``verify`` op stays small (the
-# module docstring's share table)
+# unit variance of the ladder grid keeps falling as it grows, so the share
+# is the largest one whose extra time per ``verify`` op stays small
+# (docs/montecarlo.md, the share table)
 _JUMPING_SHARE = 1.0 / 128
 # the fewest paths that should jump on average in a conditional cell,
 # summed over its blocks, so that its standard error rests on enough jump
-# sums to be honest whatever n_paths (module docstring)
+# sums to be honest whatever n_paths
 _JUMPING_PATHS = 1024
 # the most paths one conditional cell draws from: its count stays an exact
 # float and fits the count of ``rng.binomial`` when Lambda t is tiny
 _MAX_CELL_PATHS = 1 << 53
 # the fewest paths on each side of the strike, above it and at or below
 # it, with which a cell fits its control. A plain call is affine in S_t on
-# either side, so the fit's residual lives on the rarer side: two down
-# atoms (-0.1 and -0.2 at intensity 1, sigma 0, t = 0.01, K = 0.75, 2**16
-# paths, 2 to 14 of them below K) gave z-scores against the exact series
-# with sd 3.5 and minimum -28.9 over 300 seeds without this floor, sd 1.05
-# and minimum -2.66 with it (module docstring)
+# either side, so the fit's residual lives on the rarer side, and a handful
+# of paths there claim a standard error they do not carry
 _SIDE_PATHS = 256
-# draws per pass of the CDF-table sampler (module docstring, measured table)
+# draws per pass of the CDF-table sampler (docs/montecarlo.md, measured table)
 _TABLE_CHUNK = 1 << 14
 # largest mean numpy's Poisson sampler accepts
 _POISSON_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
@@ -426,7 +208,7 @@ def _table_sampler(grid, density_values):
     cell j (f < keep[j]) or its alias and places the draw inside that cell,
     as ``offset[2j + take] + slope[2j + take] * f``. The draw runs in place
     over chunks of ``_TABLE_CHUNK``, whose index and scratch rows are reused
-    (module docstring)."""
+    (docs/montecarlo.md)."""
     dens = np.maximum(np.asarray(density_values, dtype=float), 0.0)
     cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
     if cdf[-1] <= 0:
@@ -684,15 +466,14 @@ class _SimulationPlan:
         intensities = [float(lam) for lam, _ in self.streams]
         max_intensity = max(intensities, default=0.0)
         # the conditional kernel's superposed Poisson clock (``jump_sums``);
-        # the total is 0 only for a lone stream of intensity 0
+        # a total of 0, streams that cannot jump, leaves every maturity plain
         self.clock_intensity = sum(intensities)
         self.clock_weights = [lam / (self.clock_intensity or 1.0) for lam in intensities]
         # the control's mean is the forward and the fit can measure its own
         # error: not with the stable increment's uncompensated draw, nor with
         # a single atom (module docstring)
-        jumps = ec.jumps
         self.controlled = self.stable is None and not (
-            jumps.form == "atomic" and np.unique(jumps.locations).size == 1)
+            ec.jumps.form == "atomic" and np.unique(ec.jumps.locations).size == 1)
         half_variance = 0.5 * ec.variance()
         self.x0 = math.log(ec.S0)
         self.horizons = []
@@ -713,7 +494,7 @@ class _SimulationPlan:
             self.horizons.append(_Horizon(
                 t, log_drift, math.exp(-rate_integral),
                 self.x0 + rate_integral - compensation * t, forward, sd,
-                sd > 0 and bool(self.streams) and self.stable is None
+                sd > 0 and self.clock_intensity > 0 and self.stable is None
                 and max_intensity * t < _CONDITIONAL_BELOW))
 
     def draw_block(self, rng, ws, horizons):
@@ -849,19 +630,75 @@ def simulate_terminal(ec, t, cfg, rate_fn=None):
     return out
 
 
-def _call_given_jumps(n, h, jump_sums, Ks, mean, m2):
-    """Partials of a conditional block at horizon h for every strike in Ks:
-    the means of the n calls E[(S_t - K)^+ | jump sum] and of the n controls
-    F e^J - E S_t into ``mean[:, k]``, and the M2 of the calls, their
-    co-moment with the controls and the M2 of the controls into ``m2[:, k]``.
+class _Partial:
+    """The moments of one block, or of blocks merged, over the whole (t, K)
+    grid of ``price_grid``: per maturity ``count``, the paths its cells
+    stand for; per cell ``mean``, the means of the call and of the control
+    minus its exact mean, ``m2``, their 2 x 2 matrix of M2s and co-moment,
+    and ``sides``, the paths above the strike and at or below it. Only a
+    plain cell counts its sides: given J a conditional path lies on both,
+    so no side of its cell is rare."""
+
+    def __init__(self, n_ts, n_Ks, n):
+        self.count = np.full((n_ts, 1), float(n))
+        self.mean = np.zeros((2, n_ts, n_Ks))
+        self.m2 = np.zeros((2, 2, n_ts, n_Ks))
+        self.sides = np.full((2, n_ts, n_Ks), math.inf)
+
+    def merge(self, b):
+        """Fold in the partial b of the next block: the Chan-Golub-LeVeque
+        update, each maturity with its own count, and the sides by sums."""
+        total = self.count + b.count
+        delta = b.mean - self.mean
+        self.mean = self.mean + delta * (b.count / total)
+        self.m2 = self.m2 + b.m2 + delta[:, None] * delta * (self.count * b.count / total)
+        self.count = total
+        self.sides = self.sides + b.sides
+
+    def fit(self, plan, Ks):
+        """Each cell's discounted Estimate, one list per horizon of plan:
+        the calls less beta times the control, beta = Cov / Var of the
+        merged moments, or the calls alone (beta = 0) where one of four
+        rules says the fit cannot measure its own error (module docstring).
+        A conditional maturity whose control has M2 0, one at which no jump
+        moved a path, raises InsufficientSignal."""
+        (call, control), ((m2_call, co), (_, m2_control)) = self.mean, self.m2
+        for h, m2_h in zip(plan.horizons, m2_control):
+            if h.conditional and (m2_h == 0).any():
+                raise InsufficientSignal(f"no jump moved a path at t = {h.t!r}: the "
+                                         "conditional estimate has no error to report")
+        beta = co / m2_control
+        fitted = m2_call - beta * co
+        # a strike <= 0: the payoff is the control itself, a fit leaves nothing
+        alone = (~(np.asarray(Ks) > 0)
+                 # the stable increment's control misses its mean; one atom: two jump sums
+                 | (not plan.controlled)
+                 # a plain call is affine in S_t on each side: a few paths carry the residual
+                 | (self.sides.min(axis=0) < _SIDE_PATHS)
+                 # the residual is rounding (the call is affine in the control), or undefined
+                 | ~(fitted > 1e-12 * m2_call))
+        value = np.where(alone, call, call - beta * control)
+        se = np.sqrt(np.where(alone, m2_call, fitted) / (self.count - 1))
+        return [[Estimate(h.discount * float(v), h.discount * float(s) / math.sqrt(n), int(n))
+                 for v, s in zip(values, ses)]
+                for h, n, values, ses in zip(plan.horizons, self.count[:, 0], value, se)]
+
+
+def _call_given_jumps(part, j, n, h, jump_sums, Ks):
+    """Fill maturity j of the partial of a conditional block at horizon h,
+    whose cells stand for n paths, for every strike in Ks: the means of the
+    n calls E[(S_t - K)^+ | jump sum] and of the n controls F e^J - E S_t,
+    the M2 of the calls, their co-moment with the controls and the M2 of
+    the controls.
 
     Given its jump sum J a path's S_t is lognormal with mean F e^J,
     F = e^(h.log_forward), and log standard deviation h.sd, so its call is
     the Black-Scholes price and a strike <= 0 gives F e^J minus the strike.
     The jumping paths have the given jump sums and the other paths share
     the call and the control at J = 0, so each moment costs O(m) for the
-    m paths that jump. ``price_grid`` turns the merged partials into the
-    estimate (module docstring)."""
+    m paths that jump."""
+    mean, m2 = part.mean[:, j], part.m2[:, :, j]
+    part.count[j] = n
     x = np.concatenate(([0.0], jump_sums))
     x += h.log_forward
     g = np.exp(x)
@@ -870,9 +707,9 @@ def _call_given_jumps(n, h, jump_sums, Ks, mean, m2):
     # the sums count it once and ``rest`` adds the others
     rest = n - g.size
     e = g - h.forward
-    control = (e.sum() + rest * e[0]) / n
-    e -= control
-    m2_control = np.dot(e, e) + rest * e[0] ** 2
+    mean[1] = (e.sum() + rest * e[0]) / n
+    e -= mean[1, 0]
+    m2[1, 1] = np.dot(e, e) + rest * e[0] ** 2
     for k, K in enumerate(Ks):
         if K > 0:
             d1 = x - (math.log(K) / h.sd - 0.5 * h.sd)
@@ -886,12 +723,10 @@ def _call_given_jumps(n, h, jump_sums, Ks, mean, m2):
             np.maximum(c, 0.0, out=c)
         else:
             c = g - K
-        call = (c.sum() + rest * c[0]) / n
-        c -= call
-        mean[0, k], mean[1, k] = call, control
-        m2[0, k] = np.dot(c, c) + rest * c[0] ** 2
-        m2[1, k] = np.dot(c, e) + rest * c[0] * e[0]
-        m2[2, k] = m2_control
+        mean[0, k] = (c.sum() + rest * c[0]) / n
+        c -= mean[0, k]
+        m2[0, 0, k] = np.dot(c, c) + rest * c[0] ** 2
+        m2[0, 1, k] = m2[1, 0, k] = np.dot(c, e) + rest * c[0] * e[0]
 
 
 def price_grid(ec, ts, Ks, cfg, rate_fn=None):
@@ -903,23 +738,14 @@ def price_grid(ec, ts, Ks, cfg, rate_fn=None):
     numpy warning."""
     plan = _SimulationPlan(ec, ts, cfg, rate_fn)
     plain = [j for j, h in enumerate(plan.horizons) if not h.conditional]
-    conditional = [j for j, h in enumerate(plan.horizons) if h.conditional]
+    conditional = [(j, h) for j, h in enumerate(plan.horizons) if h.conditional]
     partials = {}
 
     def reduce_block(i, rng, lo, hi, ws):
         n = hi - lo
         start = rng.bit_generator.state
         pay = ws[_PAYOFF]
-        # per maturity the paths its cells stand for; per cell the means of
-        # the call and of the control minus its exact mean, the M2 of the
-        # call, the co-moment and the M2 of the control, and the paths above
-        # the strike and at or below it, which a plain cell counts: given J
-        # a conditional path lies on both sides, so no side of its cell is
-        # rare (module docstring)
-        count = np.full((len(ts), 1), float(n))
-        mean = np.zeros((2, len(ts), len(Ks)))
-        m2 = np.zeros((3, len(ts), len(Ks)))
-        sides = np.full((2, len(ts), len(Ks)), math.inf)
+        part = _Partial(len(ts), len(Ks), n)
         # numpy's error state is per thread, so each lane sets its own
         with np.errstate(over="ignore", invalid="ignore"):
             samples = plan.draw_block(rng, ws, [plan.horizons[j] for j in plain])
@@ -927,63 +753,30 @@ def price_grid(ec, ts, Ks, cfg, rate_fn=None):
             control = ws[_JUMPS]
             for j, s in zip(plain, samples):
                 np.subtract(s, plan.horizons[j].forward, out=control)
-                mean[1, j] = control.sum() / n
-                control -= mean[1, j, 0]
-                m2[2, j] = np.dot(control, control)
+                part.mean[1, j] = control.sum() / n
+                control -= part.mean[1, j, 0]
+                part.m2[1, 1, j] = np.dot(control, control)
                 for k, K in enumerate(Ks):
                     np.subtract(s, K, out=pay)
                     np.maximum(pay, 0.0, out=pay)
-                    sides[0, j, k] = np.count_nonzero(pay)
-                    mean[0, j, k] = pay.sum() / n
-                    pay -= mean[0, j, k]
-                    m2[1, j, k] = np.dot(pay, control)
-                    m2[0, j, k] = np.square(pay, out=pay).sum()
-                sides[1, j] = n - sides[0, j]
-            for j in conditional:
-                h = plan.horizons[j]
+                    part.sides[0, j, k] = np.count_nonzero(pay)
+                    part.mean[0, j, k] = pay.sum() / n
+                    pay -= part.mean[0, j, k]
+                    part.m2[0, 1, j, k] = part.m2[1, 0, j, k] = np.dot(pay, control)
+                    part.m2[0, 0, j, k] = np.square(pay, out=pay).sum()
+                part.sides[1, j] = n - part.sides[0, j]
+            for j, h in conditional:
                 rng.bit_generator.state = start
                 paths = plan.conditional_paths(h.t, n, cfg.n_paths)
-                _call_given_jumps(paths, h, plan.jump_sums(rng, h.t, paths), Ks,
-                                  mean[:, j], m2[:, j])
-                count[j] = paths
-        partials[i] = (count, mean, m2, sides)
+                _call_given_jumps(part, j, paths, h, plan.jump_sums(rng, h.t, paths), Ks)
+        partials[i] = part
 
     _for_each_block(cfg, reduce_block)
-    # merge in block order (Chan-Golub-LeVeque), the co-moment like the M2s,
-    # each maturity with its own count, and the sides by sums
-    n, mean, m2, sides = partials[0]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # in block order, so the output does not depend on n_workers
         for i in range(1, len(partials)):
-            n_b, mean_b, m2_b, sides_b = partials[i]
-            total = n + n_b
-            delta = mean_b - mean
-            mean = mean + delta * (n_b / total)
-            m2 = m2 + m2_b + delta[[0, 0, 1]] * delta[[0, 1, 1]] * (n * n_b / total)
-            n = total
-            sides = sides + sides_b
-    (call, control), (m2_call, co, m2_control) = mean, m2
-    rare_side = sides.min(axis=0)
-
-    def estimate(j, k):
-        h, paths = plan.horizons[j], n[j, 0]
-        value, residual = call[j, k], m2_call[j, k]
-        if (plan.controlled and Ks[k] > 0 and m2_control[j, k] > 0
-                and rare_side[j, k] >= _SIDE_PATHS):
-            # the control variate with its coefficient fitted on the merged
-            # totals; the residual is the M2 left after the fit. A fit that
-            # leaves only rounding cannot measure its own error (module
-            # docstring), so the calls stay alone
-            beta = co[j, k] / m2_control[j, k]
-            fitted = residual - beta * co[j, k]
-            if fitted > 1e-12 * residual:
-                value = value - beta * control[j, k]
-                residual = fitted
-        return Estimate(h.discount * float(value),
-                        h.discount * math.sqrt(residual / (paths - 1)) / math.sqrt(paths),
-                        int(paths))
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [[estimate(j, k) for k in range(len(Ks))] for j in range(len(ts))]
+            partials[0].merge(partials[i])
+        return partials[0].fit(plan, Ks)
 
 
 def _check_strike(K):

@@ -471,6 +471,19 @@ def test_exit_1_on_other_model_errors(tmp_path, capsys):
     assert code == 1 and "error" in err
 
 
+def test_exit_1_on_unresolved_conditional_cell(tmp_path, capsys):
+    # at intensity 1e-14 no path jumps even among the 2**53 a conditional
+    # cell may stand for: its estimate has no standard error to report
+    spec = {"model": dict(MERTON_SPEC["model"], r=0.05,
+                          jumps=dict(MERTON_SPEC["model"]["jumps"], intensity=1e-14)),
+            "sim": {"n_paths": 1000}}
+    path = write_spec(tmp_path, spec)
+    code, out, err = run_cli(capsys, ["simulate", "--spec", path, "--t", "0.001",
+                                      "--strike", "1.05"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "t = 0.001" in err, err
+
+
 QUADRATIC_AT_ONE = {"f": {"family": "polynomial", "coeffs": [0.0, 0.0, 1000.0]}, "x": 1.0}
 
 

@@ -21,7 +21,7 @@ from scipy.stats import chisquare, ks_2samp, norm, poisson
 
 import smalltime as st
 from smalltime.montecarlo import (_CONDITIONAL_BELOW, _JUMPING_PATHS, _JUMPING_SHARE,
-                                  _WORKSPACE_ROWS, _excess_cdf, _poisson_counts,
+                                  _WORKSPACE_ROWS, _excess_cdf, _Partial, _poisson_counts,
                                   _SimulationPlan, _stable_standard, _table_sampler,
                                   _ztp_counts, price_grid)
 from test_exact_prices import atomic_call, merton_call
@@ -821,20 +821,85 @@ def test_conditional_count_sums_the_blocks():
     # ``_cell_paths(n_b, n, p)`` paths, p = 1 - e^(-Lambda t), at most
     # 2**53, and the estimate counts the sum over the blocks; a plain cell
     # counts n_b. At Lambda = 1, t = 0.6 is plain, t = 0.03 conditional
-    # with more than the share of jumping paths on average, and t = 1e-3
-    # and 5e-324 are floored
+    # with more than the share of jumping paths on average, t = 1e-3 is
+    # floored, and at t = 4e-16 every block reaches the cap, where some 3.6
+    # of its paths jump on average. At t = 5e-324 no path jumps, and the
+    # maturity raises InsufficientSignal
     blocks = [2**16, 2**16, 500]
     n = sum(blocks)
     p = -math.expm1(-1e-3)
     floored = sum(_cell_paths(n_b, n, p) for n_b in blocks)
     assert floored > n
-    ts, counts = [0.6, 0.03, 1e-3, 5e-324], [n] * 2 + [floored, 3 * 2**53]
+    ts, counts = [0.6, 0.03, 1e-3, 4e-16], [n] * 2 + [floored, 3 * 2**53]
+    cfg = st.SimConfig(n_paths=n, master_seed=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        grid = price_grid(MERTON, ts, [1.0], st.SimConfig(n_paths=n, master_seed=2))
+        grid = price_grid(MERTON, ts, [1.0], cfg)
+        with pytest.raises(st.InsufficientSignal, match="t = 5e-324"):
+            price_grid(MERTON, ts + [5e-324], [1.0], cfg)
     for t, n_cell, (est,) in zip(ts, counts, grid):
         assert est.n_paths == n_cell, t
-        assert math.isfinite(est.value) and est.std_error >= 0.0, t
+        assert math.isfinite(est.value) and est.std_error > 0.0, t
+
+
+def test_unresolved_conditional_cell_raises_insufficient_signal():
+    # at intensity 1e-14 about 0.09 of the 2**53 paths a cell may stand for
+    # jump on average, so the cell would report the price at J = 0 with
+    # standard error 0
+    ec = st.ExpModelCharacteristics(1.0, 0.05, 0.2, st.normal_jumps(1e-14, 0.0, 0.4))
+    cfg = st.SimConfig(n_paths=1000)
+    with pytest.raises(st.InsufficientSignal, match=r"t = 0\.001\b"):
+        st.estimate_call(ec, 1e-3, 1.05, cfg)
+    # the rule reads the control, not the call: far out of the money the
+    # calls given J underflow to 0, but paths jumped, so the cell resolves
+    (est,) = price_grid(MERTON, [1e-3], [100.0], cfg)[0]
+    assert (est.value, est.std_error) == (0.0, 0.0) and est.n_paths > cfg.n_paths
+    # a stream of intensity 0 draws no jump: the model is priced plain,
+    # like one without jumps
+    ec = st.ExpModelCharacteristics(1.0, 0.05, 0.2, st.normal_jumps(0.0, 0.0, 0.4))
+    est = st.estimate_call(ec, 1e-3, 1.0, cfg)
+    assert est.n_paths == cfg.n_paths and est.std_error > 0
+
+
+def test_merge_matches_one_pass_moments():
+    # blocks of unequal counts, per maturity as floored conditional cells
+    # have them, merged in block order against the moments of all of a
+    # cell's (call, control) samples at once, summed exactly
+    rng = np.random.default_rng(11)
+    counts = np.array([[4000, 4000, 31], [70001, 70001, 547]], dtype=float)
+    Ks = [0.9, 1.1]
+    samples = {}
+    for j, k in np.ndindex(counts.shape[0], len(Ks)):
+        n = int(counts[j].sum())
+        control = rng.normal(0.01, 0.05, n)
+        samples[j, k] = (np.maximum(1.0 + control - Ks[k], 0.0) + rng.normal(0.0, 0.01, n),
+                         control)
+    starts = (np.cumsum(counts, axis=1) - counts).astype(int)
+    merged = None
+    for b in range(counts.shape[1]):
+        part = _Partial(counts.shape[0], len(Ks), 0)
+        part.count[:, 0] = counts[:, b]
+        for (j, k), xs in samples.items():
+            block = [x[starts[j, b]:starts[j, b] + int(counts[j, b])] for x in xs]
+            part.mean[:, j, k] = [math.fsum(x) / x.size for x in block]
+            dev = [x - m for x, m in zip(block, part.mean[:, j, k])]
+            part.m2[:, :, j, k] = [[math.fsum(a * c) for c in dev] for a in dev]
+            part.sides[:, j, k] = [np.count_nonzero(block[0] > 0), np.count_nonzero(block[0] <= 0)]
+        if merged is None:
+            merged = part
+        else:
+            merged.merge(part)
+    assert merged.count[:, 0].tolist() == counts.sum(axis=1).tolist()
+    for (j, k), xs in samples.items():
+        n = xs[0].size
+        mean = [math.fsum(x) / n for x in xs]
+        dev = [x - m for x, m in zip(xs, mean)]
+        m2 = [[math.fsum(a * c) for c in dev] for a in dev]
+        np.testing.assert_allclose(merged.mean[:, j, k], mean, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(merged.m2[:, :, j, k], m2, rtol=1e-12, atol=0.0)
+        assert merged.m2[0, 1, j, k] == merged.m2[1, 0, j, k], (j, k)
+        assert merged.sides[:, j, k].tolist() == [np.count_nonzero(xs[0] > 0),
+                                                  np.count_nonzero(xs[0] <= 0)], (j, k)
 
 
 @pytest.mark.parametrize("t", [0.05, 0.3])
@@ -1189,9 +1254,9 @@ def test_slope_study_insufficient_signal():
 def test_slope_study_exact_rows_raise_insufficient_signal(sigma):
     # a jump too rare to occur in 1000 paths, nor in the 2**53 a
     # conditional cell stands for at most: with sigma = 0 every row is the
-    # deterministic price, with sigma > 0 the conditional kernel's
-    # Black-Scholes price; either way the standard errors are 0, the
-    # regression has no weight, and it ended in a ZeroDivisionError
+    # deterministic price, whose standard error of 0 gives the regression
+    # no weight (it ended in a ZeroDivisionError); with sigma > 0 the
+    # conditional kernel refuses the rows itself, since no jump moved a path
     ec = st.ExpModelCharacteristics(1.0, 0.05, sigma, st.atomic([(0.1, 1e-20)]))
     cfg = st.SimConfig(n_paths=1000)
     with warnings.catch_warnings():

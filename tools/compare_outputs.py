@@ -21,6 +21,8 @@ Both trees run the same probes, each in a fresh interpreter with the tree's
   ``expansion`` on a stable-like model whose residual is normal jumps at
   intensity 1e7, and ``asymptotics`` on normal jumps of std 40, whose
   (e^y - 1)^2 overflows;
+* an unresolved conditional cell: ``simulate`` at t = 1e-3 and strike 1.05
+  on normal jumps at intensity 1e-14, where no path of the cell jumps;
 * a sweep over every jump form x scheme x ``n_paths`` in {100, 2**16,
   2**17 + 1000} x ``n_workers`` in {1, 2} x t in {1e-3, 0.05} recording
   the SHA-256 of the ``simulate_terminal`` samples and then the
@@ -126,6 +128,12 @@ SPECS = {
     "huge_std": {"model": _model(0.0, 0.2, {"type": "density", "family": "normal",
                                             "intensity": 1.0, "mean": 0.0, "std": 40.0}),
                  "query": {"strike": 1.1}},
+    # no path jumps, even among the 2**53 a conditional cell may stand for:
+    # InsufficientSignal, exit 1
+    "unresolved": {"model": _model(0.05, 0.2, {"type": "density", "family": "normal",
+                                               "intensity": 1e-14, "mean": 0.0,
+                                               "std": 0.4}),
+                   "sim": {"n_paths": 1000, "master_seed": 0}},
     "sharp_bump": {"model": _model(0.01, 0.2, {"type": "density", "family": "normal",
                                                "intensity": 1.0, "mean": 0.0, "std": 0.4}),
                    "query": {"f": {"family": "gaussian_bump", "center": 1.0,
@@ -161,7 +169,8 @@ CLI_RUNS = ([("merton", cmd) for cmd in README_COMMANDS]
                            ["simulate", "--t", "1e-8", "--strike", "1.0"])]
             + [("stable_residual", cmd)
                for cmd in (["asymptotics"], ["expansion", "--t", "0.001"])]
-            + [("huge_std", ["asymptotics"])])
+            + [("huge_std", ["asymptotics"])]
+            + [("unresolved", ["simulate", "--t", "0.001", "--strike", "1.05"])])
 
 MODELS = r'''
 import hashlib, math

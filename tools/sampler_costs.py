@@ -1,6 +1,5 @@
 """Reprint the cost tables of the Monte Carlo kernels: the share table of
-the ``montecarlo`` module docstring, and the stream and cell tables that
-CHANGES.md keeps.
+docs/montecarlo.md, and the stream and cell tables that CHANGES.md keeps.
 
 Usage::
 
@@ -134,7 +133,7 @@ def measure_cell(repeat, number):
     second table, and the fitted fixed cost in us and cost per jumping path
     in ns."""
     rng = np.random.Generator(np.random.Philox(key=np.array([0, 1], dtype=np.uint64)))
-    mean, m2 = np.empty((2, 1)), np.empty((3, 1))
+    part = mc._Partial(1, 1, BLOCK)
     cells = []
     for m in JUMPING:
         # at intensity 1 a path jumps with probability 1 - e^-t = m / BLOCK
@@ -143,7 +142,7 @@ def measure_cell(repeat, number):
         (h,) = plan.horizons
 
         def call(plan=plan, h=h, t=t):
-            mc._call_given_jumps(BLOCK, h, plan.jump_sums(rng, t, BLOCK), [1.0], mean, m2)
+            mc._call_given_jumps(part, 0, BLOCK, h, plan.jump_sums(rng, t, BLOCK), [1.0])
         cells.append(1e3 * _fastest_ms(call, repeat, number))
     # relative residuals, so the short cells weigh as much as the long ones
     per_path, fixed = np.polyfit(JUMPING, cells, 1, w=1.0 / np.array(cells))
@@ -194,7 +193,7 @@ def measure_share(repeat, number, seeds):
 
 def render(head, rows, fmt="{:.2f}"):
     """The rows under the header ``head`` as a reStructuredText simple
-    table, as in the docstring; ``fmt`` formats each cell, or ``fmt[i]``
+    table, as in docs/montecarlo.md; ``fmt`` formats each cell, or ``fmt[i]``
     column i + 1 when it is a list."""
     fmts = fmt if isinstance(fmt, list) else [fmt] * len(head)
     body = [[label] + [f.format(v) for f, v in zip(fmts, cells)] for label, cells in rows]
