@@ -86,7 +86,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .compensators import em1_over, g2
 from .errors import (ConfigError, CutoffTooCoarse, DomainError,
@@ -697,6 +696,8 @@ def _call_given_jumps(part, j, n, h, jump_sums, Ks):
     The jumping paths have the given jump sums and the other paths share
     the call and the control at J = 0, so each moment costs O(m) for the
     m paths that jump."""
+    # imported here, so that commands without a conditional cell never load scipy
+    from scipy.special import ndtr
     mean, m2 = part.mean[:, j], part.m2[:, :, j]
     part.count[j] = n
     x = np.concatenate(([0.0], jump_sums))

@@ -7,11 +7,12 @@ at most ``tol * max(1, integral of |f|)``, so integrals against a
 compensator stay linear in its intensity, also where f cancels (QUADPACK's
 error grows with |f|, not with the value). A piece flagged as probably
 divergent is rejected when |f| is flagged too: a relative budget alone
-accepts the extrapolated value of a divergent integral.
+accepts the extrapolated value of a divergent integral. QUADPACK is
+imported on the first integral, because ``scipy.integrate`` is most of a
+cold start.
 """
 
 import numpy as np
-from scipy import integrate as _sci
 
 from .errors import QuadratureDivergence
 
@@ -85,8 +86,9 @@ def quad_abs(fn, a, b, tol, points=None):
 
 def _quad_piece(fn, lo, hi, epsabs):
     """One QUADPACK call: (value, error, flagged as probably divergent)."""
-    v, e, _, *msg = _sci.quad(fn, lo, hi, epsabs=epsabs, epsrel=1e-12,
-                              limit=_QUAD_LIMIT, full_output=1)
+    from scipy.integrate import quad
+    v, e, _, *msg = quad(fn, lo, hi, epsabs=epsabs, epsrel=1e-12,
+                         limit=_QUAD_LIMIT, full_output=1)
     return v, e, bool(msg) and msg[0].startswith(_DIVERGENT)
 
 

@@ -4,8 +4,12 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -517,6 +521,76 @@ def test_overflow_is_one_error_line(tmp_path, capsys, S0, sigma, argv):
         code, out, err = run_cli(capsys, argv[:1] + ["--spec", path] + argv[1:])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# ----------------------------------------------------------------------
+# cold start: fresh interpreters, so that no earlier test has loaded scipy
+
+# one JSON line after the import, then one per argv (a JSON list on the
+# command line) run through cli.main: its exit code, stdout and the scipy
+# modules loaded so far
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import smalltime.cli
+
+def record(**fields):
+    scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    print(json.dumps(dict(fields, scipy=scipy)))
+
+record()
+for argv in map(json.loads, sys.argv[1:]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = smalltime.cli.main(argv)
+    record(code=code, out=out.getvalue())
+"""
+
+
+def probe_scipy(*runs):
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *map(json.dumps, runs)],
+                         env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    records = [json.loads(line) for line in run.stdout.splitlines()]
+    assert len(records) == len(runs) + 1 and all(r.get("code", 0) == 0 for r in records), \
+        records
+    return records
+
+
+def test_cold_start_loads_scipy_only_for_an_integral(tmp_path):
+    # atomic coefficients are finite sums and a jump-free simulation draws
+    # plain cells, so neither needs QUADPACK or ndtr
+    atomic = write_spec(tmp_path, {
+        "model": {"S0": 1.0, "r": 0.0, "sigma": 0.2,
+                  "jumps": {"type": "atomic", "atoms": [[0.1, 1.0], [-0.2, 0.5]]}},
+        "query": {"f": {"family": "gaussian_bump", "center": 0.0, "width": 0.5}}},
+        "atomic.json")
+    free = write_spec(tmp_path, BS_SPEC, "free.json")
+    merton = write_spec(tmp_path, MERTON_SPEC, "merton.json")
+    runs = [["asymptotics", "--spec", atomic, "--strike", K] for K in ("0.9", "1.0", "1.1")]
+    runs += [["expansion", "--spec", atomic, "--t", "0.001"],
+             ["simulate", "--spec", free, "--t", "0.01", "--strike", "1.0", "--paths", "1000"],
+             ["asymptotics", "--spec", merton]]
+    *cold, last = [r["scipy"] for r in probe_scipy(*runs)]
+    assert cold == [[]] * len(runs), cold
+    # the probe sees an import: the normal density's OTM slope is an integral
+    assert "scipy.integrate" in last
+
+
+def test_first_ndtr_import_races_in_the_pool(tmp_path):
+    # normal jumps need no quadrature, so the conditional cells of the first
+    # blocks import scipy.special, in lane 0 and a pool thread at once
+    argv = ["simulate", "--spec", write_spec(tmp_path, MERTON_SPEC), "--t", "0.001",
+            "--strike", "1.05", "--paths", str(3 * 2**16)]
+    out = {}
+    for workers in ("1", "2"):
+        _, run = probe_scipy(argv + ["--workers", workers])
+        assert "scipy.special" in run["scipy"] and "scipy.integrate" not in run["scipy"]
+        out[workers] = run["out"]
+    assert out["1"] == out["2"]
+    assert json.loads(out["1"])["strike"] == 1.05
 
 
 def _reject_constant(name):
