@@ -120,10 +120,11 @@ def from_markov(b, Sigma, jump_fn, nu, f, Z0, tol=DEFAULT_TOL):
         y -> f(Z0 + jump_fn(y)) - f(Z0), exposed through its tail functions
         (exact atoms when ``nu`` is atomic). The drift is reported in the
         kappa-compensation convention used by the rest of the package, i.e.
-        the driving-coefficient formula
         grad f . b + tr[hess f Sigma Sigma^T] / 2 + integral of
-        (f(Z0 + jump_fn(y)) - f(Z0) - jump_fn(y) . grad f) nu(dy)
-        minus the truncation rebase integral of (u - kappa(u)) m(du).
+        (kappa(f(Z0 + jump_fn(y)) - f(Z0)) - jump_fn(y) . grad f) nu(dy),
+        one integral against ``nu``. For one-dimensional Z its quotient by
+        y^2, which singular small-jump measures integrate, is formed from the
+        curvature remainder of ``f`` without cancellation.
     """
     Z0 = np.atleast_1d(np.asarray(Z0, dtype=float))
     d = Z0.size
@@ -134,12 +135,12 @@ def from_markov(b, Sigma, jump_fn, nu, f, Z0, tol=DEFAULT_TOL):
     if b.size != d or Sigma.shape != (d, d):
         raise DimensionMismatch("b or Sigma inconsistent with Z0")
 
-    grad = np.atleast_1d(np.asarray(f.gradient(Z0 if d > 1 else float(Z0[0])), dtype=float))
-    hess = np.atleast_2d(np.asarray(f.hessian(Z0 if d > 1 else float(Z0[0])), dtype=float))
+    x0 = Z0 if d > 1 else float(Z0[0])
+    grad = np.atleast_1d(np.asarray(f.gradient(x0), dtype=float))
+    hess = np.atleast_2d(np.asarray(f.hessian(x0), dtype=float))
     if grad[-1] == 0.0:
         raise DegenerateGradient("last partial derivative of f vanishes at Z0")
-
-    f0 = f.value(Z0 if d > 1 else float(Z0[0]))
+    f0 = f.value(x0)
 
     def jump(y):
         psi = np.atleast_1d(np.asarray(jump_fn(y), dtype=float))
@@ -152,15 +153,25 @@ def from_markov(b, Sigma, jump_fn, nu, f, Z0, tol=DEFAULT_TOL):
         shifted = Z0 + jump(y)
         return f.value(shifted if d > 1 else float(shifted[0])) - f0
 
-    def full_comp_integrand(y):
-        psi = jump(y)
-        shifted = Z0 + psi
-        return (f.value(shifted if d > 1 else float(shifted[0])) - f0
-                - float(np.dot(psi, grad)))
+    def drift_integrand(y):
+        return kappa(increment(y)) - float(np.dot(jump(y), grad))
+
+    drift_over_y2 = None
+    if d == 1:
+        g0 = float(grad[0])
+
+        def drift_over_y2(y):
+            # the integrand over y^2 without its cancellation: with p the
+            # jump, R the curvature remainder, v = f' + p R and u = p v,
+            # kappa(u) - p f' = p^2 R - u^3 / (1 + u^2)
+            p = float(jump(y)[0])
+            r = f.curvature_remainder(x0, p)
+            v = g0 + p * r
+            return (p / y) ** 2 * (r - p * v ** 3 / (1.0 + (p * v) ** 2))
 
     a = Sigma @ Sigma.T
-    beta_full = (float(np.dot(grad, b)) + 0.5 * float(np.trace(hess @ a))
-                 + nu.integrate(full_comp_integrand, tol))
+    beta = (float(np.dot(grad, b)) + 0.5 * float(np.trace(hess @ a))
+            + nu.integrate(drift_integrand, tol, g_over_y2=drift_over_y2))
 
     delta0 = float(np.linalg.norm(grad @ Sigma))
 
@@ -174,10 +185,7 @@ def from_markov(b, Sigma, jump_fn, nu, f, Z0, tol=DEFAULT_TOL):
     else:
         pushforward = comp.PushforwardCompensator(nu, increment)
 
-    # rebase the full-compensation drift onto the kappa convention
-    rebase = pushforward.integrate(lambda u: u - kappa(u), tol,
-                                   g_over_y2=lambda u: u / (1.0 + u * u))
-    return LocalCharacteristics([beta_full - rebase], [[delta0]], pushforward)
+    return LocalCharacteristics([beta], [[delta0]], pushforward)
 
 
 def from_time_changed_levy(levy_triplet, theta0, tol=DEFAULT_TOL):

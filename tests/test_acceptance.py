@@ -140,7 +140,7 @@ def test_criterion_5_atm_finite_variation():
 def test_criterion_6_atm_stable():
     with criterion(6, "ATM stable exponent and coefficient", 120):
         alpha, c0 = 1.5, 0.1
-        quad_coeff = st.stable_positive_part_constant(alpha, c0, 1e-10)
+        quad_coeff = st.stable_positive_part_constant(alpha, c0)
         closed = gamma(1.0 - 1.0 / alpha) * c0 ** (1.0 / alpha) / math.pi
         assert abs(quad_coeff - closed) <= 1e-6 * closed
         ec = st.ExpModelCharacteristics(1.0, 0.0, 0.0, st.stable_like(alpha, c0))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy.integrate import quad
 from scipy.special import gamma
 from scipy.stats import norm
 
@@ -220,12 +221,31 @@ def test_atm_finite_variation_atomic():
                                             rel=1e-12)
 
 
+def _fourier_positive_part(alpha, c):
+    """(1/2pi) * integral over R of (1 - e^{-c |z|^alpha}) / z^2 by QUADPACK,
+    split at the scale z1 = c^(-1/alpha). On [0, z1] the substitution
+    u = z^(alpha - 1) turns (1 - e^{-c z^alpha}) / z^2 dz into
+    (1 - e^{-c z^alpha}) / z^alpha du / (alpha - 1), bounded at 0."""
+    z1 = c ** (-1.0 / alpha)
+
+    def inner(u):
+        z = u ** (1.0 / (alpha - 1.0))
+        return -math.expm1(-c * z**alpha) / z**alpha
+
+    near, _ = quad(inner, 0.0, z1 ** (alpha - 1.0), epsabs=0.0, epsrel=1e-12, limit=200)
+    far, _ = quad(lambda z: -math.expm1(-c * z**alpha) / (z * z), z1, math.inf,
+                  epsabs=0.0, epsrel=1e-12, limit=200)
+    return (near / (alpha - 1.0) + far) / math.pi
+
+
 def test_atm_stable_quadrature_vs_gamma_closed_form():
-    for alpha in (1.2, 1.5, 1.8):
-        for c in (0.05, 0.1, 0.5):
-            got = st.stable_positive_part_constant(alpha, c, 1e-10)
+    # the package's Gamma form against the Fourier integral it stands for
+    for alpha in (1.05, 1.2, 1.5, 1.8, 1.95):
+        for c in (1e-3, 0.05, 0.1, 0.5, 1.0, 7.0):
+            got = st.stable_positive_part_constant(alpha, c)
             exact = gamma(1.0 - 1.0 / alpha) * c ** (1.0 / alpha) / math.pi
-            assert got == pytest.approx(exact, rel=1e-6)
+            assert got == pytest.approx(exact, rel=1e-14)
+            assert got == pytest.approx(_fourier_positive_part(alpha, c), rel=1e-9)
 
 
 def test_atm_stable_result():

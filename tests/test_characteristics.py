@@ -146,6 +146,22 @@ def test_from_markov_stable_like_nu():
         st.apply_generator(direct, bump, 0.0), rel=1e-7)
 
 
+@pytest.mark.parametrize("alpha", [1.2, 1.5])
+def test_from_markov_stable_like_nu_chain_rule(alpha):
+    # X = e^Z: the generator of x^2 at X0 = 1 on the image's characteristics
+    # is the generator of e^{2z} at Z0 = 0 on Z's own, whose kappa drift is
+    # b - integral of (y - kappa(y)) nu(dy)
+    nu = st.stable_like(alpha, 0.3)
+    b, sig = 0.05, 0.2
+    ch = st.from_markov([b], [[sig]], lambda y: y, nu, st.exp_affine([1.0]), [0.0])
+    lhs = st.apply_generator(ch, st.polynomial([0.0, 0.0, 1.0]), 1.0)
+    rebase = nu.integrate(lambda y: y - y / (1 + y * y),
+                          g_over_y2=lambda y: y / (1 + y * y))
+    z = st.LocalCharacteristics([b - rebase], [[sig]], nu)
+    rhs = st.apply_generator(z, st.exp_affine([2.0]), 0.0)
+    assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
 def test_empty_measure_is_neutral():
     # every operation on no_jumps() adds an exact 0.0 to the jump-free formula
     none = st.no_jumps()

@@ -641,8 +641,9 @@ def _jump_block(jumps, intensity, std=0.4, scale=0.2, alpha=1.5):
 
 
 DEFAULT_SHAPE = {"std": 0.4, "scale": 0.2, "alpha": 1.5}
-# jump shapes, each the default or drawn: tiny and huge widths, and values the
-# spec rejects (std 0, scale >= 0.5, alpha outside (1, 2)) with exit 2
+# jump shapes, each the default or drawn: tiny and huge widths, values the
+# spec rejects with exit 2 (std 0, alpha outside (1, 2)), and a Laplace
+# scale >= 0.5, which only the constructor rejects, with exit 1
 SHAPE = hst.fixed_dictionaries({key: hst.one_of(hst.just(value), FINITE)
                                 for key, value in DEFAULT_SHAPE.items()})
 

@@ -13,7 +13,10 @@ Both trees run the same probes, each in a fresh interpreter with the tree's
   (r > 0, no jumps), stable-like, Laplace and atomic variants, at-the-money
   runs of the Laplace and atomic specs, ``expansion`` on the jump-free,
   ``markov`` and ``time_change`` specs, and ``simulate`` without a strike
-  (the discounted forward);
+  (the discounted forward). The ``markov`` spec's image is not
+  exponentially integrable, so it probes the rejection (exit 1); two more
+  ``markov`` specs, a Gaussian bump of normal jumps and ``exp_affine`` of
+  stable-like jumps, print a drift;
 * high-intensity runs: ``asymptotics`` at strikes 0.95 and 1.05,
   ``expansion`` and ``simulate`` on normal jumps at intensities 1e5 and 1e7,
   the last two also with the martingale mean -std^2/2 at 1e7 (whose
@@ -107,6 +110,22 @@ SPECS = {
                           "f": {"family": "polynomial", "coeffs": [0.0, 0.5, 1.0]},
                           "Z0": [0.2]},
                "query": {"f": BUMP}},
+    # exponentially integrable images, so expansion prints a Markov drift:
+    # the analytic zoo's shape, and stable-like small jumps
+    "markov_bump": {"markov": {"b": [0.05], "Sigma": [[0.2]],
+                               "jump_map": {"type": "scale", "factor": 0.9},
+                               "nu": {"type": "density", "family": "normal",
+                                      "intensity": 1.2, "mean": 0.02, "std": 0.2},
+                               "f": {"family": "gaussian_bump", "center": 0.5,
+                                     "width": 0.8},
+                               "Z0": [0.1]},
+                    "query": {"f": BUMP}},
+    "markov_stable": {"markov": {"b": [0.0], "Sigma": [[0.2]],
+                                 "jump_map": {"type": "identity"},
+                                 "nu": {"type": "stable_like", "alpha": 1.5, "c": 0.3},
+                                 "f": {"family": "exp_affine", "weights": [1.0]},
+                                 "Z0": [0.0]},
+                      "query": {"f": BUMP}},
     "time_change": {"time_change": {"b": 0.05, "sigma2": 0.04, "theta0": 1.5,
                                     "nu": {"type": "atomic",
                                            "atoms": [[0.4, 1.0], [-0.6, 0.5]]}},
@@ -156,6 +175,8 @@ CLI_RUNS = ([("merton", cmd) for cmd in README_COMMANDS]
             + [(name, ["asymptotics", "--strike", "1.0"]) for name in ("laplace", "atomic")]
             + [(name, ["expansion", "--t", "0.001"])
                for name in ("itm", "markov", "time_change")]
+            + [(name, ["expansion", "--t", "0.01"])
+               for name in ("markov_bump", "markov_stable")]
             + [("forward", ["simulate", "--t", "0.01"] + extra)
                for extra in ([], ["--workers", "2", "--format", "csv"])]
             + [(name, ["expansion", "--t", "0.001"]) for name in ("sharp_call", "sharp_bump")]
