@@ -44,7 +44,7 @@ alpha, c0 = 1.5, 0.1
 stable = st.ExpModelCharacteristics(S0, 0.0, 0.0, st.stable_like(alpha, c0))
 res = st.atm_coefficient(stable)
 print(f"\nstable-like (alpha = {alpha}): C(t) ~ {res.coefficient:.7f} * t^(1/alpha)")
-print("  Fourier quadrature agrees with the Gamma closed form:",
+print("  the Gamma closed form, Gamma(1 - 1/alpha) c^(1/alpha) / pi:",
       st.stable_positive_part_constant(alpha, c0))
 
 cfg = st.SimConfig(n_paths=1_000_000, master_seed=5,

@@ -143,28 +143,32 @@ def from_markov(b, Sigma, jump_fn, nu, f, Z0, tol=DEFAULT_TOL):
     f0 = f.value(x0)
 
     def jump(y):
-        psi = np.atleast_1d(np.asarray(jump_fn(y), dtype=float))
+        # a float in one dimension, an array of d entries otherwise
+        psi = jump_fn(y)
+        if d == 1 and isinstance(psi, (float, np.floating)):
+            return float(psi)
+        psi = np.atleast_1d(np.asarray(psi, dtype=float))
         if psi.size != d:
             raise DimensionMismatch(
                 f"jump_fn gives {psi.size} entries per jump, Z0 has {d}")
-        return psi
+        return psi if d > 1 else float(psi[0])
 
     def increment(y):
-        shifted = Z0 + jump(y)
-        return f.value(shifted if d > 1 else float(shifted[0])) - f0
+        return f.value(x0 + jump(y)) - f0
+
+    g0 = float(grad[0])
 
     def drift_integrand(y):
-        return kappa(increment(y)) - float(np.dot(jump(y), grad))
+        p = jump(y)
+        return kappa(f.value(x0 + p) - f0) - (p * g0 if d == 1 else float(np.dot(p, grad)))
 
     drift_over_y2 = None
     if d == 1:
-        g0 = float(grad[0])
-
         def drift_over_y2(y):
             # the integrand over y^2 without its cancellation: with p the
             # jump, R the curvature remainder, v = f' + p R and u = p v,
             # kappa(u) - p f' = p^2 R - u^3 / (1 + u^2)
-            p = float(jump(y)[0])
+            p = jump(y)
             r = f.curvature_remainder(x0, p)
             v = g0 + p * r
             return (p / y) ** 2 * (r - p * v ** 3 / (1.0 + (p * v) ** 2))

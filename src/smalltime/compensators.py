@@ -431,6 +431,10 @@ class PushforwardCompensator(JumpCompensator):
     of delta: a grid scan over the support of nu, bisection at each
     crossing, then quadrature of the density of nu over the kept intervals,
     so they need a density base and raise DomainError otherwise.
+
+    The scan runs once per instance, on the first tail or ``support`` call:
+    it costs 4001 delta evaluations and is shared by both tails and
+    ``support``. Each tail call then adds 60 evaluations per crossing.
     """
 
     form = "pushforward"
@@ -438,47 +442,52 @@ class PushforwardCompensator(JumpCompensator):
     def __init__(self, nu, delta):
         self.nu = nu
         self.delta = delta
+        self._scan = None
         self._validate_integrability()
 
     def integrate_with_error(self, g, tol=DEFAULT_TOL, points=None, g_over_y2=None):
         delta = self.delta
         return self.nu.integrate_with_error(lambda y: g(delta(y)), tol)
 
-    def _grid(self):
-        lo, hi = self.nu.support()
-        lo, hi = max(lo, -_SUPPORT_CAP), min(hi, _SUPPORT_CAP)
-        return np.linspace(lo, hi, _SCAN_POINTS)
+    def _scanned(self):
+        """(grid, delta(grid)) over the support of nu, capped at +-60: the
+        grid as a list of floats, which is what quadrature passes delta,
+        and the values as an array."""
+        if self._scan is None:
+            lo, hi = self.nu.support()
+            lo, hi = max(lo, -_SUPPORT_CAP), min(hi, _SUPPORT_CAP)
+            grid = np.linspace(lo, hi, _SCAN_POINTS).tolist()
+            self._scan = grid, np.array([self.delta(y) for y in grid], dtype=float)
+        return self._scan
 
     def _level_mass(self, u, above):
         """nu-mass of {y : delta(y) >= u} (above) or {delta(y) <= u}."""
         delta = self.delta
         if self.nu.form != "density":
             raise DomainError("pushforward tails need a density base measure")
-        grid = self._grid()
-        h = np.array([delta(y) - u for y in grid])
+        grid, values = self._scanned()
+        h = values - u
         inside = h >= 0 if above else h <= 0
         # refine each crossing by bisection, then integrate nu over the kept intervals
         edges = []
-        for i in range(len(grid) - 1):
-            if inside[i] != inside[i + 1]:
-                a, b = grid[i], grid[i + 1]
-                left_inside = bool(inside[i])
-                for _ in range(60):
-                    mid = 0.5 * (a + b)
-                    hm = delta(mid) - u
-                    mid_inside = hm >= 0 if above else hm <= 0
-                    if mid_inside == left_inside:
-                        a = mid
-                    else:
-                        b = mid
-                edges.append(0.5 * (a + b))
+        for i in np.flatnonzero(inside[1:] != inside[:-1]):
+            a, b = grid[i], grid[i + 1]
+            left_inside = bool(inside[i])
+            for _ in range(60):
+                mid = 0.5 * (a + b)
+                hm = delta(mid) - u
+                mid_inside = hm >= 0 if above else hm <= 0
+                if mid_inside == left_inside:
+                    a = mid
+                else:
+                    b = mid
+            edges.append(0.5 * (a + b))
+        # the segments between cuts alternate in and out; the first is in when grid[0] is
         cuts = [grid[0]] + edges + [grid[-1]]
         total = 0.0
-        for a, b, flag in zip(cuts[:-1], cuts[1:],
-                              _segment_flags(inside, len(edges))):
-            if flag:
-                v, _ = quad_abs(self.nu.fn, a, b, 1e-11)
-                total += v
+        for k in range(0 if inside[0] else 1, len(cuts) - 1, 2):
+            v, _ = quad_abs(self.nu.fn, cuts[k], cuts[k + 1], 1e-11)
+            total += v
         return total
 
     def upper_tail(self, x, tol=DEFAULT_TOL):
@@ -492,19 +501,11 @@ class PushforwardCompensator(JumpCompensator):
         return self._level_mass(x, above=False)
 
     def support(self):
-        vals = [self.delta(y) for y in self._grid()]
-        return (min(vals), max(vals))
+        values = self._scanned()[1]
+        return (float(values.min()), float(values.max()))
 
     def scaled(self, factor):
         return PushforwardCompensator(self.nu.scaled(factor), self.delta)
-
-
-def _segment_flags(inside, n_edges):
-    """Inclusion flags for the n_edges+1 segments of a scanned level set."""
-    flags = [bool(inside[0])]
-    for _ in range(n_edges):
-        flags.append(not flags[-1])
-    return flags
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,6 @@ import json
 import math
 from dataclasses import fields
 
-import numpy as np
-
 from . import compensators as comp
 from . import functions
 from .characteristics import (ExpModelCharacteristics, from_markov,
@@ -130,8 +128,10 @@ def _norm_jumps(blk):
         _require(isinstance(atoms, list) and
                  all(isinstance(a, list) and len(a) == 2 for a in atoms),
                  "atomic jumps need 'atoms': [[size, intensity], ...]")
-        return {"type": "atomic",
-                "atoms": [_numbers(a, "atom") for a in atoms]}
+        atoms = [_numbers(a, "atom") for a in atoms]
+        for y, lam in atoms:
+            _require(lam >= 0.0, f"atom intensity must be >= 0.0, got {lam!r} at {y!r}")
+        return {"type": "atomic", "atoms": atoms}
     if typ == "density":
         family = blk.get("family")
         if family == "normal":
@@ -140,10 +140,13 @@ def _norm_jumps(blk):
                     "mean": _num(blk, "mean", 0.0),
                     "std": _num(blk, "std", minimum=0.0, strict=True)}
         if family == "laplace":
-            return {"type": "density", "family": "laplace",
-                    "intensity": _num(blk, "intensity", minimum=0.0),
-                    "mean": _num(blk, "mean", 0.0),
-                    "scale": _num(blk, "scale", minimum=0.0, strict=True)}
+            out = {"type": "density", "family": "laplace",
+                   "intensity": _num(blk, "intensity", minimum=0.0),
+                   "mean": _num(blk, "mean", 0.0),
+                   "scale": _num(blk, "scale", minimum=0.0, strict=True)}
+            # (e^y - 1)^2 against exp(-|y|/scale) integrates only below 1/2
+            _require(out["scale"] < 0.5, "field 'scale' must be < 0.5")
+            return out
         raise SpecError(f"unknown density family {family!r} (CLI supports "
                         "'normal' and 'laplace'; arbitrary densities are "
                         "library-level only)")
@@ -208,7 +211,7 @@ def _jump_map(norm):
     if norm["type"] == "identity":
         return lambda y: y
     factor = norm["factor"]
-    return lambda y: np.asarray(y, dtype=float) * factor
+    return lambda y: y * factor
 
 
 def _norm_jump_map(blk):

@@ -85,6 +85,73 @@ def test_from_markov_density_pushforward_tails():
                                                        rel=1e-6)
 
 
+def _zoo_markov(jump_fn=lambda y: 1.2 * y):
+    # the analytic zoo's Markov shape: a bump of scaled normal jumps, so each
+    # level set of the increment has two crossings
+    return st.from_markov([0.05], [[0.2]], jump_fn, st.normal_jumps(1.0, 0.02, 0.2),
+                          st.gaussian_bump(0.5, 0.7), [0.1])
+
+
+def test_from_markov_bump_pushforward_tails_pinned():
+    # the uncached scan's values, which the cached scan must reproduce bit for bit
+    m = _zoo_markov().jumps
+    assert m.upper_tail(0.02) == 0.4897461140332639
+    assert m.upper_tail(0.08) == 0.32260603649703856
+    assert m.upper_tail(0.14) == 0.10398543477519033
+    assert m.lower_tail(-0.05) == 0.35023792605982396
+    assert m.lower_tail(-0.3) == 0.05200843876095494
+    assert m.lower_tail(-0.7) == 1.8862133897341463e-05
+    assert m.support() == (-0.8493658165683123, 0.1506178570343525)
+
+
+def test_pushforward_scans_once_per_instance():
+    f = st.gaussian_bump(0.5, 0.7)
+    f0 = f.value(0.1)
+    calls = []
+
+    def delta(y):
+        calls.append(y)
+        return f.value(0.1 + 1.2 * y) - f0
+
+    m = st.PushforwardCompensator(st.normal_jumps(1.0, 0.02, 0.2), delta)
+    calls.clear()
+    tails = [m.upper_tail(0.02), m.upper_tail(0.08), m.upper_tail(0.14),
+             m.lower_tail(-0.05), m.lower_tail(-0.3)]
+    m.support()
+    # one 4001-point scan, then 60 bisection steps at each of two crossings
+    assert len(calls) <= 4001 + 120 * 5
+    assert tails[0] == 0.4897461140332639 and tails[4] == 0.05200843876095494
+
+
+def test_from_markov_one_entry_jump_fn_matches_scalar():
+    scalar, listed = _zoo_markov(), _zoo_markov(lambda y: [1.2 * y])
+    assert listed.beta.tolist() == scalar.beta.tolist()
+    assert listed.delta.tolist() == scalar.delta.tolist()
+    assert listed.jumps.upper_tail(0.08) == scalar.jumps.upper_tail(0.08)
+    assert listed.jumps.lower_tail(-0.3) == scalar.jumps.lower_tail(-0.3)
+    assert listed.jumps.support() == scalar.jumps.support()
+    with pytest.raises(st.DimensionMismatch,
+                       match="jump_fn gives 2 entries per jump, Z0 has 1"):
+        _zoo_markov(lambda y: [1.2 * y, 0.0])
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 15: the 4001-point scan steps 0.03 over this nu and misses "
+    "the bump's level set, 0.011 wide; crossings need declared structure"))
+def test_pushforward_tail_finds_narrow_level_set():
+    f = st.gaussian_bump(0.5, 0.005)
+    ch = st.from_markov([0.0], [[0.2]], lambda y: y, st.normal_jumps(1.0, 0.0, 0.2),
+                        f, [0.49])
+    f0 = f.value(0.49)
+    u = 0.5 * (f.value(0.5) - f0)
+    # {y : f(0.49 + y) >= f0 + u} is 0.01 +- r, and nu is N(0, 0.2^2)
+    r = 0.005 * math.sqrt(-2.0 * math.log(f0 + u))
+    mass = 0.5 * (math.erfc((r - 0.01) / (0.2 * math.sqrt(2.0)))
+                  - math.erfc((0.01 + r) / (0.2 * math.sqrt(2.0))))
+    assert mass == pytest.approx(0.021198, rel=1e-4)
+    assert ch.jumps.upper_tail(u) == pytest.approx(mass, rel=1e-6)
+
+
 def test_from_markov_beta_uses_kappa_convention():
     # for an asymmetric measure the stored drift is the driving-coefficient
     # formula minus the integral of (u - kappa(u)) against the pushforward

@@ -414,6 +414,19 @@ def test_exit_2_on_schema_error(tmp_path, capsys):
     assert code == 2 and "spec error" in err
 
 
+@pytest.mark.parametrize("jumps, message", [
+    ({"type": "density", "family": "laplace", "intensity": 1.0, "scale": 0.5},
+     "field 'scale' must be < 0.5"),
+    ({"type": "atomic", "atoms": [[0.1, -1.0]]},
+     "atom intensity must be >= 0.0, got -1.0 at 0.1"),
+], ids=["laplace_scale", "negative_atom"])
+def test_exit_2_on_jump_shape_the_constructor_rejects(tmp_path, capsys, jumps, message):
+    spec = {"model": dict(MERTON_SPEC["model"], jumps=jumps)}
+    path = write_spec(tmp_path, spec)
+    code, out, err = run_cli(capsys, ["asymptotics", "--spec", path, "--strike", "1.2"])
+    assert code == 2 and out == "" and err == f"spec error: {message}\n", err
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--t", "0.01", "--strike", "1.0", "--paths", "50"],
     ["simulate", "--t", "0.01", "--strike", "1.0", "--workers", "0"],
@@ -642,8 +655,8 @@ def _jump_block(jumps, intensity, std=0.4, scale=0.2, alpha=1.5):
 
 DEFAULT_SHAPE = {"std": 0.4, "scale": 0.2, "alpha": 1.5}
 # jump shapes, each the default or drawn: tiny and huge widths, values the
-# spec rejects with exit 2 (std 0, alpha outside (1, 2)), and a Laplace
-# scale >= 0.5, which only the constructor rejects, with exit 1
+# spec rejects with exit 2 (std 0, alpha outside (1, 2), a Laplace scale
+# >= 0.5)
 SHAPE = hst.fixed_dictionaries({key: hst.one_of(hst.just(value), FINITE)
                                 for key, value in DEFAULT_SHAPE.items()})
 

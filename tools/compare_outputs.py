@@ -36,7 +36,9 @@ Both trees run the same probes, each in a fresh interpreter with the tree's
   generators, the exponential double tails, ``leading_term`` at three
   strikes with and without a diffusion, ``from_time_changed_levy``, and
   ``from_markov`` on empty, atomic, normal and two-dimensional atomic
-  measures with the tails and support of each image, or the error raised;
+  measures with the tails and support of each image, or the error raised,
+  and on a Gaussian bump of scaled normal jumps, whose level sets have two
+  crossings, with its tails at five levels and its support;
 * a function-family probe recording ``value``, ``gradient``, ``hessian``
   and ``curvature_remainder`` at fixed points for the five one-dimensional
   and three two-dimensional builtin families, ordinary and sharp (a
@@ -302,6 +304,16 @@ for name, nu, f in NUS:
     for u in (0.2, 0.5):
         probe(f"{tag} upper_tail {u}:", lambda: ch.jumps.upper_tail(u))
         probe(f"{tag} lower_tail {-u}:", lambda: ch.jumps.lower_tail(-u))
+
+# a bump of scaled normal jumps: each level set of the image has two crossings
+bump_image = st.from_markov([0.05], [[0.2]], lambda y: 1.2 * y,
+                            st.normal_jumps(1.0, 0.02, 0.2),
+                            st.gaussian_bump(0.5, 0.7), [0.1]).jumps
+for u in (0.02, 0.08, 0.14):
+    probe(f"from_markov bump upper_tail {u}:", lambda: bump_image.upper_tail(u))
+for u in (-0.05, -0.3):
+    probe(f"from_markov bump lower_tail {u}:", lambda: bump_image.lower_tail(u))
+probe("from_markov bump support:", bump_image.support)
 '''
 
 FUNCTIONS = r'''
