@@ -122,9 +122,10 @@ def from_markov(b, Sigma, jump_fn, nu, f, Z0, tol=DEFAULT_TOL):
         kappa-compensation convention used by the rest of the package, i.e.
         grad f . b + tr[hess f Sigma Sigma^T] / 2 + integral of
         (kappa(f(Z0 + jump_fn(y)) - f(Z0)) - jump_fn(y) . grad f) nu(dy),
-        one integral against ``nu``. For one-dimensional Z its quotient by
-        y^2, which singular small-jump measures integrate, is formed from the
-        curvature remainder of ``f`` without cancellation.
+        one integral against ``nu``. For one-dimensional Z the quotients
+        that singular small-jump measures integrate, the drift integrand
+        over y^2 and the increment over y, are formed from the curvature
+        remainder of ``f`` without cancellation.
     """
     Z0 = np.atleast_1d(np.asarray(Z0, dtype=float))
     d = Z0.size
@@ -162,7 +163,7 @@ def from_markov(b, Sigma, jump_fn, nu, f, Z0, tol=DEFAULT_TOL):
         p = jump(y)
         return kappa(f.value(x0 + p) - f0) - (p * g0 if d == 1 else float(np.dot(p, grad)))
 
-    drift_over_y2 = None
+    drift_over_y2 = increment_over_y = None
     if d == 1:
         def drift_over_y2(y):
             # the integrand over y^2 without its cancellation: with p the
@@ -172,6 +173,11 @@ def from_markov(b, Sigma, jump_fn, nu, f, Z0, tol=DEFAULT_TOL):
             r = f.curvature_remainder(x0, p)
             v = g0 + p * r
             return (p / y) ** 2 * (r - p * v ** 3 / (1.0 + (p * v) ** 2))
+
+        def increment_over_y(y):
+            # the increment u = p v over y, without its cancellation
+            p = jump(y)
+            return (p / y) * (g0 + p * f.curvature_remainder(x0, p))
 
     a = Sigma @ Sigma.T
     beta = (float(np.dot(grad, b)) + 0.5 * float(np.trace(hess @ a))
@@ -187,7 +193,7 @@ def from_markov(b, Sigma, jump_fn, nu, f, Z0, tol=DEFAULT_TOL):
                 atoms.append((u, lam))
         pushforward = comp.AtomicCompensator(atoms)
     else:
-        pushforward = comp.PushforwardCompensator(nu, increment)
+        pushforward = comp.PushforwardCompensator(nu, increment, increment_over_y)
 
     return LocalCharacteristics([beta], [[delta0]], pushforward)
 

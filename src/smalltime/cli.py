@@ -16,6 +16,7 @@ Identical spec and seed produce byte-identical output regardless of
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -211,6 +212,7 @@ COMMANDS = {"asymptotics": cmd_asymptotics, "expansion": cmd_expansion,
 
 
 def build_parser():
+    """A fresh parser; ``main`` builds one on its first call and reuses it."""
     parser = argparse.ArgumentParser(
         prog="smalltime",
         description="Short-maturity asymptotics of jump-diffusion models "
@@ -243,8 +245,11 @@ def _require_finite(args):
             raise SpecError(f"{flag} must be finite, got {value!r}")
 
 
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         _require_finite(args)
         spec = modelspec.load(args.spec)

@@ -10,6 +10,11 @@ divergent is rejected when |f| is flagged too: a relative budget alone
 accepts the extrapolated value of a divergent integral. QUADPACK is
 imported on the first integral, because ``scipy.integrate`` is most of a
 cold start.
+
+Which compensator constructions probe integrability here: a density without
+declared exponential moments, a stable-like measure with callable c, and a
+pushforward. Atomic, normal, Laplace and constant-c stable-like
+constructions check it in closed form.
 """
 
 import numpy as np

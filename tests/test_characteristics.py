@@ -213,7 +213,7 @@ def test_from_markov_stable_like_nu():
         st.apply_generator(direct, bump, 0.0), rel=1e-7)
 
 
-@pytest.mark.parametrize("alpha", [1.2, 1.5])
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 1.95])
 def test_from_markov_stable_like_nu_chain_rule(alpha):
     # X = e^Z: the generator of x^2 at X0 = 1 on the image's characteristics
     # is the generator of e^{2z} at Z0 = 0 on Z's own, whose kappa drift is
@@ -227,6 +227,36 @@ def test_from_markov_stable_like_nu_chain_rule(alpha):
     z = st.LocalCharacteristics([b - rebase], [[sig]], nu)
     rhs = st.apply_generator(z, st.exp_affine([2.0]), 0.0)
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def em1_over(z):
+    return math.expm1(z) / z if z else 1.0
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.8, 1.95])
+@pytest.mark.parametrize("f, delta_over_y", [
+    (st.exp_affine([1.0]), em1_over),
+    # (e^(-(y - 0.3)^2 / 0.5) - e^(-0.18)) / y
+    (st.gaussian_bump(0.3, 0.5),
+     lambda y: math.exp(-0.18) * 2.0 * (0.6 - y) * em1_over(2.0 * (0.6 - y) * y)),
+], ids=["exp_affine", "gaussian_bump"])
+def test_pushforward_of_stable_like_integrates_without_cancellation(alpha, f, delta_over_y):
+    # the image's integral of (e^u - 1)^2, one of its integrability probes,
+    # against scipy's algebraic-weight rule on the quotient delta(y) / y in
+    # closed form; differences of f lost accuracy like eps / |y| near 0, so
+    # construction failed at alpha >= 1.8
+    from scipy.integrate import quad
+    ch = st.from_markov([0.0], [[0.2]], lambda y: y, st.stable_like(alpha, 0.3), f, [0.0])
+    got = ch.jumps.integrate(lambda u: math.expm1(u) ** 2,
+                             g_over_y2=lambda u: em1_over(u) ** 2)
+
+    def over_y2(y):
+        q = delta_over_y(y)
+        return (em1_over(q * y) * q) ** 2
+
+    want, _ = quad(lambda y: 0.3 * (over_y2(y) + over_y2(-y)), 0.0, 1.0,
+                   weight="alg", wvar=(1.0 - alpha, 0.0), epsabs=0.0, epsrel=1e-13)
+    assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_empty_measure_is_neutral():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import smalltime as st
+from smalltime import compensators, quadrature
 from smalltime.quadrature import quad_abs
 
 TOL = 1e-9
@@ -259,6 +260,42 @@ def test_stable_with_large_residual_builds():
     m = st.stable_like(1.5, 0.1, residual=resid)
     got = st.integrate(m, lambda y: y * y, g_over_y2=lambda y: 1.0)
     assert got == pytest.approx(0.4 + 1e7 * 0.16, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 1.8, 1.95])
+def test_stable_integrability_closed_forms_match_quadrature(alpha):
+    # scipy's algebraic-weight rule against y^(1 - alpha) on (0, 1], both
+    # sides of the origin folded together
+    from scipy.integrate import quad
+
+    def qaws(h):
+        v, _ = quad(lambda y: h(y) + h(-y), 0.0, 1.0, weight="alg",
+                    wvar=(1.0 - alpha, 0.0), epsabs=0.0, epsrel=1e-13)
+        return 0.7 * v
+
+    levy, sqexp = compensators._stable_moments(alpha, 0.7)
+    assert levy == pytest.approx(qaws(lambda y: 1.0), rel=1e-12)
+    assert sqexp == pytest.approx(
+        qaws(lambda y: (math.expm1(y) / y if y else 1.0) ** 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("residual", [None, st.normal_jumps(1.0, 0.0, 0.2)],
+                         ids=["alone", "normal_residual"])
+@pytest.mark.parametrize("c", [math.inf, math.nan, 1e308])
+def test_stable_non_finite_constant_c_is_rejected(c, residual):
+    with pytest.raises(st.InvariantViolation):
+        st.stable_like(1.5, c, residual)
+
+
+def test_constant_c_stable_builds_without_quadrature(monkeypatch):
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(quadrature, "_quad_piece", no_quadrature)
+    st.stable_like(1.5, 0.1)
+    st.stable_like(1.5, 0.1, st.atomic([(0.3, 1.0)]))
+    with pytest.raises(AssertionError):
+        st.stable_like(1.5, lambda y: 0.1)
 
 
 def test_scaled_measures():

@@ -573,23 +573,68 @@ def probe_scipy(*runs):
 
 
 def test_cold_start_loads_scipy_only_for_an_integral(tmp_path):
-    # atomic coefficients are finite sums and a jump-free simulation draws
-    # plain cells, so neither needs QUADPACK or ndtr
+    # atomic coefficients are finite sums, a jump-free simulation draws
+    # plain cells, and a constant-c stable-like measure checks its
+    # integrability in closed form, so none of them needs QUADPACK or ndtr
     atomic = write_spec(tmp_path, {
         "model": {"S0": 1.0, "r": 0.0, "sigma": 0.2,
                   "jumps": {"type": "atomic", "atoms": [[0.1, 1.0], [-0.2, 0.5]]}},
         "query": {"f": {"family": "gaussian_bump", "center": 0.0, "width": 0.5}}},
         "atomic.json")
     free = write_spec(tmp_path, BS_SPEC, "free.json")
+    stable = write_spec(tmp_path, {
+        "model": {"S0": 1.0, "r": 0.0, "sigma": 0.0,
+                  "jumps": {"type": "stable_like", "alpha": 1.5, "c": 0.1}},
+        "sim": {"n_paths": 1000, "master_seed": 0, "scheme": "exact_stable_increment"}},
+        "stable.json")
     merton = write_spec(tmp_path, MERTON_SPEC, "merton.json")
     runs = [["asymptotics", "--spec", atomic, "--strike", K] for K in ("0.9", "1.0", "1.1")]
     runs += [["expansion", "--spec", atomic, "--t", "0.001"],
              ["simulate", "--spec", free, "--t", "0.01", "--strike", "1.0", "--paths", "1000"],
+             ["asymptotics", "--spec", stable, "--strike", "1.0"],
+             ["simulate", "--spec", stable, "--t", "0.01", "--strike", "1.0"],
              ["asymptotics", "--spec", merton]]
     *cold, last = [r["scipy"] for r in probe_scipy(*runs)]
     assert cold == [[]] * len(runs), cold
     # the probe sees an import: the normal density's OTM slope is an integral
     assert "scipy.integrate" in last
+
+
+def test_shared_parser_matches_a_fresh_process(tmp_path):
+    # main parses every call with one parser: flags, defaults and a usage
+    # error in one call leave nothing behind for the next
+    spec = write_spec(tmp_path, dict(BS_SPEC, sim={"n_paths": 1000, "master_seed": 0}))
+    out = str(tmp_path / "out.csv")
+    runs = [["simulate", "--spec", spec, "--t", "0.01", "--strike", "0.9",
+             "--format", "csv", "--out", out],
+            ["simulate", "--spec", spec, "--t", "0.01"],
+            ["simulate", "--spec", spec, "--t", "x"],
+            ["asymptotics", "--spec", spec]]
+
+    def fresh(argv):
+        root = Path(__file__).resolve().parent.parent
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-m", "smalltime.cli", *argv],
+                             env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                             text=True, timeout=300)
+        return run.returncode, run.stdout, run.stderr
+
+    expected = []
+    for argv in runs:
+        expected.append((fresh(argv), Path(out).read_text() if "--out" in argv else None))
+        Path(out).unlink(missing_ok=True)
+    for argv, (want, want_file) in zip(runs, expected):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert (code, stdout.getvalue(), stderr.getvalue()) == want, argv
+        if want_file is not None:
+            assert Path(out).read_text() == want_file
+    assert [w[0] for w, _ in expected] == [0, 0, 2, 0]
+    assert expected[0][1].startswith("t,estimate")
 
 
 def test_first_ndtr_import_races_in_the_pool(tmp_path):

@@ -14,9 +14,12 @@ Both trees run the same probes, each in a fresh interpreter with the tree's
   runs of the Laplace and atomic specs, ``expansion`` on the jump-free,
   ``markov`` and ``time_change`` specs, and ``simulate`` without a strike
   (the discounted forward). The ``markov`` spec's image is not
-  exponentially integrable, so it probes the rejection (exit 1); two more
-  ``markov`` specs, a Gaussian bump of normal jumps and ``exp_affine`` of
-  stable-like jumps, print a drift;
+  exponentially integrable, so it probes the rejection (exit 1); more
+  ``markov`` specs, a Gaussian bump of normal jumps, and ``exp_affine`` of
+  stable-like jumps at alpha 1.5 and, with a Gaussian bump too, at 1.8 and
+  1.95, print a drift; ``asymptotics --strike 1.0`` runs on the stable-like
+  spec and on one whose c = 1e308 overflows its integrability check
+  (exit 1);
 * high-intensity runs: ``asymptotics`` at strikes 0.95 and 1.05,
   ``expansion`` and ``simulate`` on normal jumps at intensities 1e5 and 1e7,
   the last two also with the martingale mean -std^2/2 at 1e7 (whose
@@ -128,6 +131,15 @@ SPECS = {
                                  "f": {"family": "exp_affine", "weights": [1.0]},
                                  "Z0": [0.0]},
                       "query": {"f": BUMP}},
+    # the same shape nearer alpha = 2, with exp_affine and bump images: the
+    # image's integrability probe needs its quotient by y without cancellation
+    **{f"markov_stable_{alpha}_{f['family']}": {"markov": {
+        "b": [0.0], "Sigma": [[0.2]], "jump_map": {"type": "identity"},
+        "nu": {"type": "stable_like", "alpha": alpha, "c": 0.3}, "f": f, "Z0": [0.0]},
+        "query": {"f": BUMP}}
+       for alpha in (1.8, 1.95)
+       for f in ({"family": "exp_affine", "weights": [1.0]},
+                 {"family": "gaussian_bump", "center": 0.3, "width": 0.5})},
     "time_change": {"time_change": {"b": 0.05, "sigma2": 0.04, "theta0": 1.5,
                                     "nu": {"type": "atomic",
                                            "atoms": [[0.4, 1.0], [-0.6, 0.5]]}},
@@ -145,6 +157,10 @@ SPECS = {
         "residual": {"type": "density", "family": "normal", "intensity": 1e7,
                      "mean": 0.0, "std": 0.4}}),
         "query": {"strike": 1.05, "f": BUMP}},
+    # 2c overflows: InvariantViolation, exit 1
+    "stable_huge_c": {"model": _model(0.0, 0.0, {"type": "stable_like", "alpha": 1.5,
+                                                 "c": 1e308}),
+                      "query": {"strike": 1.0}},
     # (e^y - 1)^2 overflows against it: InvariantViolation, exit 1
     "huge_std": {"model": _model(0.0, 0.2, {"type": "density", "family": "normal",
                                             "intensity": 1.0, "mean": 0.0, "std": 40.0}),
@@ -179,6 +195,9 @@ CLI_RUNS = ([("merton", cmd) for cmd in README_COMMANDS]
                for name in ("itm", "markov", "time_change")]
             + [(name, ["expansion", "--t", "0.01"])
                for name in ("markov_bump", "markov_stable")]
+            + [(name, ["expansion", "--t", "0.01"])
+               for name in SPECS if name.startswith("markov_stable_")]
+            + [(name, ["asymptotics", "--strike", "1.0"]) for name in ("stable", "stable_huge_c")]
             + [("forward", ["simulate", "--t", "0.01"] + extra)
                for extra in ([], ["--workers", "2", "--format", "csv"])]
             + [(name, ["expansion", "--t", "0.001"]) for name in ("sharp_call", "sharp_bump")]
