@@ -17,8 +17,8 @@ from .compensators import (AtomicCompensator, DensityCompensator,
                            JumpCompensator, PushforwardCompensator,
                            StableLikeCompensator, atomic, density,
                            exp_double_tail_down, exp_double_tail_up,
-                           integrate, kappa, laplace_jumps, no_jumps,
-                           normal_jumps, stable_like)
+                           kappa, laplace_jumps, no_jumps, normal_jumps,
+                           stable_like)
 from .errors import (ConfigError, CutoffTooCoarse, DegenerateGradient,
                      DimensionMismatch, DomainError, InsufficientSignal,
                      InvariantViolation, QuadratureDivergence, RegimeUnknown,
@@ -45,7 +45,7 @@ __all__ = [
     "apply_generator", "atm_coefficient", "atomic", "classify_regime",
     "density", "estimate_call", "exp_affine", "exp_double_tail_down",
     "exp_double_tail_up", "from_markov", "from_time_changed_levy",
-    "gaussian_bump", "integrate", "itm_slope", "kappa", "laplace_jumps",
+    "gaussian_bump", "itm_slope", "kappa", "laplace_jumps",
     "mollified_call", "no_jumps", "normal_jumps", "otm_slope", "polynomial",
     "price_grid", "short_time_expectation", "simulate_terminal",
     "slope_study", "stable_like", "stable_positive_part_constant",

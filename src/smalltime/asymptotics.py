@@ -92,8 +92,8 @@ def otm_slope(ec, K, tol=DEFAULT_TOL):
         raise DomainError("otm_slope requires K > S0")
     z = math.log(K / ec.S0)
     m = ec.jumps
-    payoff_form = comp.integrate(
-        m, lambda y: max(ec.S0 * math.exp(y) - K, 0.0), tol, points=[z])
+    payoff_form = m.integrate(
+        lambda y: max(ec.S0 * math.exp(y) - K, 0.0), tol, points=[z])
     psi = comp.exp_double_tail_up(m, z, tol)
     tail_form = ec.S0 * psi
     gap = abs(payoff_form - tail_form)
@@ -172,8 +172,8 @@ def atm_coefficient(ec, tol=DEFAULT_TOL):
         return AsymptoticResult(ATM_DIFFUSIVE, 0.5, a,
                                 diagnostics={"sigma": ec.sigma})
     if regime == ATM_FINITE_VARIATION:
-        a = ec.S0 * comp.integrate(
-            ec.jumps, lambda y: max(math.expm1(y), 0.0), tol, points=[0.0])
+        a = ec.S0 * ec.jumps.integrate(
+            lambda y: max(math.expm1(y), 0.0), tol, points=[0.0])
         return AsymptoticResult(ATM_FINITE_VARIATION, 1.0, a)
     alpha = ec.jumps.alpha
     c0 = ec.jumps.c0

@@ -67,14 +67,23 @@ class JumpCompensator:
 
     form = "abstract"
     dim = 1
-    # points where the density, or a tail, is not smooth. The public
-    # ``integrate``, the double tails and a density's tail quadratures break
-    # there; ``integrate_with_error`` breaks only at the caller's points
+    # points where the density, or a tail, is not smooth, or the edges of a
+    # narrow law: every integral against the measure, the double tails and
+    # a density's tail quadratures break there
     kinks = ()
 
     # -- integration ---------------------------------------------------
     def integrate_with_error(self, g, tol=DEFAULT_TOL, points=None, g_over_y2=None):
-        raise NotImplementedError
+        """(integral of g against the measure, quadrature error estimate), the
+        error at most tol times max(1, integral of |integrand|): absolute up
+        to 1, relative above (``quadrature.quad_abs``). ``points`` marks kinks
+        of g, to which the measure's ``kinks`` are added; ``g_over_y2``
+        optionally gives g(y)/y^2 without cancellation, for singular measures.
+        Each form supplies the quadrature itself as ``_integrate``."""
+        if tol <= 0:
+            raise DomainError("tol must be positive")
+        points = sorted({*(points or ()), *self.kinks})
+        return self._integrate(g, tol, points, g_over_y2)
 
     def integrate(self, g, tol=DEFAULT_TOL, points=None, g_over_y2=None):
         val, _ = self.integrate_with_error(g, tol, points, g_over_y2)
@@ -117,10 +126,9 @@ class JumpCompensator:
 
     def exp_compensation(self, tol=1e-11):
         """Integral of (e^y - 1 - kappa(y)) m(dy), the log-drift correction."""
-        val, _ = self.integrate_with_error(
+        return self.integrate(
             lambda y: math.expm1(y) - kappa(y), tol=tol,
             g_over_y2=lambda y: g2(y) + y / (1.0 + y * y))
-        return val
 
 
 class AtomicCompensator(JumpCompensator):
@@ -151,7 +159,7 @@ class AtomicCompensator(JumpCompensator):
     def is_empty(self):
         return self.masses.size == 0
 
-    def integrate_with_error(self, g, tol=DEFAULT_TOL, points=None, g_over_y2=None):
+    def _integrate(self, g, tol, points, g_over_y2):
         # Python floats overflow to inf silently, numpy scalars with a warning
         total = sum(lam * g(y) for y, lam in zip(self.locations, self.masses.tolist()))
         return float(total), 0.0
@@ -197,8 +205,8 @@ class DensityCompensator(JumpCompensator):
         CDF of ``fn`` (an alias table). The hook does not depend on the intensity, so
         ``scaled`` passes it through.
     kinks : sequence of float, optional
-        Points where ``fn`` is not smooth (``JumpCompensator.kinks``);
-        ``scaled`` passes them through.
+        Points where ``fn`` is not smooth, or the edges of a narrow law
+        (``JumpCompensator.kinks``); ``scaled`` passes them through.
     exp_moments : (float, float), optional
         The integrals of e^y - 1 and of (e^y - 1)^2 against the measure in
         closed form. Construction then checks that they are finite instead
@@ -235,7 +243,7 @@ class DensityCompensator(JumpCompensator):
                 "compensator fails integrability: the integral of (e^y - 1)^2 "
                 "overflows")
 
-    def integrate_with_error(self, g, tol=DEFAULT_TOL, points=None, g_over_y2=None):
+    def _integrate(self, g, tol, points, g_over_y2):
         s = self.singularity_order
         lo, hi = self.lo, self.hi
         pieces = []  # (kind, args)
@@ -279,7 +287,7 @@ class DensityCompensator(JumpCompensator):
             else:
                 v, e = quad_singular_origin(
                     lambda v_: g(-v_) * self.fn(-v_) * v_ ** (s - 2.0), s, arg, budget,
-                    points=[-p for p in points or ()])
+                    points=[-p for p in points])
             total += v
             err += e
         return total, err
@@ -370,7 +378,7 @@ class StableLikeCompensator(JumpCompensator):
                 "compensator fails integrability: the integral of min(1, y^2) "
                 f"or (e^y - 1)^2 is not finite for c = {self.constant_c!r}")
 
-    def integrate_with_error(self, g, tol=DEFAULT_TOL, points=None, g_over_y2=None):
+    def _integrate(self, g, tol, points, g_over_y2):
         if g_over_y2 is None:
             def g_over_y2(y):
                 return g(y) / (y * y)
@@ -380,7 +388,7 @@ class StableLikeCompensator(JumpCompensator):
         vp, ep = quad_singular_origin(lambda y: g_over_y2(y) * c(y), 1.0 + a,
                                       1.0, budget, points=points)
         vm, em = quad_singular_origin(lambda v: g_over_y2(-v) * c(-v), 1.0 + a,
-                                      1.0, budget, points=[-p for p in points or ()])
+                                      1.0, budget, points=[-p for p in points])
         vr, er = self.residual.integrate_with_error(g, budget, points, g_over_y2)
         return vp + vm + vr, ep + em + er
 
@@ -463,7 +471,7 @@ class PushforwardCompensator(JumpCompensator):
         self._scan = None
         self._validate_integrability()
 
-    def integrate_with_error(self, g, tol=DEFAULT_TOL, points=None, g_over_y2=None):
+    def _integrate(self, g, tol, points, g_over_y2):
         delta, q = self.delta, self.delta_over_y
         base_over_y2 = None
         if g_over_y2 is not None and q is not None:
@@ -509,7 +517,8 @@ class PushforwardCompensator(JumpCompensator):
         cuts = [grid[0]] + edges + [grid[-1]]
         total = 0.0
         for k in range(0 if inside[0] else 1, len(cuts) - 1, 2):
-            v, _ = quad_abs(self.nu.fn, cuts[k], cuts[k + 1], 1e-11)
+            v, _ = quad_abs(self.nu.fn, cuts[k], cuts[k + 1], 1e-11,
+                            points=self.nu.kinks)
             total += v
         return total
 
@@ -561,9 +570,12 @@ def normal_jumps(intensity, mean, std):
         # a sum of k iid N(mu, sd^2) jumps is N(k mu, k sd^2)
         return mu * counts + sd * np.sqrt(counts) * rng.standard_normal(counts.size)
 
+    # QUADPACK maps an infinite range with unit scale, so a law much
+    # narrower than 1 falls between its nodes unless +-8 std bound it
+    edges = (mu - 8 * sd, mu + 8 * sd) if 8 * sd < 1 else ()
     return DensityCompensator(
         fn, (-np.inf, np.inf), 0.0, tail_up=tail_up, tail_dn=tail_dn,
-        sum_sampler=sum_sampler,
+        sum_sampler=sum_sampler, kinks=edges,
         exp_moments=_exp_moments(intensity, lambda s: s * mu + 0.5 * (s * sd) ** 2))
 
 
@@ -598,11 +610,12 @@ def laplace_jumps(intensity, scale, mean=0.0):
         return mu * counts + b * (rng.standard_gamma(counts) - rng.standard_gamma(counts))
 
     # the density's kink at the mean is also one of each tail's second
-    # derivative; E e^(sY) = e^(s mu) / (1 - (s b)^2) for |s| < 1/b, and
-    # b < 1/2 keeps s = 2 inside
+    # derivative, and +-40 b bound a narrow law; E e^(sY) = e^(s mu) /
+    # (1 - (s b)^2) for |s| < 1/b, and b < 1/2 keeps s = 2 inside
     return DensityCompensator(
         fn, (-np.inf, np.inf), 0.0, tail_up=tail_up, tail_dn=tail_dn,
-        sum_sampler=sum_sampler, kinks=(mu,),
+        sum_sampler=sum_sampler,
+        kinks=(mu - 40 * b, mu, mu + 40 * b) if 40 * b < 1 else (mu,),
         exp_moments=_exp_moments(intensity, lambda s: s * mu - math.log1p(-(s * b) ** 2)))
 
 
@@ -646,20 +659,6 @@ def _exp_times(x, t):
 
 # ----------------------------------------------------------------------
 # public operations
-
-def integrate(m, g, tol=DEFAULT_TOL, points=None, g_over_y2=None):
-    """Integral of g against the compensator m, with quadrature error at
-    most tol times max(1, integral of |integrand|): absolute up to 1,
-    relative above (``quadrature.quad_abs``).
-
-    ``points`` marks known kinks of g, to which the kinks the measure
-    declares are added; ``g_over_y2`` optionally provides g(y)/y^2 in a
-    cancellation-free form for singular measures.
-    """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    return m.integrate(g, tol, sorted({*(points or ()), *m.kinks}), g_over_y2)
-
 
 def exp_double_tail_up(m, z, tol=DEFAULT_TOL):
     """Exponential double tail for z > 0.

@@ -42,7 +42,7 @@ def quad_abs(fn, a, b, tol, points=None):
     tol : float
         Error budget, absolute up to an integral of |fn| of 1, relative above.
     points : sequence of float, optional
-        Known breakpoints (kinks) strictly inside finite intervals.
+        Known breakpoints; those inside (a, b) split the range.
 
     Returns
     -------
@@ -115,13 +115,13 @@ def quad_singular_origin(rho, power, hi, tol, points=None):
     q = 3.0 - power
     if q <= 0:
         raise QuadratureDivergence(f"singularity power {power} is not integrable")
-    kinks = [p for p in points or () if 0.0 < p < hi]
+    inside = [p for p in points or () if 0.0 < p < hi]
     inv_q = 1.0 / q
 
     def transformed(u):
         return rho(u ** inv_q) / q
 
-    return quad_abs(transformed, 0.0, hi ** q, tol, points=[p ** q for p in kinks])
+    return quad_abs(transformed, 0.0, hi ** q, tol, points=[p ** q for p in inside])
 
 
 def expanding_upper_limit(fn, start, tol):

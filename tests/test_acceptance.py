@@ -107,8 +107,8 @@ def test_criterion_3_psi_identity():
             K = S0 * float(rng.uniform(1.02, 1.8))
             z = math.log(K / S0)
             lhs = S0 * st.exp_double_tail_up(m, z, tol)
-            rhs = st.integrate(m, lambda y: max(S0 * math.exp(y) - K, 0.0),
-                               tol, points=[z])
+            rhs = m.integrate(lambda y: max(S0 * math.exp(y) - K, 0.0),
+                              tol, points=[z])
             assert abs(lhs - rhs) <= 1e-7, f"measure {i}: gap {abs(lhs - rhs)}"
 
 
@@ -209,6 +209,6 @@ def test_criterion_8_degenerate_reduction():
             assert f.value(x0) == 0.0 and f.gradient(x0) == 0.0
             expected = 0.5 * sigma**2 * f.hessian(x0)
             if not jumps.is_empty():
-                expected += st.integrate(jumps, lambda y: f.value(x0 + y), tol)
+                expected += jumps.integrate(lambda y: f.value(x0 + y), tol)
             got = st.apply_generator(ch, f, x0, tol)
             assert got == pytest.approx(expected, abs=1e-7), f"case {case}"

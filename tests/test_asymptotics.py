@@ -221,6 +221,22 @@ def test_atm_finite_variation_atomic():
                                             rel=1e-12)
 
 
+@pytest.mark.parametrize("width", [1e-3, 1e-4, 1e-6])
+@pytest.mark.parametrize("family", ["normal", "laplace"])
+def test_atm_finite_variation_narrow_laws(family, width):
+    # QUADPACK maps an infinite range with unit scale, so a law this narrow
+    # integrates to 0 unless the measure bounds it with breakpoints
+    if family == "normal":
+        m = st.normal_jumps(1.0, 0.3, width)
+        exact = lognormal_call_integral(1.0, 1.0, 1.0, 0.3, width)
+    else:
+        m = st.laplace_jumps(1.0, width, 0.3)
+        exact = laplace_call_integral(1.0, 1.0, 1.0, width, 0.3)
+    res = st.atm_coefficient(st.ExpModelCharacteristics(1.0, 0.0, 0.0, m))
+    assert res.regime == st.ATM_FINITE_VARIATION
+    assert res.coefficient == pytest.approx(exact, rel=1e-10)
+
+
 def _fourier_positive_part(alpha, c):
     """(1/2pi) * integral over R of (1 - e^{-c |z|^alpha}) / z^2 by QUADPACK,
     split at the scale z1 = c^(-1/alpha). On [0, z1] the substitution
@@ -367,8 +383,8 @@ def test_drawn_measures_hold_route_rules_and_the_square_generator(measure, otm, 
     assert res.diagnostics["route_gap"] <= 10 * TOL * max(1.0, abs(res.diagnostics["tail_form"]))
     # ITM: the lower double tail against the put payoff integral, same rule
     res = st.itm_slope(ec, itm, TOL)
-    put = st.integrate(m, lambda y: max(itm - math.exp(y), 0.0), TOL,
-                       points=[math.log(itm)])
+    put = m.integrate(lambda y: max(itm - math.exp(y), 0.0), TOL,
+                      points=[math.log(itm)])
     tail = res.diagnostics["tail_form"]
     assert abs(put - tail) <= 10 * TOL * max(1.0, abs(tail))
     # the generator on x^2 is x^2 (2r + sigma^2 + integral of (e^y - 1)^2)

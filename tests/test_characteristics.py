@@ -304,8 +304,17 @@ def test_time_change_identity():
                      for y, lam in zip(nu.locations, nu.masses))
     assert ch.beta[0] == pytest.approx(0.1 - correction, rel=1e-12)
     assert ch.delta[0, 0] == pytest.approx(0.2)
-    assert st.integrate(ch.jumps, math.exp) == pytest.approx(
-        st.integrate(nu, math.exp), rel=1e-12)
+    assert ch.jumps.integrate(math.exp) == pytest.approx(
+        nu.integrate(math.exp), rel=1e-12)
+
+
+def test_time_change_laplace_drift_breaks_at_the_mean():
+    # the reference is (b - integral of y^3 / (1 + y^2) against nu) * theta0
+    # by mpmath.quad at 50 digits, split at 0 and at the mean, where the
+    # Laplace density has its kink
+    ch = st.from_time_changed_levy((0.05, 0.04, st.laplace_jumps(1.2, 0.25, 0.05)), 1.5)
+    assert ch.beta[0] == pytest.approx(0.05641365782814319438557001310690461488376,
+                                       rel=1e-14)
 
 
 def test_time_change_doubles_generator():
@@ -324,7 +333,7 @@ def test_time_change_compensator_integrals_scale_linearly():
     vals = []
     for th in thetas:
         ch = st.from_time_changed_levy((0.0, 0.0, nu), th)
-        vals.append(st.integrate(ch.jumps, lambda y: math.expm1(y) ** 2))
+        vals.append(ch.jumps.integrate(lambda y: math.expm1(y) ** 2))
     assert vals[1] == pytest.approx(2.0 * vals[0], rel=1e-7)
     assert vals[2] == pytest.approx(6.0 * vals[0], rel=1e-7)
 

@@ -27,19 +27,19 @@ def riemann(fn, lo, hi, step=1e-5):
 
 def test_integrate_atomic_exponential():
     m = st.atomic([(0.5, 2.0)])
-    assert st.integrate(m, math.exp) == pytest.approx(2.0 * math.exp(0.5), rel=1e-12)
+    assert m.integrate(math.exp) == pytest.approx(2.0 * math.exp(0.5), rel=1e-12)
 
 
 def test_integrate_stable_square_closed_form():
     m = st.stable_like(1.5, 0.1)
     # 2 * 0.1 * int_0^1 y^(1 - 1.5) dy = 0.2 / 0.5
-    got = st.integrate(m, lambda y: y * y, g_over_y2=lambda y: 1.0)
+    got = m.integrate(lambda y: y * y, g_over_y2=lambda y: 1.0)
     assert got == pytest.approx(0.4, abs=1e-9)
 
 
 def test_integrate_density_vs_riemann_oracle():
     m = st.density(lambda y: math.exp(-3.0 * abs(y)), (-np.inf, np.inf))
-    got = st.integrate(m, lambda y: math.expm1(y) ** 2)
+    got = m.integrate(lambda y: math.expm1(y) ** 2)
     oracle = riemann(lambda y: np.expm1(y) ** 2 * np.exp(-3.0 * np.abs(y)),
                      -40.0, 40.0)
     assert got == pytest.approx(oracle, abs=5e-9)
@@ -50,21 +50,29 @@ def test_integrate_linearity():
     m = st.normal_jumps(1.3, 0.1, 0.35)
     g1 = math.exp
     g2 = math.sin
-    lhs = st.integrate(m, lambda y: 2.0 * g1(y) - 3.0 * g2(y))
-    rhs = 2.0 * st.integrate(m, g1) - 3.0 * st.integrate(m, g2)
+    lhs = m.integrate(lambda y: 2.0 * g1(y) - 3.0 * g2(y))
+    rhs = 2.0 * m.integrate(g1) - 3.0 * m.integrate(g2)
     assert lhs == pytest.approx(rhs, abs=20 * TOL)
+
+
+def test_every_form_integrates_through_the_one_route():
+    # the base method checks tol and adds the measure's kinks; each form
+    # supplies only its own quadrature
+    for cls in (st.AtomicCompensator, st.DensityCompensator,
+                st.StableLikeCompensator, st.PushforwardCompensator):
+        assert cls.integrate_with_error is st.JumpCompensator.integrate_with_error
 
 
 def test_integrate_rejects_bad_tol():
     m = st.atomic([(0.5, 2.0)])
     with pytest.raises(st.DomainError):
-        st.integrate(m, math.exp, tol=0.0)
+        m.integrate(math.exp, tol=0.0)
 
 
 def test_integrate_divergent_raises():
     m = st.normal_jumps(1.0, 0.0, 0.4)
     with pytest.raises(st.QuadratureDivergence):
-        st.integrate(m, lambda y: 1.0 / (y * y), points=[0.0])
+        m.integrate(lambda y: 1.0 / (y * y), points=[0.0])
 
 
 @pytest.mark.parametrize("power", [1.5, 2.0])
@@ -93,8 +101,8 @@ def test_double_tail_up_normal_matches_payoff_integral():
     S0, K = 1.0, 1.25
     z = math.log(K / S0)
     lhs = S0 * st.exp_double_tail_up(m, z, TOL)
-    rhs = st.integrate(m, lambda y: max(S0 * math.exp(y) - K, 0.0),
-                       TOL, points=[z])
+    rhs = m.integrate(lambda y: max(S0 * math.exp(y) - K, 0.0),
+                      TOL, points=[z])
     assert abs(lhs - rhs) <= 10 * TOL
 
 
@@ -113,8 +121,8 @@ def test_double_tail_down_laplace_matches_put_integral():
     S0, z = 1.0, -0.2
     K = S0 * math.exp(z)
     lhs = st.exp_double_tail_down(m, z, TOL)
-    rhs = st.integrate(m, lambda y: max(K - S0 * math.exp(y), 0.0),
-                       TOL, points=[z]) / S0
+    rhs = m.integrate(lambda y: max(K - S0 * math.exp(y), 0.0),
+                      TOL, points=[z]) / S0
     assert abs(lhs - rhs) <= 10 * TOL
 
 
@@ -165,8 +173,8 @@ def test_payoff_identity_on_random_measures():
         K = 1.05 + 0.1 * (i % 4)
         z = math.log(K / S0)
         lhs = S0 * st.exp_double_tail_up(m, z, TOL)
-        rhs = st.integrate(m, lambda y: max(S0 * math.exp(y) - K, 0.0),
-                           TOL, points=[z])
+        rhs = m.integrate(lambda y: max(S0 * math.exp(y) - K, 0.0),
+                          TOL, points=[z])
         assert abs(lhs - rhs) <= 10 * TOL
 
 
@@ -178,7 +186,7 @@ def test_atomic_oracle_everywhere():
     m = st.atomic(atoms)
     for g in (math.exp, lambda y: y * y, lambda y: max(math.expm1(y), 0.0)):
         exact = sum(lam * g(y) for y, lam in atoms)
-        assert st.integrate(m, g) == pytest.approx(exact, rel=1e-12)
+        assert m.integrate(g) == pytest.approx(exact, rel=1e-12)
     for x in (0.1, 0.25, 0.35, 1.0):
         exact = sum(lam for y, lam in atoms if y >= x)
         assert m.upper_tail(x) == pytest.approx(exact, rel=1e-12)
@@ -212,7 +220,7 @@ def test_closed_form_exp_moments_match_quadrature(m):
     first, second = m.exp_moments
     assert first == pytest.approx(m.integrate(math.expm1, tol=1e-12), rel=1e-10)
     assert second == pytest.approx(m.integrate(lambda y: math.expm1(y) ** 2, tol=1e-12),
-                                   rel=1e-10)
+                                               rel=1e-10)
 
 
 @pytest.mark.parametrize("make", [lambda: st.normal_jumps(1.0, 0.0, 40.0),
@@ -250,7 +258,7 @@ def test_stable_residual_must_be_finite_variation():
 def test_stable_with_residual_integrates_both_parts():
     resid = st.atomic([(1.5, 0.3)])
     m = st.stable_like(1.5, 0.1, residual=resid)
-    got = st.integrate(m, lambda y: y * y, g_over_y2=lambda y: 1.0)
+    got = m.integrate(lambda y: y * y, g_over_y2=lambda y: 1.0)
     assert got == pytest.approx(0.4 + 0.3 * 1.5**2, abs=1e-9)
 
 
@@ -258,7 +266,7 @@ def test_stable_with_large_residual_builds():
     # the residual's |y|-integral is about 3e6: an absolute budget rejected it
     resid = st.normal_jumps(1e7, 0.0, 0.4)
     m = st.stable_like(1.5, 0.1, residual=resid)
-    got = st.integrate(m, lambda y: y * y, g_over_y2=lambda y: 1.0)
+    got = m.integrate(lambda y: y * y, g_over_y2=lambda y: 1.0)
     assert got == pytest.approx(0.4 + 1e7 * 0.16, rel=1e-9)
 
 
@@ -300,13 +308,13 @@ def test_constant_c_stable_builds_without_quadrature(monkeypatch):
 
 def test_scaled_measures():
     m = st.atomic([(0.5, 2.0)])
-    assert st.integrate(m.scaled(3.0), math.exp) == pytest.approx(
+    assert m.scaled(3.0).integrate(math.exp) == pytest.approx(
         6.0 * math.exp(0.5), rel=1e-12)
     d = st.normal_jumps(1.0, 0.0, 0.4)
-    assert st.integrate(d.scaled(2.0), lambda y: 1.0) == pytest.approx(
+    assert d.scaled(2.0).integrate(lambda y: 1.0) == pytest.approx(
         2.0, abs=1e-8)
     s = st.stable_like(1.5, 0.1)
-    got = st.integrate(s.scaled(2.0), lambda y: y * y, g_over_y2=lambda y: 1.0)
+    got = s.scaled(2.0).integrate(lambda y: y * y, g_over_y2=lambda y: 1.0)
     assert got == pytest.approx(0.8, abs=1e-9)
 
 
@@ -323,6 +331,6 @@ def test_callable_c_stable_like():
     m = st.stable_like(1.5, lambda y: 0.1 * (1.0 + 0.5 * y * y))
     direct = riemann(lambda y: y**2 * 0.1 * (1 + 0.5 * y**2) * np.abs(y)**-2.5,
                      1e-6, 1.0, 1e-6) * 2
-    got = st.integrate(m, lambda y: y * y, g_over_y2=lambda y: 1.0)
+    got = m.integrate(lambda y: y * y, g_over_y2=lambda y: 1.0)
     # Riemann oracle misses [0, 1e-6], whose contribution is ~2*0.1*sqrt(1e-6)
     assert got == pytest.approx(direct, abs=5e-4)

@@ -117,6 +117,23 @@ def test_exp_generator_second_moment_formula():
     assert got == pytest.approx(S0**2 * sigma**2 + S0**2 * sq, rel=1e-9)
 
 
+@pytest.mark.parametrize("width", [1e-3, 1e-4, 1e-6])
+@pytest.mark.parametrize("family", ["normal", "laplace"])
+def test_exp_generator_narrow_law_tends_to_its_atom(family, width):
+    # the jump integral of a narrow law differs from that of the atom at its
+    # mean by about 4.2 times its variance (std^2, or 2 scale^2 for Laplace)
+    if family == "normal":
+        m, var = st.normal_jumps(1.0, 0.3, width), width ** 2
+    else:
+        m, var = st.laplace_jumps(1.0, width, 0.3), 2.0 * width ** 2
+    bump = st.gaussian_bump(1.1, 0.3)
+    atom = st.apply_exp_generator(
+        st.ExpModelCharacteristics(1.0, 0.0, 0.2, st.atomic([(0.3, 1.0)])), bump, 1.0)
+    got = st.apply_exp_generator(st.ExpModelCharacteristics(1.0, 0.0, 0.2, m), bump, 1.0)
+    assert atom == pytest.approx(-0.79361498, abs=1e-8)
+    assert abs(got - atom) <= 5.0 * var + TOL
+
+
 def test_exp_generator_domain():
     ec = st.ExpModelCharacteristics(1.0, 0.0, 0.2)
     with pytest.raises(st.DomainError):
@@ -175,7 +192,7 @@ def test_degenerate_case_reduction():
         var = float(ch.diffusion_matrix()[0, 0])
         expected = 0.5 * var * f.hessian(x0)
         if not ch.jumps.is_empty():
-            expected += st.integrate(ch.jumps, lambda y: f.value(x0 + y), TOL)
+            expected += ch.jumps.integrate(lambda y: f.value(x0 + y), TOL)
         got = st.apply_generator(ch, f, x0, TOL)
         assert got == pytest.approx(expected, abs=5e-8)
         # with a vanishing Hessian only the raw jump integral survives
@@ -183,7 +200,7 @@ def test_degenerate_case_reduction():
         f3 = st.polynomial(coeffs3, center=x0)
         expected3 = 0.0
         if not ch.jumps.is_empty():
-            expected3 = st.integrate(ch.jumps, lambda y: f3.value(x0 + y), TOL)
+            expected3 = ch.jumps.integrate(lambda y: f3.value(x0 + y), TOL)
         assert st.apply_generator(ch, f3, x0, TOL) == pytest.approx(
             expected3, abs=5e-8)
 

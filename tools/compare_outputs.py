@@ -27,6 +27,10 @@ Both trees run the same probes, each in a fresh interpreter with the tree's
   ``expansion`` on a stable-like model whose residual is normal jumps at
   intensity 1e7, and ``asymptotics`` on normal jumps of std 40, whose
   (e^y - 1)^2 overflows;
+* laws much narrower than QUADPACK's unit scale on an infinite range:
+  ``asymptotics --strike 1.0`` on normal jumps of std 1e-3 at mean 0.3
+  without a diffusion, and ``expansion`` of a Gaussian bump on Laplace
+  jumps of scale 1e-3 at mean 0.3 with sigma 0.2;
 * an unresolved conditional cell: ``simulate`` at t = 1e-3 and strike 1.05
   on normal jumps at intensity 1e-14, where no path of the cell jumps;
 * a sweep over every jump form x scheme x ``n_paths`` in {100, 2**16,
@@ -171,6 +175,15 @@ SPECS = {
                                                "intensity": 1e-14, "mean": 0.0,
                                                "std": 0.4}),
                    "sim": {"n_paths": 1000, "master_seed": 0}},
+    "narrow_normal": {"model": _model(0.0, 0.0, {"type": "density", "family": "normal",
+                                                 "intensity": 1.0, "mean": 0.3,
+                                                 "std": 1e-3}),
+                      "query": {"strike": 1.0}},
+    "narrow_laplace": {"model": _model(0.0, 0.2, {"type": "density", "family": "laplace",
+                                                  "intensity": 1.0, "mean": 0.3,
+                                                  "scale": 1e-3}),
+                       "query": {"f": {"family": "gaussian_bump", "center": 1.1,
+                                       "width": 0.3}}},
     "sharp_bump": {"model": _model(0.01, 0.2, {"type": "density", "family": "normal",
                                                "intensity": 1.0, "mean": 0.0, "std": 0.4}),
                    "query": {"f": {"family": "gaussian_bump", "center": 1.0,
@@ -212,6 +225,8 @@ CLI_RUNS = ([("merton", cmd) for cmd in README_COMMANDS]
             + [("stable_residual", cmd)
                for cmd in (["asymptotics"], ["expansion", "--t", "0.001"])]
             + [("huge_std", ["asymptotics"])]
+            + [("narrow_normal", ["asymptotics", "--strike", "1.0"]),
+               ("narrow_laplace", ["expansion", "--t", "0.01"])]
             + [("unresolved", ["simulate", "--t", "0.001", "--strike", "1.05"])])
 
 MODELS = r'''
